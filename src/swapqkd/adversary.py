@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .bell import BellLabel, PairTable, pauli_correction
 from .knowledge import KnowledgeLedger, Party
-from .rng import RandomStream
+from .rng import RoundStream
 
 
 class AccessViolation(RuntimeError):
@@ -36,7 +36,7 @@ class ChannelTap:
     outside her ancillas and the single qubit currently in the channel.
     """
 
-    def __init__(self, table: PairTable, randomness: RandomStream,
+    def __init__(self, table: PairTable, randomness: RoundStream,
                  ancillas: tuple[int, int], transit: int):
         self._table = table
         self._rng = randomness

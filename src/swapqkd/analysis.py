@@ -180,6 +180,8 @@ def estimate_detection(
         raise ValueError("need at least one tested pair")
     if sessions < 1:
         raise ValueError("need at least one session")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     seeds = session_seeds(seed, sessions)
     if workers > 1 and sessions >= 2 * workers:
         import multiprocessing
@@ -222,6 +224,8 @@ class DetectionCurve:
             raise ValueError("need at least one tested pair")
         if sessions and seed is None:
             raise ValueError("empirical columns need a seed")
+        if seed is not None and seed < 0:
+            raise ValueError("seed must be nonnegative")
         points = []
         for n in range(1, max_pairs + 1):
             bits = 2 * n

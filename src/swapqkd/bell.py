@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .rng import RandomStream
+from .rng import RoundStream
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class PairTable:
         self,
         a: int,
         b: int,
-        randomness: RandomStream | None = None,
+        randomness: RoundStream | None = None,
         force: BellLabel | None = None,
     ) -> BellLabel:
         """Bell-operator measurement on qubits a and b.

@@ -21,7 +21,7 @@ from . import analysis, transcript, verify
 from .bell import BellLabel, swap_rule
 from .knowledge import LedgerViolation
 from .protocol import SessionConfig, run_session
-from .rng import COIN, stream
+from .rng import COIN, SESSIONS, child_seed, stream
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,6 +34,16 @@ def _label_arg(text: str) -> BellLabel:
         return BellLabel.from_string(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -70,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a seeded session and emit its transcript")
     p_run.add_argument("--rounds", type=int, required=True)
-    p_run.add_argument("--seed", type=int, required=True, help="mandatory; runs are replayable")
+    p_run.add_argument("--seed", type=_seed_arg, required=True,
+                       help="mandatory; runs are replayable")
     p_run.add_argument("--eve", action="store_true", help="enable the eavesdropper")
     p_run.add_argument("--test-fraction", type=float, default=0.0,
                        help="fraction of rounds sacrificed to the eavesdropping test")
@@ -89,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--max-pairs", type=int, required=True)
     p_cur.add_argument("--sessions", type=int, default=0,
                        help="add Monte Carlo columns from this many sessions per point")
-    p_cur.add_argument("--seed", type=int, default=None)
+    p_cur.add_argument("--seed", type=_seed_arg, default=None)
     p_cur.add_argument("--out", default=None)
 
     p_mc = sub.add_parser("montecarlo", help="estimate detection frequencies vs closed form")
     p_mc.add_argument("--max-pairs", type=int, default=4)
     p_mc.add_argument("--sessions", type=int, default=10_000)
-    p_mc.add_argument("--seed", type=int, required=True)
+    p_mc.add_argument("--seed", type=_seed_arg, required=True)
     p_mc.add_argument("--workers", type=int, default=1,
                       help="processes to spread sessions across (same result for any value)")
     return parser
@@ -186,7 +197,7 @@ def _cmd_montecarlo(args) -> int:
     worst = 0.0
     for n in range(1, args.max_pairs + 1):
         est = analysis.estimate_detection(
-            n, args.sessions, seed=args.seed + n, workers=args.workers
+            n, args.sessions, seed=child_seed(args.seed, SESSIONS, n), workers=args.workers
         )
         z = abs(est.empirical - est.expected) / est.stderr if est.stderr else 0.0
         worst = max(worst, z)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from .knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
-from .rng import RandomStream, round_stream
+from .rng import RoundStream, round_stream
 
 
 def _label(s: str) -> BellLabel:
@@ -104,6 +104,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.test_fraction <= 1.0:
             raise ValueError("test_fraction must lie in [0, 1]")
         if len(self.initial_labels) != 3:
@@ -268,7 +270,7 @@ class Session:
                 raise ValueError(f"malformed state: {holder.value} does not hold {a},{b}")
 
     def run_round(
-        self, randomness: RandomStream, forced: ForcedOutcomes | None = None
+        self, randomness: RoundStream, forced: ForcedOutcomes | None = None
     ) -> RoundRecord:
         forced = forced or ForcedOutcomes()
         cfg = self.config
@@ -401,7 +403,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
 
 def replay_round(
-    config: SessionConfig, forced: ForcedOutcomes, randomness: RandomStream | None = None
+    config: SessionConfig, forced: ForcedOutcomes, randomness: RoundStream | None = None
 ) -> tuple[RoundRecord, Session]:
     """Run a single round of a fresh session with pinned branches.
 

@@ -142,6 +142,8 @@ class TestMonteCarlo:
             analysis.estimate_detection(0, 10, seed=1)
         with pytest.raises(ValueError):
             analysis.estimate_detection(1, 0, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            analysis.estimate_detection(1, 10, seed=-1)
 
     def test_sigma(self):
         assert analysis.binomial_sigma(0.5, 100) == pytest.approx(0.05)
@@ -172,6 +174,8 @@ class TestDetectionCurve:
             analysis.DetectionCurve.build(0)
         with pytest.raises(ValueError, match="seed"):
             analysis.DetectionCurve.build(2, sessions=10)
+        with pytest.raises(ValueError, match="seed"):
+            analysis.DetectionCurve.build(2, sessions=10, seed=-1)
 
     def test_probabilities_monotone(self):
         curve = analysis.DetectionCurve.build(8)

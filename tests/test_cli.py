@@ -9,7 +9,7 @@ import pytest
 from swapqkd import analysis, transcript
 from swapqkd.cli import main
 from swapqkd.protocol import SessionConfig, run_session
-from swapqkd.rng import COIN, stream
+from swapqkd.rng import COIN, session_seeds, stream
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +202,41 @@ class TestMonteCarloCommand:
     def test_bad_args(self, capsys):
         code, _, _ = run_cli(capsys, "montecarlo", "--max-pairs", "0", "--seed", "9")
         assert code == 2
+
+    def test_points_share_no_session_seeds(self, capsys, monkeypatch):
+        # --seed 5 at n = 2 and --seed 6 at n = 1 once ran the same sessions
+        point_seeds = []
+        estimate = analysis.estimate_detection
+
+        def recording(pairs_tested, sessions, seed, **kwargs):
+            point_seeds.append(seed)
+            return estimate(pairs_tested, sessions, seed, **kwargs)
+
+        monkeypatch.setattr(analysis, "estimate_detection", recording)
+        for seed, max_pairs in (("5", "2"), ("6", "1")):
+            code, _, _ = run_cli(capsys, "montecarlo", "--max-pairs", max_pairs,
+                                 "--sessions", "50", "--seed", seed)
+            assert code == 0
+        five_at_2, six_at_1 = point_seeds[1], point_seeds[2]
+        assert not set(session_seeds(five_at_2, 50)) & set(session_seeds(six_at_1, 50))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--rounds", "2", "--seed", "-1"],
+        ["curves", "--max-pairs", "2", "--sessions", "10", "--seed", "-1"],
+        ["montecarlo", "--max-pairs", "2", "--sessions", "10", "--seed", "-1"],
+    ],
+    ids=["run", "curves", "montecarlo"],
+)
+def test_negative_seed_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: seed must be nonnegative" in err
+    assert "Traceback" not in err
 
 
 class TestEntryPoints:

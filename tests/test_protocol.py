@@ -245,6 +245,10 @@ class TestSessionProperties:
         assert transcript.rounds == []
         assert transcript.alice_key == ""
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SessionConfig(rounds=1, seed=-1)
+
     def test_malformed_state_rejected(self):
         cfg = SessionConfig(rounds=1, seed=3)
         session = Session(cfg)
