@@ -1,8 +1,9 @@
 """Golden digests: the exact bytes the CLI writes for fixed configurations.
 
-Each case runs one command and pins the SHA-256 of its stdout. A change
-that alters any of these bytes is a change in behaviour, which must be
-intended and recorded along with the new digest.
+Each case runs one command and pins the SHA-256 of its stdout, or of the
+file it writes with `--out`. A change that alters any of these bytes is a
+change in behaviour, which must be intended and recorded along with the
+new digest.
 """
 
 import hashlib
@@ -29,6 +30,11 @@ GOLDEN = {
          "--labels", "01", "11", "00", "--ancilla", "10"],
         "2ba7db44983b22d7ecae1d51140971596332ca129f3d7d1ce4510d6666c79cf9",
     ),
+    "eve_tested_csv": (
+        ["run", "--rounds", "200", "--seed", "7", "--eve", "--test-fraction", "0.1",
+         "--format", "csv"],
+        "54c92770ce5908322b520637fbd490ec00716eb2fa639fb2b915a07036e97c02",
+    ),
     "curves": (
         ["curves", "--max-pairs", "4", "--sessions", "200", "--seed", "11"],
         "f759d102a492beec3186b8b13e1bb07e6670103ceac8c3ecc81bef203071e610",
@@ -42,3 +48,13 @@ def test_output_digest(case, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_out_file_digest(tmp_path, capsys):
+    path = tmp_path / "honest.jsonl"
+    argv = ["run", "--rounds", "300", "--seed", "5", "--test-fraction", "0.1",
+            "--labels", "00", "01", "11", "--out", str(path)]
+    assert main(argv) == 0
+    assert "0/30 tested pairs mismatched -> clean" in capsys.readouterr().out
+    digest = "bab8a4cd7f382113dab1218924078946ab5f62eabd309d1bd283934eb7ff2bd3"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
