@@ -57,7 +57,7 @@ class ChannelTap:
         return self._table.are_partners(a, b)
 
 
-@dataclass
+@dataclass(slots=True)
 class EveRoundRecord:
     """Eve's per-round outcomes and reconstructions, kept out of the
     legitimate parties' transcript fields."""

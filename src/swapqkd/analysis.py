@@ -13,6 +13,7 @@ so the closed forms can be checked at 3-sigma.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from .protocol import SessionConfig, SessionTranscript, run_session
@@ -174,7 +175,7 @@ def estimate_detection(
     as a detection if any tested pair mismatches. Session seeds derive
     from `seed` by the documented split, so the estimate is identical for
     any `workers` value; extra workers only spread the sessions across
-    processes.
+    processes, at most one per CPU.
     """
     if pairs_tested < 1:
         raise ValueError("need at least one tested pair")
@@ -183,6 +184,7 @@ def estimate_detection(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     seeds = session_seeds(seed, sessions)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and sessions >= 2 * workers:
         import multiprocessing
 

@@ -56,13 +56,14 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _write_lines(lines, out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
     if out_path is None:
-        sys.stdout.write(text)
+        for line in lines:
+            sys.stdout.write(f"{line}\n")
         return
     try:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(f"{line}\n")
     except OSError as err:
         raise _IOFailure(f"cannot write {out_path}: {err}")
 
@@ -108,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sessions", type=int, default=10_000)
     p_mc.add_argument("--seed", type=_seed_arg, required=True)
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="processes to spread sessions across (same result for any value)")
+                      help="processes to spread sessions across, at most one per CPU "
+                           "(same result for any value)")
     return parser
 
 
@@ -181,6 +183,9 @@ def _cmd_curves(args) -> int:
     if args.max_pairs < 1:
         print("error: --max-pairs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.sessions < 0:
+        print("error: --sessions must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     if args.sessions and args.seed is None:
         print("error: --sessions needs --seed", file=sys.stderr)
         return EXIT_USAGE
@@ -192,6 +197,9 @@ def _cmd_curves(args) -> int:
 def _cmd_montecarlo(args) -> int:
     if args.max_pairs < 1 or args.sessions < 1:
         print("error: --max-pairs and --sessions must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     print("pairs,bits,sessions,empirical,expected,stderr,z")
     worst = 0.0

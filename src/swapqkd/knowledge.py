@@ -108,17 +108,24 @@ class KnowledgeLedger:
         partner[a], partner[b] = b, a
         partner[j], partner[l] = l, j
 
+    def _pair(self, a: int, b: int) -> tuple[int, int]:
+        """Key of the live pair (a, b); a LedgerViolation if a and b are not
+        partners, so an update never invents a pair."""
+        if self._partner.get(a) != b:
+            raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
+        return (a, b) if a < b else (b, a)
+
     def record_readout(self, a: int, b: int, reader: Party) -> None:
         """An eigenstate measurement on partners: the reader learns the label."""
-        self._mask[_key(a, b)] |= _BIT[reader]
+        self._mask[self._pair(a, b)] |= _BIT[reader]
 
     def record_announcement(self, a: int, b: int) -> None:
         """The pair's label is published; everyone, Eve included, knows it."""
-        self._mask[_key(a, b)] = _WORLD
+        self._mask[self._pair(a, b)] = _WORLD
 
     def record_inference(self, a: int, b: int, party: Party) -> None:
         """`party` derives the label from announcements plus what it holds."""
-        self._mask[_key(a, b)] |= _BIT[party]
+        self._mask[self._pair(a, b)] |= _BIT[party]
 
     def require_knowledge(self, a: int, b: int, party: Party, action: str) -> None:
         if not self.knows(a, b, party):

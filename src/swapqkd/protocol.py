@@ -129,14 +129,14 @@ class ForcedOutcomes:
     eve_detach: BellLabel | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Correction:
     party: Party
     qubit: int
     op: PauliOp
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     index: int
     alice_secret: BellLabel

@@ -7,18 +7,23 @@ eavesdropping-test report. Emission is deterministic: rerunning the same
 configuration and seed reproduces the file byte for byte, and
 `parse_lines(emit_lines(...))` returns equal objects.
 
-Bell labels serialize as the two-character strings "00".."11".
+Bell labels serialize as the two-character strings "00".."11". Round
+lines are written from a fixed template that yields exactly what
+`json.dumps` with separators (",", ":") yields; header and summary go
+through `json.dumps` itself. Malformed input to `parse_lines` raises
+`TranscriptError`, which names the line and the field.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .adversary import EveRoundRecord
 from .analysis import RateReport, TestReport
-from .bell import BellLabel, PauliOp
+from .bell import ALL_LABELS, PauliOp
 from .knowledge import Party
 from .protocol import Correction, RoundRecord, SessionConfig, SessionTranscript
 
@@ -32,8 +37,62 @@ class TranscriptFile:
     test: TestReport | None
 
 
+class TranscriptError(ValueError):
+    """Malformed transcript input, located by line number and field."""
+
+    def __init__(self, message: str, line: int | None = None, field: str | None = None):
+        self.line = line
+        self.field = field
+        where = ", ".join(
+            part for part in (line and f"line {line}", field and f"field {field!r}") if part
+        )
+        super().__init__(f"{where}: {message}" if where else message)
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+# Text tables for the round template: each entry is the JSON text
+# json.dumps gives for that value.
+_LABEL_TEXT = {lab: f'"{lab}"' for lab in ALL_LABELS}
+_PARTY_TEXT = {party: f'"{party.value}"' for party in Party}
+_PAULI_TEXT = {op: f'"{op.name}"' for op in PauliOp}
+
+_LABEL_OF = {str(lab): lab for lab in ALL_LABELS}
+_PARTY_OF = {party.value: party for party in Party}
+_PAULI_OF = {op.name: op for op in PauliOp}
+
+
+def _round_line(rec: RoundRecord) -> str:
+    """The round's JSON line, byte for byte what json.dumps writes for it
+    with separators (",", ":")."""
+    eve = rec.eve
+    if eve is None:
+        eve_text = "null"
+    else:
+        eve_text = (
+            f'{{"outbound_outcome":{_LABEL_TEXT[eve.outbound_outcome]},'
+            f'"return_readout":{_LABEL_TEXT[eve.return_readout]},'
+            f'"detach_outcome":{_LABEL_TEXT[eve.detach_outcome]},'
+            f'"inferred_alice":{_LABEL_TEXT[eve.inferred_alice]},'
+            f'"inferred_bob":{_LABEL_TEXT[eve.inferred_bob]}}}'
+        )
+    transfers = ",".join([f"[{q},{_quote(direction)}]" for q, direction in rec.transfers])
+    corrections = ",".join(
+        [f"[{_PARTY_TEXT[c.party]},{c.qubit},{_PAULI_TEXT[c.op]}]" for c in rec.corrections]
+    )
+    return (
+        f'{{"kind":"round","index":{rec.index},'
+        f'"alice_secret":{_LABEL_TEXT[rec.alice_secret]},'
+        f'"bob_secret":{_LABEL_TEXT[rec.bob_secret]},'
+        f'"announcement":{_LABEL_TEXT[rec.announcement]},'
+        f'"alice_inferred_bob":{_LABEL_TEXT[rec.alice_inferred_bob]},'
+        f'"bob_inferred_alice":{_LABEL_TEXT[rec.bob_inferred_alice]},'
+        f'"transfers":[{transfers}],"transmissions":{rec.transmissions},'
+        f'"key_bits":{_quote(rec.key_bits)},"eve":{eve_text},'
+        f'"corrections":[{corrections}]}}'
+    )
 
 
 def _config_dict(cfg: SessionConfig) -> dict:
@@ -45,71 +104,6 @@ def _config_dict(cfg: SessionConfig) -> dict:
         "initial_labels": [str(lab) for lab in cfg.initial_labels],
         "eve_ancilla": str(cfg.eve_ancilla),
     }
-
-
-def _config_from(d: dict) -> SessionConfig:
-    labels = tuple(BellLabel.from_string(s) for s in d["initial_labels"])
-    return SessionConfig(
-        rounds=d["rounds"],
-        seed=d["seed"],
-        eve_enabled=d["eve_enabled"],
-        test_fraction=d["test_fraction"],
-        initial_labels=labels,
-        eve_ancilla=BellLabel.from_string(d["eve_ancilla"]),
-    )
-
-
-def _round_dict(rec: RoundRecord) -> dict:
-    eve = None
-    if rec.eve is not None:
-        eve = {
-            "outbound_outcome": str(rec.eve.outbound_outcome),
-            "return_readout": str(rec.eve.return_readout),
-            "detach_outcome": str(rec.eve.detach_outcome),
-            "inferred_alice": str(rec.eve.inferred_alice),
-            "inferred_bob": str(rec.eve.inferred_bob),
-        }
-    return {
-        "kind": "round",
-        "index": rec.index,
-        "alice_secret": str(rec.alice_secret),
-        "bob_secret": str(rec.bob_secret),
-        "announcement": str(rec.announcement),
-        "alice_inferred_bob": str(rec.alice_inferred_bob),
-        "bob_inferred_alice": str(rec.bob_inferred_alice),
-        "transfers": [[q, direction] for q, direction in rec.transfers],
-        "transmissions": rec.transmissions,
-        "key_bits": rec.key_bits,
-        "eve": eve,
-        "corrections": [[c.party.value, c.qubit, c.op.name] for c in rec.corrections],
-    }
-
-
-def _round_from(d: dict) -> RoundRecord:
-    eve = None
-    if d["eve"] is not None:
-        e = d["eve"]
-        eve = EveRoundRecord(
-            outbound_outcome=BellLabel.from_string(e["outbound_outcome"]),
-            return_readout=BellLabel.from_string(e["return_readout"]),
-            detach_outcome=BellLabel.from_string(e["detach_outcome"]),
-            inferred_alice=BellLabel.from_string(e["inferred_alice"]),
-            inferred_bob=BellLabel.from_string(e["inferred_bob"]),
-        )
-    return RoundRecord(
-        index=d["index"],
-        alice_secret=BellLabel.from_string(d["alice_secret"]),
-        bob_secret=BellLabel.from_string(d["bob_secret"]),
-        announcement=BellLabel.from_string(d["announcement"]),
-        alice_inferred_bob=BellLabel.from_string(d["alice_inferred_bob"]),
-        bob_inferred_alice=BellLabel.from_string(d["bob_inferred_alice"]),
-        transfers=tuple((q, direction) for q, direction in d["transfers"]),
-        key_bits=d["key_bits"],
-        eve=eve,
-        corrections=tuple(
-            Correction(Party(p), q, PauliOp[op]) for p, q, op in d["corrections"]
-        ),
-    )
 
 
 def _summary_dict(
@@ -151,49 +145,234 @@ def emit_lines(file: TranscriptFile) -> list[str]:
         "config": _config_dict(file.transcript.config),
     }
     lines = [_dump(header)]
-    lines.extend(_dump(_round_dict(rec)) for rec in file.transcript.rounds)
+    lines.extend([_round_line(rec) for rec in file.transcript.rounds])
     lines.append(_dump(_summary_dict(file.transcript, file.rate, file.test)))
     return lines
 
 
-def parse_lines(lines) -> TranscriptFile:
-    rows = [json.loads(line) for line in lines if line.strip()]
-    if not rows or rows[0].get("kind") != "header":
-        raise ValueError("transcript must start with a header line")
-    if rows[-1].get("kind") != "summary":
-        raise ValueError("transcript must end with a summary line")
-    config = _config_from(rows[0]["config"])
-    rounds = [_round_from(d) for d in rows[1:-1]]
-    summary = rows[-1]
+# -- parsing ------------------------------------------------------------------
+
+def _is_int(v) -> bool:
+    return type(v) is int  # not bool, which json.loads also gives
+
+
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float
+
+
+def _is_label(v) -> bool:
+    return type(v) is str and v in _LABEL_OF
+
+
+def _is_transfer(t) -> bool:
+    return type(t) is list and len(t) == 2 and _is_int(t[0]) and type(t[1]) is str
+
+
+def _is_correction(c) -> bool:
+    return (
+        type(c) is list and len(c) == 3
+        and type(c[0]) is str and c[0] in _PARTY_OF
+        and _is_int(c[1])
+        and type(c[2]) is str and c[2] in _PAULI_OF
+    )
+
+
+# Field checks: a predicate on the json.loads value, and what it expects.
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_LABEL = (_is_label, "a label")
+_STR = (lambda v: type(v) is str, "a string")
+_BOOL = (lambda v: type(v) is bool, "a boolean")
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_STR_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
+_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a number or null")
+_OBJECT_OR_NULL = (lambda v: v is None or type(v) is dict, "an object or null")
+_INTS = (lambda v: type(v) is list and all(map(_is_int, v)), "a list of integers")
+_THREE_LABELS = (
+    lambda v: type(v) is list and len(v) == 3 and all(map(_is_label, v)), "three labels"
+)
+_TRANSFERS = (
+    lambda v: type(v) is list and all(map(_is_transfer, v)),
+    "a list of [qubit, direction] pairs",
+)
+_CORRECTIONS = (
+    lambda v: type(v) is list and all(map(_is_correction, v)),
+    "a list of [party, qubit, pauli] triples",
+)
+
+
+def _field(row: dict, name: str, check, line: int, prefix: str = ""):
+    """row[name] after `check`; a TranscriptError names `prefix + name`."""
+    if name not in row:
+        raise TranscriptError("missing field", line, prefix + name)
+    value = row[name]
+    ok, want = check
+    if not ok(value):
+        raise TranscriptError(f"expected {want}, got {value!r}", line, prefix + name)
+    return value
+
+
+def _config_from(row: dict, line: int) -> SessionConfig:
+    d = _field(row, "config", _OBJECT, line)
+    fields = {
+        name: _field(d, name, check, line, "config.")
+        for name, check in (
+            ("rounds", _INT),
+            ("seed", _INT),
+            ("eve_enabled", _BOOL),
+            ("test_fraction", _NUMBER),
+            ("initial_labels", _THREE_LABELS),
+            ("eve_ancilla", _LABEL),
+        )
+    }
+    fields["initial_labels"] = tuple(_LABEL_OF[s] for s in fields["initial_labels"])
+    fields["eve_ancilla"] = _LABEL_OF[fields["eve_ancilla"]]
+    try:
+        return SessionConfig(**fields)
+    except ValueError as err:
+        raise TranscriptError(str(err), line, "config") from None
+
+
+def _round_from(row: dict, line: int) -> RoundRecord:
+    """One round row as its record.
+
+    Well-formed rows take plain lookups; a row that fails them, or holds a
+    value of a type json.loads gives but the record does not take, is
+    handed to `_round_error` to name the field.
+    """
+    try:
+        eve = row["eve"]
+        if eve is not None:
+            eve = EveRoundRecord(
+                _LABEL_OF[eve["outbound_outcome"]],
+                _LABEL_OF[eve["return_readout"]],
+                _LABEL_OF[eve["detach_outcome"]],
+                _LABEL_OF[eve["inferred_alice"]],
+                _LABEL_OF[eve["inferred_bob"]],
+            )
+        record = RoundRecord(
+            row["index"],
+            _LABEL_OF[row["alice_secret"]],
+            _LABEL_OF[row["bob_secret"]],
+            _LABEL_OF[row["announcement"]],
+            _LABEL_OF[row["alice_inferred_bob"]],
+            _LABEL_OF[row["bob_inferred_alice"]],
+            tuple([(q, direction) for q, direction in row["transfers"]]),
+            row["key_bits"],
+            eve,
+            tuple([Correction(_PARTY_OF[p], q, _PAULI_OF[op]) for p, q, op in row["corrections"]]),
+        )
+    except (KeyError, TypeError, ValueError):
+        raise _round_error(row, line) from None
+    if type(record.index) is not int or type(record.key_bits) is not str:
+        raise _round_error(row, line)
+    for q, direction in record.transfers:
+        if type(q) is not int or type(direction) is not str:
+            raise _round_error(row, line)
+    for c in record.corrections:
+        if type(c.qubit) is not int:
+            raise _round_error(row, line)
+    return record
+
+
+def _round_error(row: dict, line: int) -> TranscriptError:
+    """The first malformed field of a round row, as a TranscriptError."""
+    checks = (
+        ("index", _INT),
+        ("alice_secret", _LABEL),
+        ("bob_secret", _LABEL),
+        ("announcement", _LABEL),
+        ("alice_inferred_bob", _LABEL),
+        ("bob_inferred_alice", _LABEL),
+        ("transfers", _TRANSFERS),
+        ("key_bits", _STR),
+        ("eve", _OBJECT_OR_NULL),
+        ("corrections", _CORRECTIONS),
+    )
+    try:
+        for name, check in checks:
+            _field(row, name, check, line)
+        if row["eve"] is not None:
+            for name in ("outbound_outcome", "return_readout", "detach_outcome",
+                         "inferred_alice", "inferred_bob"):
+                _field(row["eve"], name, _LABEL, line, "eve.")
+    except TranscriptError as err:
+        return err
+    return TranscriptError("malformed round", line)
+
+
+def _summary_from(
+    row: dict, line: int, config: SessionConfig, rounds: list[RoundRecord]
+) -> TranscriptFile:
     transcript = SessionTranscript(
         config=config,
         rounds=rounds,
-        alice_key=summary["alice_key"],
-        bob_key=summary["bob_key"],
-        eve_key=summary["eve_key"],
+        alice_key=_field(row, "alice_key", _STR, line),
+        bob_key=_field(row, "bob_key", _STR, line),
+        eve_key=_field(row, "eve_key", _STR_OR_NULL, line),
     )
-    r = summary["rate"]
+    r = _field(row, "rate", _OBJECT, line)
     rate = RateReport(
-        key_bits=r["key_bits"],
-        transmitted_qubits=r["transmitted_qubits"],
-        rate=r["rate"],
-        bb84_rate=r["bb84_rate"],
-        e91_rate=r["e91_rate"],
+        key_bits=_field(r, "key_bits", _INT, line, "rate."),
+        transmitted_qubits=_field(r, "transmitted_qubits", _INT, line, "rate."),
+        rate=_field(r, "rate", _NUMBER_OR_NULL, line, "rate."),
+        bb84_rate=_field(r, "bb84_rate", _NUMBER, line, "rate."),
+        e91_rate=_field(r, "e91_rate", _NUMBER, line, "rate."),
     )
     test = None
-    if summary["test"] is not None:
-        t = summary["test"]
+    t = _field(row, "test", _OBJECT_OR_NULL, line)
+    if t is not None:
         test = TestReport(
-            pairs_tested=t["pairs_tested"],
-            bits_tested=t["bits_tested"],
-            mismatches=t["mismatches"],
-            eve_detected=t["eve_detected"],
-            remaining_key=t["remaining_key"],
-            remaining_key_bob=t["remaining_key_bob"],
-            tested_rounds=tuple(t["tested_rounds"]),
-            degenerate=t["degenerate"],
+            pairs_tested=_field(t, "pairs_tested", _INT, line, "test."),
+            bits_tested=_field(t, "bits_tested", _INT, line, "test."),
+            mismatches=_field(t, "mismatches", _INT, line, "test."),
+            eve_detected=_field(t, "eve_detected", _BOOL, line, "test."),
+            remaining_key=_field(t, "remaining_key", _STR, line, "test."),
+            remaining_key_bob=_field(t, "remaining_key_bob", _STR, line, "test."),
+            tested_rounds=tuple(_field(t, "tested_rounds", _INTS, line, "test.")),
+            degenerate=_field(t, "degenerate", _BOOL, line, "test."),
         )
     return TranscriptFile(transcript=transcript, rate=rate, test=test)
+
+
+def parse_lines(lines) -> TranscriptFile:
+    """Parse transcript lines back into the objects `emit_lines` wrote.
+
+    `lines` is any iterable of lines, an open file included; each round
+    line becomes its record as it is read, so no row outlives its line.
+    Blank lines are skipped. Malformed input raises `TranscriptError`.
+    """
+    config = summary = None
+    rounds: list[RoundRecord] = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise TranscriptError(f"not JSON: {err.msg} at column {err.colno}", number) from None
+        if type(row) is not dict:
+            raise TranscriptError("expected a JSON object", number)
+        kind = row.get("kind")
+        if kind == "round" and config is not None and summary is None:
+            rounds.append(_round_from(row, number))
+        elif config is None:
+            if kind != "header":
+                raise TranscriptError("transcript must start with a header line", number, "kind")
+            config = _config_from(row, number)
+        elif summary is not None:
+            raise TranscriptError("line after the summary", number)
+        elif kind == "summary":
+            summary, summary_line = row, number
+        else:
+            raise TranscriptError(
+                f"expected a round or the summary line, got kind {kind!r}", number, "kind"
+            )
+    if config is None:
+        raise TranscriptError("transcript must start with a header line")
+    if summary is None:
+        raise TranscriptError("transcript must end with a summary line")
+    return _summary_from(summary, summary_line, config, rounds)
 
 
 CSV_COLUMNS = (

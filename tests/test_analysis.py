@@ -137,6 +137,33 @@ class TestMonteCarlo:
         parallel = analysis.estimate_detection(2, 300, seed=62, workers=2)
         assert serial == parallel
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            """Records its size and maps in this process; starts nothing."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [fn(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        serial = analysis.estimate_detection(1, 40, seed=64, workers=1)
+        capped = analysis.estimate_detection(1, 40, seed=64, workers=4000)
+        assert sizes == [3]
+        assert capped == serial
+
     def test_validation(self):
         with pytest.raises(ValueError):
             analysis.estimate_detection(0, 10, seed=1)

@@ -175,6 +175,13 @@ class TestCurvesCommand:
         assert code == 2
         assert "at least 1" in err
 
+    def test_negative_sessions_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "curves", "--max-pairs", "2", "--sessions", "-5",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --sessions must be nonnegative\n"
+
     def test_empirical_needs_seed(self, capsys):
         code, _, err = run_cli(capsys, "curves", "--max-pairs", "2", "--sessions", "10")
         assert code == 2
@@ -202,6 +209,14 @@ class TestMonteCarloCommand:
     def test_bad_args(self, capsys):
         code, _, _ = run_cli(capsys, "montecarlo", "--max-pairs", "0", "--seed", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run_cli(capsys, "montecarlo", "--max-pairs", "1", "--sessions", "10",
+                                 "--seed", "9", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --workers must be at least 1\n"
 
     def test_points_share_no_session_seeds(self, capsys, monkeypatch):
         # --seed 5 at n = 2 and --seed 6 at n = 1 once ran the same sessions

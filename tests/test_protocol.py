@@ -328,6 +328,19 @@ class TestKnowledgeLedger:
         with pytest.raises(LedgerViolation, match="no ledgered pair"):
             ledger.record_swap(1, 9, Party.ALICE)
 
+    def test_updates_on_non_partners_rejected(self):
+        ledger = KnowledgeLedger()
+        ledger.declare(1, 2, Visibility.PUBLIC)
+        ledger.declare(3, 4, Visibility.ALICE_ONLY)
+        before = ledger.pairs()
+        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
+            ledger.record_announcement(1, 3)
+        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
+            ledger.record_readout(2, 4, Party.BOB)
+        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
+            ledger.record_inference(1, 9, Party.BOB)
+        assert ledger.pairs() == before
+
     def test_require_knowledge(self):
         ledger = KnowledgeLedger()
         ledger.declare(1, 2, Visibility.BOB_ONLY)

@@ -1,0 +1,229 @@
+"""Transcript lines: the round template against json.dumps, and typed
+errors on malformed input."""
+
+import json
+
+import pytest
+
+from swapqkd import analysis, transcript
+from swapqkd.bell import BellLabel
+from swapqkd.protocol import SessionConfig, run_session
+from swapqkd.rng import COIN, stream
+from swapqkd.transcript import TranscriptError
+
+
+def _round_dict(rec) -> dict:
+    """Reference builder: the dict whose json.dumps each round line must equal."""
+    eve = None
+    if rec.eve is not None:
+        eve = {
+            "outbound_outcome": str(rec.eve.outbound_outcome),
+            "return_readout": str(rec.eve.return_readout),
+            "detach_outcome": str(rec.eve.detach_outcome),
+            "inferred_alice": str(rec.eve.inferred_alice),
+            "inferred_bob": str(rec.eve.inferred_bob),
+        }
+    return {
+        "kind": "round",
+        "index": rec.index,
+        "alice_secret": str(rec.alice_secret),
+        "bob_secret": str(rec.bob_secret),
+        "announcement": str(rec.announcement),
+        "alice_inferred_bob": str(rec.alice_inferred_bob),
+        "bob_inferred_alice": str(rec.bob_inferred_alice),
+        "transfers": [[q, direction] for q, direction in rec.transfers],
+        "transmissions": rec.transmissions,
+        "key_bits": rec.key_bits,
+        "eve": eve,
+        "corrections": [[c.party.value, c.qubit, c.op.name] for c in rec.corrections],
+    }
+
+
+def _dumps(rec) -> str:
+    return json.dumps(_round_dict(rec), separators=(",", ":"))
+
+
+def make_lines(rounds=6, eve=True, **cfg):
+    config = SessionConfig(rounds=rounds, seed=29, eve_enabled=eve, test_fraction=0.5, **cfg)
+    result = run_session(config)
+    test = analysis.eavesdropping_test(result, 0.5, stream(29, COIN))
+    file = transcript.TranscriptFile(result, analysis.rate_report(result), test)
+    return transcript.emit_lines(file)
+
+
+def labels(*texts):
+    return tuple(BellLabel.from_string(t) for t in texts)
+
+
+class TestRoundTemplate:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(eve=False),
+            dict(eve=True),
+            dict(eve=False, initial_labels=labels("01", "11", "00")),
+            dict(eve=True, initial_labels=labels("00", "00", "01"),
+                 eve_ancilla=BellLabel.from_string("11")),
+        ],
+        ids=["honest", "eve", "honest_labels", "eve_labels_ancilla"],
+    )
+    def test_template_equals_json_dumps(self, cfg):
+        config = SessionConfig(rounds=300, seed=31, **{
+            ("eve_enabled" if k == "eve" else k): v for k, v in cfg.items()})
+        result = run_session(config)
+        file = transcript.TranscriptFile(result, analysis.rate_report(result), None)
+        lines = transcript.emit_lines(file)
+        assert lines[1:-1] == [_dumps(rec) for rec in result.rounds]
+
+    @pytest.mark.parametrize(
+        "key_bits, direction",
+        [
+            ('0"1', "alice_to_bob"),
+            ("01", 'back\\slash "quoted"'),
+            ("é☃", "café \U0001f600"),
+            (" \n\t\x00", "\x7f\x1f"),
+            ("", ""),
+        ],
+    )
+    def test_free_strings_escape_like_json_dumps(self, key_bits, direction):
+        lines = make_lines()
+        rows = [json.loads(line) for line in lines[1:-1]]
+        for row in rows:
+            row["key_bits"] = key_bits
+            row["transfers"][1][1] = direction
+        edited = [lines[0], *(json.dumps(row, separators=(",", ":")) for row in rows), lines[-1]]
+        parsed = transcript.parse_lines(edited)
+        assert [rec.key_bits for rec in parsed.transcript.rounds] == [key_bits] * len(rows)
+        assert [_dumps(rec) for rec in parsed.transcript.rounds] == edited[1:-1]
+        assert transcript.emit_lines(parsed) == edited
+
+
+class TestParse:
+    def test_accepts_an_open_file(self, tmp_path):
+        lines = make_lines()
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n\n")
+        with path.open() as fh:
+            parsed = transcript.parse_lines(fh)
+        assert transcript.emit_lines(parsed) == lines
+
+    def test_parsed_labels_are_the_canonical_objects(self):
+        parsed = transcript.parse_lines(make_lines())
+        rec = parsed.transcript.rounds[0]
+        assert rec.alice_secret is BellLabel.from_string(str(rec.alice_secret))
+        assert rec.eve.inferred_bob is BellLabel.from_string(str(rec.eve.inferred_bob))
+
+
+def edit_round(change, at=2):
+    """Lines of a valid transcript whose round line `at` is changed by `change`."""
+    lines = make_lines()
+    row = json.loads(lines[at])
+    change(row)
+    lines[at] = json.dumps(row)
+    return lines
+
+
+def parse_error(lines) -> TranscriptError:
+    with pytest.raises(TranscriptError) as exc:
+        transcript.parse_lines(lines)
+    assert isinstance(exc.value, ValueError)
+    return exc.value
+
+
+class TestTranscriptError:
+    def test_broken_json(self):
+        lines = make_lines()
+        lines[3] = lines[3][:-5]
+        err = parse_error(lines)
+        assert err.line == 4
+        assert "not JSON" in str(err)
+
+    def test_line_not_an_object(self):
+        lines = make_lines()
+        lines[2] = "[1, 2]"
+        err = parse_error(lines)
+        assert (err.line, err.field) == (3, None)
+
+    def test_missing_round_field(self):
+        err = parse_error(edit_round(lambda row: row.pop("bob_secret")))
+        assert (err.line, err.field) == (3, "bob_secret")
+        assert str(err) == "line 3, field 'bob_secret': missing field"
+
+    def test_missing_eve_field(self):
+        err = parse_error(edit_round(lambda row: row["eve"].pop("detach_outcome")))
+        assert (err.line, err.field) == (3, "eve.detach_outcome")
+
+    def test_config_not_an_object(self):
+        lines = make_lines()
+        header = json.loads(lines[0])
+        header["config"] = [1, 2]
+        lines[0] = json.dumps(header)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (1, "config")
+
+    def test_config_values_checked(self):
+        lines = make_lines()
+        header = json.loads(lines[0])
+        header["config"]["rounds"] = -3
+        lines[0] = json.dumps(header)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (1, "config")
+        assert "nonnegative" in str(err)
+
+    def test_header_in_the_middle(self):
+        lines = make_lines()
+        lines.insert(3, lines[0])
+        err = parse_error(lines)
+        assert (err.line, err.field) == (4, "kind")
+        assert "'header'" in str(err)
+
+    def test_line_after_summary(self):
+        lines = make_lines()
+        lines.append(lines[1])
+        err = parse_error(lines)
+        assert err.line == len(lines)
+        assert "after the summary" in str(err)
+
+    def test_empty_input(self):
+        err = parse_error(["", "  "])
+        assert "header" in str(err)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("index", "2"), ("index", True), ("index", 2.0), ("key_bits", 11),
+         ("key_bits", None), ("alice_secret", "0x"), ("announcement", 1)],
+    )
+    def test_round_field_types(self, field, value):
+        err = parse_error(edit_round(lambda row: row.__setitem__(field, value)))
+        assert (err.line, err.field) == (3, field)
+
+    @pytest.mark.parametrize(
+        "field, path, value",
+        [
+            ("transfers", (0, 0), "2"),
+            ("transfers", (1, 0), False),
+            ("transfers", (1, 1), 6),
+            ("transfers", (0,), "ab"),
+            ("corrections", (0, 1), "1"),
+            ("corrections", (2, 1), True),
+            ("corrections", (0, 0), "mallory"),
+            ("corrections", (1, 2), "H"),
+        ],
+    )
+    def test_qubits_directions_and_names(self, field, path, value):
+        def change(row):
+            target = row[field]
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = value
+
+        err = parse_error(edit_round(change))
+        assert (err.line, err.field) == (3, field)
+
+    def test_summary_field(self):
+        lines = make_lines()
+        summary = json.loads(lines[-1])
+        del summary["test"]["mismatches"]
+        lines[-1] = json.dumps(summary)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (len(lines), "test.mismatches")
