@@ -57,8 +57,16 @@ def _resolve_out(path: str | None) -> str | None:
 
 def _write_lines(lines, out_path: str | None) -> None:
     if out_path is None:
-        for line in lines:
-            sys.stdout.write(f"{line}\n")
+        try:
+            for line in lines:
+                sys.stdout.write(f"{line}\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`swapqkd run ... | head`): the rest
+            # has nowhere to go, and the exit-time flush must not fail too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out_path, "w") as fh:

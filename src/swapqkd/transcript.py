@@ -212,19 +212,58 @@ def _field(row: dict, name: str, check, line: int, prefix: str = ""):
     return value
 
 
+def _fields(row: dict, spec, line: int, prefix: str = "") -> dict:
+    """{name: row[name]} for each (name, check) of `spec`, all checked."""
+    return {name: _field(row, name, check, line, prefix) for name, check in spec}
+
+
+_CONFIG = (
+    ("rounds", _INT),
+    ("seed", _INT),
+    ("eve_enabled", _BOOL),
+    ("test_fraction", _NUMBER),
+    ("initial_labels", _THREE_LABELS),
+    ("eve_ancilla", _LABEL),
+)
+_ROUND = (
+    ("index", _INT),
+    ("alice_secret", _LABEL),
+    ("bob_secret", _LABEL),
+    ("announcement", _LABEL),
+    ("alice_inferred_bob", _LABEL),
+    ("bob_inferred_alice", _LABEL),
+    ("transfers", _TRANSFERS),
+    ("key_bits", _STR),
+    ("eve", _OBJECT_OR_NULL),
+    ("corrections", _CORRECTIONS),
+)
+_EVE = tuple(
+    (name, _LABEL)
+    for name in ("outbound_outcome", "return_readout", "detach_outcome",
+                 "inferred_alice", "inferred_bob")
+)
+_KEYS = (("alice_key", _STR), ("bob_key", _STR), ("eve_key", _STR_OR_NULL))
+_RATE = (
+    ("key_bits", _INT),
+    ("transmitted_qubits", _INT),
+    ("rate", _NUMBER_OR_NULL),
+    ("bb84_rate", _NUMBER),
+    ("e91_rate", _NUMBER),
+)
+_TEST = (
+    ("pairs_tested", _INT),
+    ("bits_tested", _INT),
+    ("mismatches", _INT),
+    ("eve_detected", _BOOL),
+    ("remaining_key", _STR),
+    ("remaining_key_bob", _STR),
+    ("tested_rounds", _INTS),
+    ("degenerate", _BOOL),
+)
+
+
 def _config_from(row: dict, line: int) -> SessionConfig:
-    d = _field(row, "config", _OBJECT, line)
-    fields = {
-        name: _field(d, name, check, line, "config.")
-        for name, check in (
-            ("rounds", _INT),
-            ("seed", _INT),
-            ("eve_enabled", _BOOL),
-            ("test_fraction", _NUMBER),
-            ("initial_labels", _THREE_LABELS),
-            ("eve_ancilla", _LABEL),
-        )
-    }
+    fields = _fields(_field(row, "config", _OBJECT, line), _CONFIG, line, "config.")
     fields["initial_labels"] = tuple(_LABEL_OF[s] for s in fields["initial_labels"])
     fields["eve_ancilla"] = _LABEL_OF[fields["eve_ancilla"]]
     try:
@@ -277,25 +316,10 @@ def _round_from(row: dict, line: int) -> RoundRecord:
 
 def _round_error(row: dict, line: int) -> TranscriptError:
     """The first malformed field of a round row, as a TranscriptError."""
-    checks = (
-        ("index", _INT),
-        ("alice_secret", _LABEL),
-        ("bob_secret", _LABEL),
-        ("announcement", _LABEL),
-        ("alice_inferred_bob", _LABEL),
-        ("bob_inferred_alice", _LABEL),
-        ("transfers", _TRANSFERS),
-        ("key_bits", _STR),
-        ("eve", _OBJECT_OR_NULL),
-        ("corrections", _CORRECTIONS),
-    )
     try:
-        for name, check in checks:
-            _field(row, name, check, line)
+        _fields(row, _ROUND, line)
         if row["eve"] is not None:
-            for name in ("outbound_outcome", "return_readout", "detach_outcome",
-                         "inferred_alice", "inferred_bob"):
-                _field(row["eve"], name, _LABEL, line, "eve.")
+            _fields(row["eve"], _EVE, line, "eve.")
     except TranscriptError as err:
         return err
     return TranscriptError("malformed round", line)
@@ -304,34 +328,13 @@ def _round_error(row: dict, line: int) -> TranscriptError:
 def _summary_from(
     row: dict, line: int, config: SessionConfig, rounds: list[RoundRecord]
 ) -> TranscriptFile:
-    transcript = SessionTranscript(
-        config=config,
-        rounds=rounds,
-        alice_key=_field(row, "alice_key", _STR, line),
-        bob_key=_field(row, "bob_key", _STR, line),
-        eve_key=_field(row, "eve_key", _STR_OR_NULL, line),
-    )
-    r = _field(row, "rate", _OBJECT, line)
-    rate = RateReport(
-        key_bits=_field(r, "key_bits", _INT, line, "rate."),
-        transmitted_qubits=_field(r, "transmitted_qubits", _INT, line, "rate."),
-        rate=_field(r, "rate", _NUMBER_OR_NULL, line, "rate."),
-        bb84_rate=_field(r, "bb84_rate", _NUMBER, line, "rate."),
-        e91_rate=_field(r, "e91_rate", _NUMBER, line, "rate."),
-    )
-    test = None
-    t = _field(row, "test", _OBJECT_OR_NULL, line)
-    if t is not None:
-        test = TestReport(
-            pairs_tested=_field(t, "pairs_tested", _INT, line, "test."),
-            bits_tested=_field(t, "bits_tested", _INT, line, "test."),
-            mismatches=_field(t, "mismatches", _INT, line, "test."),
-            eve_detected=_field(t, "eve_detected", _BOOL, line, "test."),
-            remaining_key=_field(t, "remaining_key", _STR, line, "test."),
-            remaining_key_bob=_field(t, "remaining_key_bob", _STR, line, "test."),
-            tested_rounds=tuple(_field(t, "tested_rounds", _INTS, line, "test.")),
-            degenerate=_field(t, "degenerate", _BOOL, line, "test."),
-        )
+    transcript = SessionTranscript(config, rounds, **_fields(row, _KEYS, line))
+    rate = RateReport(**_fields(_field(row, "rate", _OBJECT, line), _RATE, line, "rate."))
+    test = _field(row, "test", _OBJECT_OR_NULL, line)
+    if test is not None:
+        fields = _fields(test, _TEST, line, "test.")
+        fields["tested_rounds"] = tuple(fields["tested_rounds"])
+        test = TestReport(**fields)
     return TranscriptFile(transcript=transcript, rate=rate, test=test)
 
 

@@ -260,6 +260,19 @@ class TestEntryPoints:
             main([])
         assert exc.value.code == 2
 
+    def test_reader_closing_the_pipe_early(self):
+        # 3,000 rounds are about 1.3 MB, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swapqkd", "run", "--rounds", "3000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(100).startswith(b'{"kind":"header"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err
+        assert "rounds: 3000" in err
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "swapqkd", "run", "--rounds", "2", "--seed", "1"],
