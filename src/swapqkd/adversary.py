@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bell import BellLabel, PairTable, pauli_correction
+from .bell import BellLabel, pauli_correction
 from .knowledge import KnowledgeLedger, Party
 from .rng import RoundStream
 
@@ -32,13 +32,14 @@ class AccessViolation(RuntimeError):
 class ChannelTap:
     """Eve's only handle on the quantum state.
 
-    Wraps the live pair table but refuses measurements involving any qubit
+    Wraps the session's ledger, so her measurements update the pair table
+    and the tags as Eve's, but refuses measurements involving any qubit
     outside her ancillas and the single qubit currently in the channel.
     """
 
-    def __init__(self, table: PairTable, randomness: RoundStream,
+    def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream,
                  ancillas: tuple[int, int], transit: int):
-        self._table = table
+        self._ledger = ledger
         self._rng = randomness
         self._allowed = frozenset((*ancillas, transit))
         self.transit = transit
@@ -48,13 +49,13 @@ class ChannelTap:
             raise AccessViolation(
                 f"measurement on ({a},{b}) is outside Eve's reach {sorted(self._allowed)}"
             )
-        return self._table.bsm(a, b, self._rng, force=force)
+        return self._ledger.measure(a, b, Party.EVE, self._rng, force=force)
 
     def are_partners(self, a: int, b: int) -> bool:
         """Pair structure is public; Eve may query it for reachable qubits."""
         if a not in self._allowed or b not in self._allowed:
             raise AccessViolation(f"({a},{b}) is outside Eve's reach")
-        return self._table.are_partners(a, b)
+        return self._ledger.table.are_partners(a, b)
 
 
 @dataclass(slots=True)
@@ -121,7 +122,6 @@ class EveState:
 def eve_intercept_outbound(
     eve: EveState,
     tap: ChannelTap,
-    ledger: KnowledgeLedger,
     force: BellLabel | None = None,
 ) -> BellLabel:
     """Swap the outbound qubit onto ancilla B while it crosses the channel.
@@ -133,7 +133,6 @@ def eve_intercept_outbound(
     if eve.outbound_outcome is not None:
         raise RuntimeError("outbound transmission already intercepted this round")
     outcome = tap.bsm(tap.transit, eve.ancilla_b, force=force)
-    ledger.record_swap(tap.transit, eve.ancilla_b, Party.EVE)
     eve.outbound_outcome = outcome
     return outcome
 
@@ -141,7 +140,6 @@ def eve_intercept_outbound(
 def eve_intercept_return(
     eve: EveState,
     tap: ChannelTap,
-    ledger: KnowledgeLedger,
     force_detach: BellLabel | None = None,
 ) -> tuple[BellLabel, BellLabel]:
     """Intercept the returning qubit; learn Bob's secret; detach ancillas.
@@ -161,11 +159,9 @@ def eve_intercept_return(
         # her outbound swap guarantees this pairing once Bob has measured
         raise RuntimeError("secret measurements not yet done; nothing to read out")
     readout = tap.bsm(tap.transit, eve.ancilla_b)
-    ledger.record_readout(tap.transit, eve.ancilla_b, Party.EVE)
     eve.return_readout = readout
     eve.inferred_bob = readout ^ eve.bob_label ^ eve.outbound_outcome
     detach = tap.bsm(eve.ancilla_a, eve.ancilla_b, force=force_detach)
-    ledger.record_swap(eve.ancilla_a, eve.ancilla_b, Party.EVE)
     eve.detach_outcome = detach
     return readout, detach
 
@@ -184,7 +180,7 @@ def eve_finalize(eve: EveState, announcement: BellLabel) -> BellLabel:
     return eve.inferred_alice
 
 
-def eve_reset(eve: EveState, table: PairTable, ledger: KnowledgeLedger):
+def eve_reset(eve: EveState, ledger: KnowledgeLedger):
     """Rotate the ancilla pair back to Eve's preparation label.
 
     After the detaching measurement the ancillas are partners again in a
@@ -194,5 +190,5 @@ def eve_reset(eve: EveState, table: PairTable, ledger: KnowledgeLedger):
         raise RuntimeError("ancillas are not in a known post-round state")
     ledger.require_knowledge(eve.ancilla_a, eve.ancilla_b, Party.EVE, "rotate")
     op = pauli_correction(eve.detach_outcome, eve.ancilla_label)
-    table.apply_pauli(eve.ancilla_a, op)
+    ledger.table.apply_pauli(eve.ancilla_a, op)
     return op

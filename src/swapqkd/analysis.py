@@ -158,10 +158,6 @@ def _count_detections(pairs_tested: int, seeds, eve_ancilla) -> int:
     return detections
 
 
-def _detection_chunk(args) -> int:
-    return _count_detections(*args)
-
-
 def estimate_detection(
     pairs_tested: int,
     sessions: int,
@@ -194,7 +190,7 @@ def estimate_detection(
             for i in range(0, sessions, step)
         ]
         with multiprocessing.Pool(workers) as pool:
-            detections = sum(pool.map(_detection_chunk, chunks))
+            detections = sum(pool.starmap(_count_detections, chunks))
     else:
         detections = _count_detections(pairs_tested, seeds, eve_ancilla)
     expected = 1.0 - 0.25**pairs_tested

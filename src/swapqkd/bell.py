@@ -200,9 +200,7 @@ class PairTable:
         partner[j] = l
         partner[l] = j
         labels[(a, b) if a < b else (b, a)] = outcome
-        labels[(j, l) if j < l else (l, j)] = _LABELS[
-            ((left.x ^ right.x ^ outcome.x) << 1) | (left.z ^ right.z ^ outcome.z)
-        ]
+        labels[(j, l) if j < l else (l, j)] = swap_rule(left, right, outcome)
         return outcome
 
     def apply_pauli(self, q: int, op: PauliOp) -> None:

@@ -5,14 +5,15 @@ notation of the protocol's bookkeeping: a label can be public, private to
 one party, shared by Alice and Bob, or unknown to everyone (a pair created
 by a swap whose inputs no single party fully knows).
 
-The ledger updates itself from structural events only: it is told *that* a
-swap, readout, announcement, or inference happened, and derives the new
-tags set-algebraically. Knowing a swapped pair's label requires knowing
-both consumed labels and the measurement outcome, so the induced tag is
-the intersection of those knower sets. Within the life of a pair the
-knower set only grows; `LedgerViolation` is raised on anything that would
-shrink it, and by reset actions whose acting party does not know the label
-being rotated.
+The ledger is built on the session's `PairTable` and keeps only each
+pair's knower set; the pair structure is read from the table. Every Bell
+measurement is one `measure` call, which measures once on the table and
+derives the new tags set-algebraically from what the table did. Knowing a
+swapped pair's label requires knowing both consumed labels and the outcome,
+so the induced tag is the intersection of those knower sets. Within the
+life of a pair the knower set only grows; `LedgerViolation` is raised on
+anything that would shrink it, on qubits that are not a declared pair, and
+by reset actions whose acting party does not know the label being rotated.
 
 Eve's *stolen* knowledge of the secret-pair labels is intentionally not
 representable here (there is no Alice-and-Eve tag); it lives in her own
@@ -22,6 +23,9 @@ transcript section. Tags therefore express the honest-protocol view.
 from __future__ import annotations
 
 import enum
+
+from .bell import BellLabel, PairTable
+from .rng import RoundStream
 
 
 class Party(enum.Enum):
@@ -63,61 +67,72 @@ def _key(a: int, b: int) -> tuple[int, int]:
 
 
 class KnowledgeLedger:
-    def __init__(self):
+    def __init__(self, table: PairTable):
+        self.table = table
         self._mask: dict[tuple[int, int], int] = {}
-        self._partner: dict[int, int] = {}
 
     def declare(self, a: int, b: int, visibility: Visibility) -> None:
-        """Register a fresh pair with an explicitly known tag."""
+        """Tag a pair the table holds with an explicitly known visibility."""
+        if not self.table.are_partners(a, b):
+            raise LedgerViolation(f"qubits {a},{b} are not a pair in the table")
         self._mask[_key(a, b)] = _MASK_OF[visibility]
-        self._partner[a] = b
-        self._partner[b] = a
 
     def tag(self, a: int, b: int) -> Visibility:
-        mask = self._mask[_key(a, b)]
+        mask = self._mask[self._pair(a, b)]
         try:
             return _TAG_OF[mask]
         except KeyError:
             raise LedgerViolation(f"pair ({a},{b}) reached untaggable knower set {mask}")
 
     def knows(self, a: int, b: int, party: Party) -> bool:
-        return bool(self._mask[_key(a, b)] & _BIT[party])
+        return bool(self._mask[self._pair(a, b)] & _BIT[party])
 
     def pairs(self) -> dict[tuple[int, int], Visibility]:
         return {k: self.tag(*k) for k in self._mask}
 
-    def record_swap(self, a: int, b: int, measurer: Party) -> None:
-        """A swap measurement on (a, b): consumed pairs die, two form.
+    def measure(
+        self,
+        a: int,
+        b: int,
+        party: Party,
+        randomness: RoundStream | None = None,
+        force: BellLabel | None = None,
+    ) -> BellLabel:
+        """`party`'s Bell-operator measurement on a and b (`PairTable.bsm`).
 
-        The measured pair's label is the outcome, known only to the
-        measurer; the induced partners' label is computable exactly by
-        whoever knows both consumed labels and the outcome.
+        On partners it is a readout and the party learns the label.
+        Otherwise the measured pair's label is the outcome, known only to
+        the party, and the induced pair's label is known to whoever knew
+        both consumed labels and the outcome.
         """
-        partner = self._partner
-        try:
-            j, l = partner[a], partner[b]
-        except KeyError as missing:
-            raise LedgerViolation(f"qubit {missing.args[0]} is in no ledgered pair") from None
+        table, mask, bit = self.table, self._mask, _BIT[party]
+        j = self._partner(a)
         if j == b:
-            raise LedgerViolation(f"({a},{b}) are partners; that is a readout, not a swap")
-        bit = _BIT[measurer]
-        mask = self._mask
-        induced_mask = mask.pop(_key(a, j)) & mask.pop(_key(b, l)) & bit
+            key = self._pair(a, b)
+            outcome = table.bsm(a, b, randomness, force=force)
+            mask[key] |= bit
+            return outcome
+        l = self._partner(b)
+        left, right = self._pair(a, j), self._pair(b, l)
+        outcome = table.bsm(a, b, randomness, force=force)
+        induced_mask = mask.pop(left) & mask.pop(right) & bit
         mask[_key(a, b)] = bit
         mask[_key(j, l)] = induced_mask
-        partner[a], partner[b] = b, a
-        partner[j], partner[l] = l, j
+        return outcome
+
+    def _partner(self, q: int) -> int:
+        try:
+            return self.table.partner(q)
+        except ValueError:
+            raise LedgerViolation(f"qubit {q} is in no ledgered pair") from None
 
     def _pair(self, a: int, b: int) -> tuple[int, int]:
-        """Key of the live pair (a, b); a LedgerViolation if a and b are not
-        partners, so an update never invents a pair."""
-        if self._partner.get(a) != b:
+        """Key of the declared pair (a, b); a LedgerViolation if a and b are
+        not partners in the table or were never declared."""
+        key = _key(a, b)
+        if key not in self._mask or not self.table.are_partners(a, b):
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
-        return (a, b) if a < b else (b, a)
-
-    def record_readout(self, a: int, b: int, reader: Party) -> None:
-        """An eigenstate measurement on partners: the reader learns the label."""
-        self._mask[self._pair(a, b)] |= _BIT[reader]
+        return key
 
     def record_announcement(self, a: int, b: int) -> None:
         """The pair's label is published; everyone, Eve included, knows it."""

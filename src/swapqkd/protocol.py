@@ -163,31 +163,21 @@ class SessionTranscript:
     eve_key: str | None = None
 
 
-def infer_bob_secret(
+def infer_other_secret(
     link: BellLabel,
     anchor: BellLabel,
     bob: BellLabel,
-    alice_secret: BellLabel,
+    own_secret: BellLabel,
     announcement: BellLabel,
 ) -> BellLabel:
-    """Alice's reconstruction of Bob's secret result.
+    """One party's reconstruction of the other's secret result.
 
     Composing the swap rule through both secret measurements shows the
     announcement equals the XOR of all three agreed labels with both
-    secrets, so one more XOR isolates Bob's.
+    secrets, so one more XOR with either secret isolates the other: Alice
+    passes hers to get Bob's, Bob passes his to get Alice's.
     """
-    return link ^ anchor ^ bob ^ alice_secret ^ announcement
-
-
-def infer_alice_secret(
-    link: BellLabel,
-    anchor: BellLabel,
-    bob: BellLabel,
-    bob_secret: BellLabel,
-    announcement: BellLabel,
-) -> BellLabel:
-    """Bob's reconstruction of Alice's secret result (symmetric formula)."""
-    return link ^ anchor ^ bob ^ bob_secret ^ announcement
+    return link ^ anchor ^ bob ^ own_secret ^ announcement
 
 
 def public_posterior(
@@ -201,12 +191,14 @@ def public_posterior(
     Exactly four, one per possible Alice result, all equally likely to an
     observer who saw only the announcement and the agreed labels.
     """
-    xor = link ^ anchor ^ bob ^ announcement
-    return tuple((s, s ^ xor) for s in ALL_LABELS)
+    return tuple(
+        (s, infer_other_secret(link, anchor, bob, s, announcement)) for s in ALL_LABELS
+    )
 
 
 class Session:
-    """Owns the quantum state, custody map, ledger, and keys of one session."""
+    """Owns the quantum state, custody map and ledger of one session; `run`
+    reads the keys off the round records."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -220,7 +212,7 @@ class Session:
                 (r.bob_keep, r.bob_send, bob),
             ]
         )
-        self.ledger = KnowledgeLedger()
+        self.ledger = KnowledgeLedger(self.table)
         for a, b, _ in self.table.pairs():
             self.ledger.declare(a, b, Visibility.PUBLIC)
         self.custody: dict[int, Party] = {
@@ -243,9 +235,6 @@ class Session:
             self.ledger.declare(self.eve.ancilla_a, self.eve.ancilla_b, Visibility.EVE_ONLY)
             self.custody[self.eve.ancilla_a] = Party.EVE
             self.custody[self.eve.ancilla_b] = Party.EVE
-        self.alice_key = ""
-        self.bob_key = ""
-        self.eve_key = ""
         self.rounds_run = 0
 
     # -- round execution ---------------------------------------------------
@@ -289,13 +278,14 @@ class Session:
 
         # step 1: link partner crosses to Bob (Eve may tap it in transit)
         if self.eve is not None:
-            tap = adversary.ChannelTap(table, randomness, self.eve.ancillas, r.alice_send)
-            adversary.eve_intercept_outbound(self.eve, tap, ledger, force=forced.eve_outbound)
+            tap = adversary.ChannelTap(ledger, randomness, self.eve.ancillas, r.alice_send)
+            adversary.eve_intercept_outbound(self.eve, tap, force=forced.eve_outbound)
         self.custody[r.alice_send] = Party.BOB
 
         # step 2: Alice's secret measurement
-        alice_secret = table.bsm(r.alice_keep, r.anchor_a, randomness, force=forced.alice_secret)
-        ledger.record_swap(r.alice_keep, r.anchor_a, Party.ALICE)
+        alice_secret = ledger.measure(
+            r.alice_keep, r.anchor_a, Party.ALICE, randomness, force=forced.alice_secret
+        )
 
         # step 3: Bob's secret measurement
         bob_force = forced.bob_secret
@@ -305,21 +295,21 @@ class Session:
             bob_force = (
                 table.label(r.alice_send) ^ table.label(r.bob_keep) ^ forced.announcement
             )
-        bob_secret = table.bsm(r.alice_send, r.bob_keep, randomness, force=bob_force)
-        ledger.record_swap(r.alice_send, r.bob_keep, Party.BOB)
+        bob_secret = ledger.measure(
+            r.alice_send, r.bob_keep, Party.BOB, randomness, force=bob_force
+        )
 
         # step 4: return transit (tapped again), then the public readout
         if self.eve is not None:
-            tap = adversary.ChannelTap(table, randomness, self.eve.ancillas, r.bob_send)
-            adversary.eve_intercept_return(self.eve, tap, ledger, force_detach=forced.eve_detach)
+            tap = adversary.ChannelTap(ledger, randomness, self.eve.ancillas, r.bob_send)
+            adversary.eve_intercept_return(self.eve, tap, force_detach=forced.eve_detach)
         self.custody[r.bob_send] = Party.ALICE
-        announcement = table.bsm(r.anchor_b, r.bob_send, randomness)
-        ledger.record_readout(r.anchor_b, r.bob_send, Party.ALICE)
+        announcement = ledger.measure(r.anchor_b, r.bob_send, Party.ALICE, randomness)
         ledger.record_announcement(r.anchor_b, r.bob_send)
 
         # step 5: inference from public data
-        alice_inferred_bob = infer_bob_secret(link, anchor, bob, alice_secret, announcement)
-        bob_inferred_alice = infer_alice_secret(link, anchor, bob, bob_secret, announcement)
+        alice_inferred_bob = infer_other_secret(link, anchor, bob, alice_secret, announcement)
+        bob_inferred_alice = infer_other_secret(link, anchor, bob, bob_secret, announcement)
         ledger.record_inference(r.alice_keep, r.anchor_a, Party.BOB)
         ledger.record_inference(r.alice_send, r.bob_keep, Party.ALICE)
 
@@ -327,7 +317,6 @@ class Session:
         if self.eve is not None:
             adversary.eve_finalize(self.eve, announcement)
             eve_record = self.eve.round_record()
-            self.eve_key += str(eve_record.inferred_alice)
 
         record = RoundRecord(
             index=self.rounds_run,
@@ -340,8 +329,6 @@ class Session:
             key_bits=str(alice_secret),
             eve=eve_record,
         )
-        self.alice_key += record.key_bits
-        self.bob_key += str(bob_inferred_alice)
         self.rounds_run += 1
         return record
 
@@ -375,7 +362,7 @@ class Session:
             self.ledger.record_announcement(q, partner)
             corrections.append(Correction(party, q, op))
         if self.eve is not None:
-            op = adversary.eve_reset(self.eve, self.table, self.ledger)
+            op = adversary.eve_reset(self.eve, self.ledger)
             corrections.append(Correction(Party.EVE, self.eve.ancilla_a, op))
         self.roles = r.rotated()
         return tuple(corrections)
@@ -388,12 +375,13 @@ class Session:
             record = self.run_round(round_stream(self.config.seed, i))
             record.corrections = self.reset_round()
             records.append(record)
+        eve = self.config.eve_enabled
         return SessionTranscript(
             config=self.config,
             rounds=records,
-            alice_key=self.alice_key,
-            bob_key=self.bob_key,
-            eve_key=self.eve_key if self.config.eve_enabled else None,
+            alice_key="".join([rec.key_bits for rec in records]),
+            bob_key="".join([str(rec.bob_inferred_alice) for rec in records]),
+            eve_key="".join([str(rec.eve.inferred_alice) for rec in records]) if eve else None,
         )
 
 

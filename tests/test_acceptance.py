@@ -78,26 +78,24 @@ def test_criterion_4_eavesdropper_chain_replay():
         table = PairTable(
             [(1, 2, lab("11")), (3, 5, lab("10")), (4, 6, lab("10")), (7, 8, lab("00"))]
         )
-        ledger = KnowledgeLedger()
+        ledger = KnowledgeLedger(table)
         for a, b, _ in table.pairs():
             ledger.declare(a, b, Visibility.PUBLIC)
         ledger.declare(7, 8, Visibility.EVE_ONLY)
         eve = EveState(link_label=lab("11"), anchor_label=lab("10"), bob_label=lab("10"))
 
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, ledger, force=lab("00"))
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap, force=lab("00"))
         assert table.partner(1) == 7 and table.label(1) == lab("11")
 
-        table.bsm(1, 3, force=lab("11"))
-        ledger.record_swap(1, 3, Party.ALICE)
+        ledger.measure(1, 3, Party.ALICE, force=lab("11"))
         assert table.partner(5) == 7 and table.label(5) == lab("10")
 
-        table.bsm(2, 4, force=lab("00"))
-        ledger.record_swap(2, 4, Party.BOB)
+        ledger.measure(2, 4, Party.BOB, force=lab("00"))
         assert table.partner(6) == 8 and table.label(6) == lab("10")
 
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=6)
-        readout, _ = eve_intercept_return(eve, tap, ledger, force_detach=lab("01"))
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
+        readout, _ = eve_intercept_return(eve, tap, force_detach=lab("01"))
         assert readout == lab("10")
         assert eve.inferred_bob == lab("00")
         assert table.partner(5) == 6 and table.label(5) == lab("01")

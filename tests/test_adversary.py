@@ -32,7 +32,7 @@ def fresh_scene(ancilla="00"):
             (7, 8, lab(ancilla)),
         ]
     )
-    ledger = KnowledgeLedger()
+    ledger = KnowledgeLedger(table)
     for a, b, _ in table.pairs():
         ledger.declare(a, b, Visibility.PUBLIC)
     ledger.declare(7, 8, Visibility.EVE_ONLY)
@@ -50,23 +50,21 @@ class TestForcedChain:
         table, ledger, eve = fresh_scene()
         rng = stream(0)
 
-        tap = ChannelTap(table, rng, eve.ancillas, transit=2)
-        e1 = eve_intercept_outbound(eve, tap, ledger, force=lab("00"))
+        tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
+        e1 = eve_intercept_outbound(eve, tap, force=lab("00"))
         assert e1 == lab("00")
         assert table.label(1) == lab("11") and table.partner(1) == 7
         assert eve.tapped_link_label() == lab("11")
         assert ledger.tag(1, 7) is Visibility.EVE_ONLY
 
         # the legitimate secret measurements, with the walkthrough outcomes
-        assert table.bsm(1, 3, force=lab("11")) == lab("11")
-        ledger.record_swap(1, 3, Party.ALICE)
+        assert ledger.measure(1, 3, Party.ALICE, force=lab("11")) == lab("11")
         assert table.label(5) == lab("10") and table.partner(5) == 7
-        assert table.bsm(2, 4, force=lab("00")) == lab("00")
-        ledger.record_swap(2, 4, Party.BOB)
+        assert ledger.measure(2, 4, Party.BOB, force=lab("00")) == lab("00")
         assert table.label(6) == lab("10") and table.partner(6) == 8
 
-        tap = ChannelTap(table, rng, eve.ancillas, transit=6)
-        readout, detach = eve_intercept_return(eve, tap, ledger, force_detach=lab("01"))
+        tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
+        readout, detach = eve_intercept_return(eve, tap, force_detach=lab("01"))
         assert readout == lab("10")
         assert eve.inferred_bob == lab("00")
         assert detach == lab("01")
@@ -83,20 +81,18 @@ class TestForcedChain:
         eve = EveState(
             link_label=lab("00"), anchor_label=lab("00"), bob_label=lab("00")
         )
-        ledger = KnowledgeLedger()
+        ledger = KnowledgeLedger(table)
         for a, b, _ in table.pairs():
             ledger.declare(a, b, Visibility.PUBLIC)
         ledger.declare(7, 8, Visibility.EVE_ONLY)
 
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, ledger, force=lab("00"))
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap, force=lab("00"))
         assert table.label(1) == lab("00")
-        table.bsm(1, 3, force=lab("00"))
-        ledger.record_swap(1, 3, Party.ALICE)
-        table.bsm(2, 4, force=lab("00"))
-        ledger.record_swap(2, 4, Party.BOB)
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=6)
-        eve_intercept_return(eve, tap, ledger, force_detach=lab("00"))
+        ledger.measure(1, 3, Party.ALICE, force=lab("00"))
+        ledger.measure(2, 4, Party.BOB, force=lab("00"))
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
+        eve_intercept_return(eve, tap, force_detach=lab("00"))
         assert eve.inferred_bob == lab("00")
         assert table.label(5) == lab("00")
         assert eve_finalize(eve, table.bsm(5, 6)) == lab("00")
@@ -177,8 +173,8 @@ class TestDisturbance:
 
 class TestAccessControl:
     def test_tap_rejects_out_of_reach_qubits(self):
-        table, _, eve = fresh_scene()
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=2)
+        _, ledger, eve = fresh_scene()
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
         with pytest.raises(AccessViolation):
             tap.bsm(1, 8)  # Alice's retained qubit is not in the channel
         with pytest.raises(AccessViolation):
@@ -186,21 +182,21 @@ class TestAccessControl:
 
     def test_tap_allows_transit_and_ancillas_only(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=2)
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
         assert tap.bsm(2, 8, force=lab("00")) == lab("00")
 
     def test_double_intercept_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, ledger, force=lab("00"))
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap, force=lab("00"))
         with pytest.raises(RuntimeError, match="already intercepted"):
-            eve_intercept_outbound(eve, tap, ledger, force=lab("00"))
+            eve_intercept_outbound(eve, tap, force=lab("00"))
 
     def test_return_before_outbound_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=6)
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
         with pytest.raises(RuntimeError, match="outbound swap first"):
-            eve_intercept_return(eve, tap, ledger)
+            eve_intercept_return(eve, tap)
 
     def test_finalize_before_interceptions_rejected(self):
         _, _, eve = fresh_scene()
@@ -208,17 +204,15 @@ class TestAccessControl:
             eve_finalize(eve, lab("00"))
 
     def test_reset_requires_detached_ancillas(self):
-        table, _, eve = fresh_scene()
-        ledger = KnowledgeLedger()
-        ledger.declare(7, 8, Visibility.EVE_ONLY)
+        _, ledger, eve = fresh_scene()
         with pytest.raises(RuntimeError, match="known post-round state"):
-            eve_reset(eve, table, ledger)
+            eve_reset(eve, ledger)
 
     def test_return_before_secret_measurements_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, ledger, force=lab("00"))
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap, force=lab("00"))
         # nobody has measured: qubit 6 is still partnered with 4, not with 8
-        tap = ChannelTap(table, stream(0), eve.ancillas, transit=6)
+        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
         with pytest.raises(RuntimeError, match="not yet done"):
-            eve_intercept_return(eve, tap, ledger)
+            eve_intercept_return(eve, tap)

@@ -154,8 +154,8 @@ class TestMonteCarlo:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks):
-                return [fn(chunk) for chunk in chunks]
+            def starmap(self, fn, chunks):
+                return [fn(*chunk) for chunk in chunks]
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)

@@ -101,6 +101,11 @@ class TestBsm:
         outcome = table.bsm(1, 3, force=lab("00"))
         assert outcome == lab("00")
         assert table.pairs() == [(1, 3, lab("00")), (2, 4, lab("10"))]
+        # every branch: the induced pair conserves the XOR of all four labels
+        for left, right, forced in itertools.product(ALL_LABELS, repeat=3):
+            table = PairTable([(1, 2, left), (3, 4, right)])
+            assert table.bsm(1, 3, force=forced) == forced
+            assert table.pairs() == [(1, 3, forced), (2, 4, left ^ right ^ forced)]
 
     def test_unknown_qubit(self):
         table = PairTable([(1, 2, lab("00"))])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swapqkd.bell import ALL_LABELS, BellLabel, PauliOp
+from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
     DEFAULT_LABELS,
@@ -15,8 +15,7 @@ from swapqkd.protocol import (
     RoleMap,
     Session,
     SessionConfig,
-    infer_alice_secret,
-    infer_bob_secret,
+    infer_other_secret,
     public_posterior,
     replay_round,
     run_session,
@@ -30,28 +29,33 @@ def lab(s: str) -> BellLabel:
     return BellLabel.from_string(s)
 
 
+def ledger_over(*pairs) -> KnowledgeLedger:
+    """A ledger on a table holding `pairs`, each labelled 00, none tagged yet."""
+    return KnowledgeLedger(PairTable([(a, b, lab("00")) for a, b in pairs]))
+
+
 def three_sigma(p: float, trials: int) -> float:
     return 3 * (p * (1 - p) / trials) ** 0.5
 
 
 class TestInference:
     def test_walkthrough_values(self):
-        assert infer_bob_secret(lab("11"), lab("10"), lab("10"), lab("11"), lab("00")) == lab("00")
-        assert infer_alice_secret(lab("11"), lab("10"), lab("10"), lab("00"), lab("00")) == lab("11")
+        assert infer_other_secret(lab("11"), lab("10"), lab("10"), lab("11"), lab("00")) == lab("00")
+        assert infer_other_secret(lab("11"), lab("10"), lab("10"), lab("00"), lab("00")) == lab("11")
 
     def test_all_zero_inputs(self):
         zero = lab("00")
-        assert infer_bob_secret(zero, zero, zero, zero, zero) == zero
-        assert infer_alice_secret(zero, zero, zero, zero, zero) == zero
+        assert infer_other_secret(zero, zero, zero, zero, zero) == zero
+        assert infer_other_secret(zero, zero, zero, zero, zero) == zero
 
     def test_simulation_derived_case(self):
         # frozen from the forced-round sweep below
-        assert infer_bob_secret(lab("11"), lab("10"), lab("10"), lab("01"), lab("10")) == lab("00")
+        assert infer_other_secret(lab("11"), lab("10"), lab("10"), lab("01"), lab("10")) == lab("00")
 
     def test_round_trip_is_involutive(self):
         for link, anchor, bob, s_a, p in itertools.product(ALL_LABELS, repeat=5):
-            s_b = infer_bob_secret(link, anchor, bob, s_a, p)
-            assert infer_alice_secret(link, anchor, bob, s_b, p) == s_a
+            s_b = infer_other_secret(link, anchor, bob, s_a, p)
+            assert infer_other_secret(link, anchor, bob, s_b, p) == s_a
 
 
 class TestPublicPosterior:
@@ -285,64 +289,71 @@ class TestLedgerThroughRound:
 
 class TestKnowledgeLedger:
     def test_swap_induced_tag_is_intersection(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 2), (3, 5))
         ledger.declare(1, 2, Visibility.PUBLIC)
         ledger.declare(3, 5, Visibility.PUBLIC)
-        ledger.record_swap(1, 3, Party.ALICE)
+        ledger.measure(1, 3, Party.ALICE, force=lab("00"))
         assert ledger.tag(1, 3) is Visibility.ALICE_ONLY
         assert ledger.tag(2, 5) is Visibility.ALICE_ONLY
 
     def test_second_swap_drops_to_unknown(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 2), (3, 5), (4, 6))
         ledger.declare(1, 2, Visibility.PUBLIC)
         ledger.declare(3, 5, Visibility.PUBLIC)
         ledger.declare(4, 6, Visibility.PUBLIC)
-        ledger.record_swap(1, 3, Party.ALICE)
-        ledger.record_swap(2, 4, Party.BOB)
+        ledger.measure(1, 3, Party.ALICE, force=lab("00"))
+        ledger.measure(2, 4, Party.BOB, force=lab("00"))
         # nobody knows both the Alice-only input and Bob's outcome
         assert ledger.tag(5, 6) is Visibility.UNKNOWN
 
     def test_readout_then_announce_widens_to_public(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((5, 6))
         ledger.declare(5, 6, Visibility.UNKNOWN)
-        ledger.record_readout(5, 6, Party.ALICE)
+        ledger.measure(5, 6, Party.ALICE)
         assert ledger.tag(5, 6) is Visibility.ALICE_ONLY
         ledger.record_announcement(5, 6)
         assert ledger.tag(5, 6) is Visibility.PUBLIC
 
     def test_inference_adds_the_second_party(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 3))
         ledger.declare(1, 3, Visibility.ALICE_ONLY)
         ledger.record_inference(1, 3, Party.BOB)
         assert ledger.tag(1, 3) is Visibility.ALICE_AND_BOB
 
-    def test_swap_on_partners_rejected(self):
-        ledger = KnowledgeLedger()
-        ledger.declare(1, 2, Visibility.PUBLIC)
-        with pytest.raises(LedgerViolation, match="readout"):
-            ledger.record_swap(1, 2, Party.ALICE)
+    def test_measure_on_partners_is_a_readout(self):
+        ledger = ledger_over((1, 2))
+        ledger.declare(1, 2, Visibility.BOB_ONLY)
+        assert ledger.measure(1, 2, Party.ALICE) == lab("00")
+        assert ledger.table.pairs() == [(1, 2, lab("00"))]
+        assert ledger.pairs() == {(1, 2): Visibility.ALICE_AND_BOB}
 
     def test_unknown_qubit_rejected(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 2))
         ledger.declare(1, 2, Visibility.PUBLIC)
         with pytest.raises(LedgerViolation, match="no ledgered pair"):
-            ledger.record_swap(1, 9, Party.ALICE)
+            ledger.measure(1, 9, Party.ALICE, force=lab("00"))
 
     def test_updates_on_non_partners_rejected(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 2), (3, 4))
         ledger.declare(1, 2, Visibility.PUBLIC)
         ledger.declare(3, 4, Visibility.ALICE_ONLY)
         before = ledger.pairs()
         with pytest.raises(LedgerViolation, match="not a ledgered pair"):
             ledger.record_announcement(1, 3)
         with pytest.raises(LedgerViolation, match="not a ledgered pair"):
-            ledger.record_readout(2, 4, Party.BOB)
-        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
             ledger.record_inference(1, 9, Party.BOB)
+        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
+            ledger.tag(1, 3)
+        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
+            ledger.knows(2, 4, Party.BOB)
+        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
+            ledger.require_knowledge(1, 3, Party.ALICE, "rotate")
+        with pytest.raises(LedgerViolation, match="not a pair in the table"):
+            ledger.declare(1, 3, Visibility.UNKNOWN)
         assert ledger.pairs() == before
 
     def test_require_knowledge(self):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 2))
         ledger.declare(1, 2, Visibility.BOB_ONLY)
         ledger.require_knowledge(1, 2, Party.BOB, "rotate")
         with pytest.raises(LedgerViolation, match="alice cannot rotate"):
@@ -350,9 +361,9 @@ class TestKnowledgeLedger:
 
     @given(st.sampled_from(list(Visibility)), st.sampled_from(list(Visibility)))
     def test_eve_swap_tag_never_widens_to_honest_parties(self, va, vb):
-        ledger = KnowledgeLedger()
+        ledger = ledger_over((1, 2), (7, 8))
         ledger.declare(1, 2, va)
         ledger.declare(7, 8, vb)
-        ledger.record_swap(2, 8, Party.EVE)
+        ledger.measure(2, 8, Party.EVE, force=lab("00"))
         assert ledger.tag(2, 8) is Visibility.EVE_ONLY
         assert ledger.tag(1, 7) in (Visibility.EVE_ONLY, Visibility.UNKNOWN)
