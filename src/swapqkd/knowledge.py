@@ -62,10 +62,6 @@ _MASK_OF = {
 _TAG_OF = {mask: tag for tag, mask in _MASK_OF.items()}
 
 
-def _key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 class KnowledgeLedger:
     def __init__(self, table: PairTable):
         self.table = table
@@ -75,7 +71,7 @@ class KnowledgeLedger:
         """Tag a pair the table holds with an explicitly known visibility."""
         if not self.table.are_partners(a, b):
             raise LedgerViolation(f"qubits {a},{b} are not a pair in the table")
-        self._mask[_key(a, b)] = _MASK_OF[visibility]
+        self._mask[(a, b) if a < b else (b, a)] = _MASK_OF[visibility]
 
     def tag(self, a: int, b: int) -> Visibility:
         mask = self._mask[self._pair(a, b)]
@@ -106,30 +102,27 @@ class KnowledgeLedger:
         both consumed labels and the outcome.
         """
         table, mask, bit = self.table, self._mask, _BIT[party]
-        j = self._partner(a)
-        if j == b:
-            key = self._pair(a, b)
-            outcome = table.bsm(a, b, randomness, force=force)
-            mask[key] |= bit
-            return outcome
-        l = self._partner(b)
-        left, right = self._pair(a, j), self._pair(b, l)
-        outcome = table.bsm(a, b, randomness, force=force)
-        induced_mask = mask.pop(left) & mask.pop(right) & bit
-        mask[_key(a, b)] = bit
-        mask[_key(j, l)] = induced_mask
-        return outcome
-
-    def _partner(self, q: int) -> int:
         try:
-            return self.table.partner(q)
-        except ValueError:
-            raise LedgerViolation(f"qubit {q} is in no ledgered pair") from None
+            j, l = table.partner(a), table.partner(b)
+        except ValueError as unpaired:
+            raise LedgerViolation(f"{unpaired}; no ledgered pair holds it") from None
+        left = (a, j) if a < j else (j, a)
+        right = (b, l) if b < l else (l, b)
+        if left not in mask or right not in mask:
+            raise LedgerViolation(f"qubit {a} or {b} is in no ledgered pair")
+        outcome = table.bsm(a, b, randomness, force=force)
+        if j == b:
+            mask[left] |= bit
+            return outcome
+        induced_mask = mask.pop(left) & mask.pop(right) & bit
+        mask[(a, b) if a < b else (b, a)] = bit
+        mask[(j, l) if j < l else (l, j)] = induced_mask
+        return outcome
 
     def _pair(self, a: int, b: int) -> tuple[int, int]:
         """Key of the declared pair (a, b); a LedgerViolation if a and b are
         not partners in the table or were never declared."""
-        key = _key(a, b)
+        key = (a, b) if a < b else (b, a)
         if key not in self._mask or not self.table.are_partners(a, b):
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
         return key

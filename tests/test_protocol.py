@@ -328,10 +328,15 @@ class TestKnowledgeLedger:
         assert ledger.pairs() == {(1, 2): Visibility.ALICE_AND_BOB}
 
     def test_unknown_qubit_rejected(self):
-        ledger = ledger_over((1, 2))
+        ledger = ledger_over((1, 2), (3, 4))
         ledger.declare(1, 2, Visibility.PUBLIC)
+        table = ledger.table.copy()
         with pytest.raises(LedgerViolation, match="no ledgered pair"):
             ledger.measure(1, 9, Party.ALICE, force=lab("00"))
+        # (3, 4) is in the table but was never declared
+        with pytest.raises(LedgerViolation, match="no ledgered pair"):
+            ledger.measure(1, 3, Party.ALICE, force=lab("00"))
+        assert ledger.table == table
 
     def test_updates_on_non_partners_rejected(self):
         ledger = ledger_over((1, 2), (3, 4))
