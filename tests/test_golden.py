@@ -39,6 +39,11 @@ GOLDEN = {
         ["curves", "--max-pairs", "4", "--sessions", "200", "--seed", "11"],
         "f759d102a492beec3186b8b13e1bb07e6670103ceac8c3ecc81bef203071e610",
     ),
+    "montecarlo": (
+        ["montecarlo", "--max-pairs", "3", "--sessions", "300", "--seed", "5",
+         "--workers", "1"],
+        "f9d79bada200d78ef4e73ac401cb725a90d432312428fbe66f761e447304ac0b",
+    ),
 }
 
 
