@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .protocol import SessionConfig, SessionTranscript, run_session
 from .rng import SESSIONS, RandomStream, child_seed, session_seeds
@@ -61,41 +61,28 @@ def eavesdropping_test(
         raise ValueError("test_fraction must lie in [0, 1]")
     rounds = transcript.rounds
     n_test = int(math.floor(test_fraction * len(rounds) + 0.5))
-    if n_test == 0:
-        return TestReport(
-            pairs_tested=0,
-            bits_tested=0,
-            mismatches=0,
-            eve_detected=False,
-            remaining_key=transcript.alice_key,
-            remaining_key_bob=transcript.bob_key,
-            tested_rounds=(),
-            degenerate=True,
-        )
-    if n_test == len(rounds):
-        chosen = list(range(len(rounds)))
+    if n_test in (0, len(rounds)):
+        chosen = list(range(n_test))
+    elif coin is None:
+        raise ValueError("selecting a proper subset of rounds needs the public coin")
     else:
-        if coin is None:
-            raise ValueError("selecting a proper subset of rounds needs the public coin")
         chosen = sorted(int(i) for i in coin.choice(len(rounds), size=n_test, replace=False))
     chosen_set = frozenset(chosen)
     mismatches = sum(
         1 for i in chosen if rounds[i].alice_secret != rounds[i].bob_inferred_alice
     )
-    keep_a = "".join(rounds[i].key_bits for i in range(len(rounds)) if i not in chosen_set)
-    keep_b = "".join(
-        str(rounds[i].bob_inferred_alice)
-        for i in range(len(rounds))
-        if i not in chosen_set
+    kept = SessionTranscript(
+        transcript.config, [rec for i, rec in enumerate(rounds) if i not in chosen_set]
     )
     return TestReport(
         pairs_tested=n_test,
         bits_tested=2 * n_test,
         mismatches=mismatches,
         eve_detected=mismatches > 0,
-        remaining_key=keep_a,
-        remaining_key_bob=keep_b,
+        remaining_key=kept.alice_key,
+        remaining_key_bob=kept.bob_key,
         tested_rounds=tuple(chosen),
+        degenerate=n_test == 0,
     )
 
 
@@ -205,12 +192,21 @@ def estimate_detection(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class CurvePoint:
+    bits_tested: int
+    scheme_prob: float
+    bb84_prob: float
+    empirical: float | None = None
+    stderr: float | None = None
+
+
 @dataclass(frozen=True)
 class DetectionCurve:
     """Closed-form detection probabilities by tested bit count, with
     optional Monte Carlo estimates alongside."""
 
-    points: tuple[dict, ...] = field(default_factory=tuple)
+    points: tuple[CurvePoint, ...] = ()
 
     @staticmethod
     def build(
@@ -227,26 +223,18 @@ class DetectionCurve:
         points = []
         for n in range(1, max_pairs + 1):
             bits = 2 * n
-            point = {
-                "bits_tested": bits,
-                "scheme_prob": scheme_detection_probability(bits),
-                "bb84_prob": bb84_detection_probability(bits),
-                "empirical": None,
-                "stderr": None,
-            }
+            point = CurvePoint(bits, scheme_detection_probability(bits),
+                               bb84_detection_probability(bits))
             if sessions:
                 est = estimate_detection(n, sessions, child_seed(seed, SESSIONS, n))
-                point["empirical"] = est.empirical
-                point["stderr"] = est.stderr
+                point = replace(point, empirical=est.empirical, stderr=est.stderr)
             points.append(point)
         return DetectionCurve(points=tuple(points))
 
     def csv_lines(self) -> list[str]:
         lines = ["N,scheme_prob,bb84_prob,empirical,stderr"]
         for p in self.points:
-            emp = "" if p["empirical"] is None else repr(p["empirical"])
-            err = "" if p["stderr"] is None else repr(p["stderr"])
-            lines.append(
-                f"{p['bits_tested']},{p['scheme_prob']!r},{p['bb84_prob']!r},{emp},{err}"
-            )
+            emp = "" if p.empirical is None else repr(p.empirical)
+            err = "" if p.stderr is None else repr(p.stderr)
+            lines.append(f"{p.bits_tested},{p.scheme_prob!r},{p.bb84_prob!r},{emp},{err}")
         return lines

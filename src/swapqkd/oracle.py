@@ -169,31 +169,3 @@ def oracle_apply_pauli(state: StateVector, q: int, op: PauliOp) -> StateVector:
     t = np.tensordot(PAULI_MATRICES[op], t, axes=([1], [0]))
     amps = np.moveaxis(t, 0, pos).reshape(-1)
     return StateVector(amps, state.qubit_order)
-
-
-def bell_projector_set(state: StateVector, a: int, b: int) -> tuple[np.ndarray, ...]:
-    """The four Bell projectors on (a, b), extended by identity elsewhere.
-
-    Returned as dense 2^n x 2^n matrices in label order. They are mutually
-    orthogonal, idempotent, and sum to the identity; the cheaper contraction
-    path used by `oracle_bsm` is checked against them in the tests.
-    """
-    n = state.n_qubits
-    pa, pb = state.position(a), state.position(b)
-    rest = 2 ** (n - 2)
-    out = []
-    for label in ALL_LABELS:
-        v = BELL_VECTORS[label]
-        full = np.kron(np.outer(v, v.conj()), np.eye(rest, dtype=complex))
-        out.append(_restore_axis_order(full, n, pa, pb))
-    return tuple(out)
-
-
-def _restore_axis_order(full: np.ndarray, n: int, pa: int, pb: int) -> np.ndarray:
-    """Rewrite a matrix built for axis order (pa, pb, rest...) in natural order."""
-    order = [pa, pb] + [i for i in range(n) if i not in (pa, pb)]
-    t = full.reshape([2] * (2 * n))
-    # kron axis k (rows and columns alike) is natural axis order[k]
-    src = list(range(2 * n))
-    dst = order + [n + q for q in order]
-    return np.moveaxis(t, src, dst).reshape(2**n, 2**n)

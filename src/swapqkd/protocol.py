@@ -24,6 +24,7 @@ which `public_posterior` enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
@@ -69,6 +70,15 @@ class RoleMap:
         if len(set(self.qubits())) != 6:
             raise ValueError(f"role map must name six distinct qubits: {self}")
 
+    def agreed_pairs(self, labels) -> tuple[tuple[int, int, BellLabel, Party], ...]:
+        """(qubit, partner, label, holder) of each pair at round start."""
+        link, anchor, bob = labels
+        return (
+            (self.alice_keep, self.alice_send, link, Party.ALICE),
+            (self.anchor_a, self.anchor_b, anchor, Party.ALICE),
+            (self.bob_keep, self.bob_send, bob, Party.BOB),
+        )
+
     def rotated(self) -> "RoleMap":
         """Roles for the next round.
 
@@ -90,6 +100,15 @@ class RoleMap:
 INITIAL_ROLES = RoleMap(
     alice_keep=1, alice_send=2, anchor_a=3, anchor_b=5, bob_keep=4, bob_send=6
 )
+
+
+ROLE_SCHEDULE = (INITIAL_ROLES,)
+"""Roles of round i: ROLE_SCHEDULE[i % len(ROLE_SCHEDULE)], one cycle of `rotated`."""
+while ROLE_SCHEDULE[-1].rotated() != INITIAL_ROLES:
+    ROLE_SCHEDULE += (ROLE_SCHEDULE[-1].rotated(),)
+TRANSFERS = tuple(((r.alice_send, "alice_to_bob"), (r.bob_send, "bob_to_alice"))
+                  for r in ROLE_SCHEDULE)
+"""(qubit, direction) of each channel transit of round i: TRANSFERS[i % len(TRANSFERS)]."""
 
 
 @dataclass(frozen=True)
@@ -138,29 +157,49 @@ class Correction:
 
 @dataclass(slots=True)
 class RoundRecord:
+    """What one round decided; its transits and key bits are derived."""
+
     index: int
     alice_secret: BellLabel
     bob_secret: BellLabel
     announcement: BellLabel
     alice_inferred_bob: BellLabel
     bob_inferred_alice: BellLabel
-    transfers: tuple[tuple[int, str], tuple[int, str]]
-    key_bits: str
     eve: adversary.EveRoundRecord | None = None
     corrections: tuple[Correction, ...] = ()
+
+    @property
+    def transfers(self) -> tuple[tuple[int, str], tuple[int, str]]:
+        return TRANSFERS[self.index % len(TRANSFERS)]
 
     @property
     def transmissions(self) -> int:
         return len(self.transfers)
 
+    @property
+    def key_bits(self) -> str:
+        return str(self.alice_secret)
+
 
 @dataclass
 class SessionTranscript:
+    """A session's config and rounds; each key is joined from the rounds once."""
+
     config: SessionConfig
     rounds: list[RoundRecord]
-    alice_key: str
-    bob_key: str
-    eve_key: str | None = None
+
+    @cached_property
+    def alice_key(self) -> str:
+        return "".join([rec.key_bits for rec in self.rounds])
+
+    @cached_property
+    def bob_key(self) -> str:
+        return "".join([str(rec.bob_inferred_alice) for rec in self.rounds])
+
+    @cached_property
+    def eve_key(self) -> str | None:
+        eve = self.config.eve_enabled
+        return "".join([str(rec.eve.inferred_alice) for rec in self.rounds]) if eve else None
 
 
 def infer_other_secret(
@@ -197,32 +236,19 @@ def public_posterior(
 
 
 class Session:
-    """Owns the quantum state, custody map and ledger of one session; `run`
-    reads the keys off the round records."""
+    """Owns the quantum state, custody map and ledger of one session; the
+    roles of round i are `ROLE_SCHEDULE[i % len(ROLE_SCHEDULE)]`."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
-        self.roles = INITIAL_ROLES
+        self.roles = ROLE_SCHEDULE[0]
         link, anchor, bob = config.initial_labels
-        r = self.roles
-        self.table = PairTable(
-            [
-                (r.alice_keep, r.alice_send, link),
-                (r.anchor_a, r.anchor_b, anchor),
-                (r.bob_keep, r.bob_send, bob),
-            ]
-        )
+        pairs = self.roles.agreed_pairs(config.initial_labels)
+        self.table = PairTable([(a, b, label) for a, b, label, _ in pairs])
         self.ledger = KnowledgeLedger(self.table)
         for a, b, _ in self.table.pairs():
             self.ledger.declare(a, b, Visibility.PUBLIC)
-        self.custody: dict[int, Party] = {
-            r.alice_keep: Party.ALICE,
-            r.alice_send: Party.ALICE,
-            r.anchor_a: Party.ALICE,
-            r.anchor_b: Party.ALICE,
-            r.bob_keep: Party.BOB,
-            r.bob_send: Party.BOB,
-        }
+        self.custody: dict[int, Party] = {q: holder for a, b, _, holder in pairs for q in (a, b)}
         self.eve: adversary.EveState | None = None
         if config.eve_enabled:
             self.eve = adversary.EveState(
@@ -240,14 +266,8 @@ class Session:
     # -- round execution ---------------------------------------------------
 
     def _check_round_preconditions(self):
-        r = self.roles
-        link, anchor, bob = self.config.initial_labels
         table, custody = self.table, self.custody
-        for a, b, want, holder in (
-            (r.alice_keep, r.alice_send, link, Party.ALICE),
-            (r.anchor_a, r.anchor_b, anchor, Party.ALICE),
-            (r.bob_keep, r.bob_send, bob, Party.BOB),
-        ):
+        for a, b, want, holder in self.roles.agreed_pairs(self.config.initial_labels):
             if not table.are_partners(a, b):
                 raise ValueError(f"malformed state: qubits {a},{b} are not paired")
             if table.label(a) != want:
@@ -325,8 +345,6 @@ class Session:
             announcement=announcement,
             alice_inferred_bob=alice_inferred_bob,
             bob_inferred_alice=bob_inferred_alice,
-            transfers=((r.alice_send, "alice_to_bob"), (r.bob_send, "bob_to_alice")),
-            key_bits=str(alice_secret),
             eve=eve_record,
         )
         self.rounds_run += 1
@@ -335,22 +353,16 @@ class Session:
     # -- between rounds ------------------------------------------------------
 
     def reset_round(self) -> tuple[Correction, ...]:
-        """Rotate every pair back to the agreed labels and advance roles.
+        """Advance roles, rotating each pair the round leaves (an agreed pair
+        of the next roles) back to its agreed label.
 
         Each correcting party must know its pair's current label, which the
         ledger certifies: Alice knows her secret outcome and the announced
         value, Bob knows his secret outcome.
         """
-        cfg = self.config
-        r = self.roles
-        link, anchor, bob = cfg.initial_labels
-        plan = (
-            (Party.ALICE, r.alice_keep, r.anchor_a, link),
-            (Party.ALICE, r.anchor_b, r.bob_send, anchor),
-            (Party.BOB, r.bob_keep, r.alice_send, bob),
-        )
+        roles = ROLE_SCHEDULE[self.rounds_run % len(ROLE_SCHEDULE)]
         corrections = []
-        for party, q, partner, target in plan:
+        for q, partner, target, party in roles.agreed_pairs(self.config.initial_labels):
             if not self.table.are_partners(q, partner):
                 raise ValueError(f"malformed state: qubits {q},{partner} are not paired")
             if self.custody[q] is not party:
@@ -364,7 +376,7 @@ class Session:
         if self.eve is not None:
             op = adversary.eve_reset(self.eve, self.ledger)
             corrections.append(Correction(Party.EVE, self.eve.ancilla_a, op))
-        self.roles = r.rotated()
+        self.roles = roles
         return tuple(corrections)
 
     # -- whole session -------------------------------------------------------
@@ -375,14 +387,7 @@ class Session:
             record = self.run_round(round_stream(self.config.seed, i))
             record.corrections = self.reset_round()
             records.append(record)
-        eve = self.config.eve_enabled
-        return SessionTranscript(
-            config=self.config,
-            rounds=records,
-            alice_key="".join([rec.key_bits for rec in records]),
-            bob_key="".join([str(rec.bob_inferred_alice) for rec in records]),
-            eve_key="".join([str(rec.eve.inferred_alice) for rec in records]) if eve else None,
-        )
+        return SessionTranscript(self.config, records)
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:

@@ -10,22 +10,21 @@ configuration and seed reproduces the file byte for byte, and
 Bell labels serialize as the two-character strings "00".."11". Round
 lines are written from a fixed template that yields exactly what
 `json.dumps` with separators (",", ":") yields; header and summary go
-through `json.dumps` itself. Malformed input to `parse_lines` raises
-`TranscriptError`, which names the line and the field.
+through `json.dumps` itself. Malformed input to `parse_lines`, or a copy of
+a derived value that disagrees with the rounds, raises `TranscriptError`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .adversary import EveRoundRecord
 from .analysis import RateReport, TestReport
 from .bell import ALL_LABELS, PauliOp
 from .knowledge import Party
-from .protocol import Correction, RoundRecord, SessionConfig, SessionTranscript
+from .protocol import TRANSFERS, Correction, RoundRecord, SessionConfig, SessionTranscript
 
 
 @dataclass
@@ -58,6 +57,9 @@ def _dump(obj: dict) -> str:
 _LABEL_TEXT = {lab: f'"{lab}"' for lab in ALL_LABELS}
 _PARTY_TEXT = {party: f'"{party.value}"' for party in Party}
 _PAULI_TEXT = {op: f'"{op.name}"' for op in PauliOp}
+# round i's "transfers" as json.loads gives them, and as text with "transmissions"
+_TRANSFERS_JSON = tuple([list(transit) for transit in t] for t in TRANSFERS)
+_TRANSFERS_TEXT = tuple(f'"transfers":{_dump(t)},"transmissions":{len(t)}' for t in _TRANSFERS_JSON)
 
 _LABEL_OF = {str(lab): lab for lab in ALL_LABELS}
 _PARTY_OF = {party.value: party for party in Party}
@@ -78,7 +80,6 @@ def _round_line(rec: RoundRecord) -> str:
             f'"inferred_alice":{_LABEL_TEXT[eve.inferred_alice]},'
             f'"inferred_bob":{_LABEL_TEXT[eve.inferred_bob]}}}'
         )
-    transfers = ",".join([f"[{q},{_quote(direction)}]" for q, direction in rec.transfers])
     corrections = ",".join(
         [f"[{_PARTY_TEXT[c.party]},{c.qubit},{_PAULI_TEXT[c.op]}]" for c in rec.corrections]
     )
@@ -89,8 +90,8 @@ def _round_line(rec: RoundRecord) -> str:
         f'"announcement":{_LABEL_TEXT[rec.announcement]},'
         f'"alice_inferred_bob":{_LABEL_TEXT[rec.alice_inferred_bob]},'
         f'"bob_inferred_alice":{_LABEL_TEXT[rec.bob_inferred_alice]},'
-        f'"transfers":[{transfers}],"transmissions":{rec.transmissions},'
-        f'"key_bits":{_quote(rec.key_bits)},"eve":{eve_text},'
+        f'{_TRANSFERS_TEXT[rec.index % len(_TRANSFERS_TEXT)]},'
+        f'"key_bits":{_LABEL_TEXT[rec.alice_secret]},"eve":{eve_text},'
         f'"corrections":[{corrections}]}}'
     )
 
@@ -164,10 +165,6 @@ def _is_label(v) -> bool:
     return type(v) is str and v in _LABEL_OF
 
 
-def _is_transfer(t) -> bool:
-    return type(t) is list and len(t) == 2 and _is_int(t[0]) and type(t[1]) is str
-
-
 def _is_correction(c) -> bool:
     return (
         type(c) is list and len(c) == 3
@@ -190,10 +187,6 @@ _OBJECT_OR_NULL = (lambda v: v is None or type(v) is dict, "an object or null")
 _INTS = (lambda v: type(v) is list and all(map(_is_int, v)), "a list of integers")
 _THREE_LABELS = (
     lambda v: type(v) is list and len(v) == 3 and all(map(_is_label, v)), "three labels"
-)
-_TRANSFERS = (
-    lambda v: type(v) is list and all(map(_is_transfer, v)),
-    "a list of [qubit, direction] pairs",
 )
 _CORRECTIONS = (
     lambda v: type(v) is list and all(map(_is_correction, v)),
@@ -232,8 +225,6 @@ _ROUND = (
     ("announcement", _LABEL),
     ("alice_inferred_bob", _LABEL),
     ("bob_inferred_alice", _LABEL),
-    ("transfers", _TRANSFERS),
-    ("key_bits", _STR),
     ("eve", _OBJECT_OR_NULL),
     ("corrections", _CORRECTIONS),
 )
@@ -272,12 +263,13 @@ def _config_from(row: dict, line: int) -> SessionConfig:
         raise TranscriptError(str(err), line, "config") from None
 
 
-def _round_from(row: dict, line: int) -> RoundRecord:
-    """One round row as its record.
+def _round_from(row: dict, line: int, index: int, eve_enabled: bool) -> RoundRecord:
+    """Round `index` of the file as its record.
 
     Well-formed rows take plain lookups; a row that fails them, or holds a
     value of a type json.loads gives but the record does not take, is
-    handed to `_round_error` to name the field.
+    handed to `_round_error` to name the field. Its index, eve section and
+    derived fields must agree with round `index` of the header's session.
     """
     try:
         eve = row["eve"]
@@ -296,21 +288,29 @@ def _round_from(row: dict, line: int) -> RoundRecord:
             _LABEL_OF[row["announcement"]],
             _LABEL_OF[row["alice_inferred_bob"]],
             _LABEL_OF[row["bob_inferred_alice"]],
-            tuple([(q, direction) for q, direction in row["transfers"]]),
-            row["key_bits"],
             eve,
             tuple([Correction(_PARTY_OF[p], q, _PAULI_OF[op]) for p, q, op in row["corrections"]]),
         )
     except (KeyError, TypeError, ValueError):
         raise _round_error(row, line) from None
-    if type(record.index) is not int or type(record.key_bits) is not str:
+    if type(record.index) is not int:
         raise _round_error(row, line)
-    for q, direction in record.transfers:
-        if type(q) is not int or type(direction) is not str:
-            raise _round_error(row, line)
     for c in record.corrections:
         if type(c.qubit) is not int:
             raise _round_error(row, line)
+    if record.index != index:
+        raise TranscriptError(f"expected {index}, the round's position", line, "index")
+    if (eve is None) is eve_enabled:
+        want = "an object" if eve_enabled else "null"
+        raise TranscriptError(f"expected {want}, as eve_enabled is {eve_enabled}", line, "eve")
+    if row.get("key_bits") != row["alice_secret"]:
+        raise TranscriptError(f"expected {record.key_bits!r}, the alice_secret", line, "key_bits")
+    want, transfers = _TRANSFERS_JSON[index % len(_TRANSFERS_JSON)], row.get("transfers")
+    if transfers != want or type(transfers[0][0]) is not int or type(transfers[1][0]) is not int:
+        raise TranscriptError(f"expected {want!r}, from the role schedule", line, "transfers")
+    transmissions = row.get("transmissions")
+    if transmissions != len(want) or type(transmissions) is not int:
+        raise TranscriptError(f"expected {len(want)}, one per transfer", line, "transmissions")
     return record
 
 
@@ -328,7 +328,10 @@ def _round_error(row: dict, line: int) -> TranscriptError:
 def _summary_from(
     row: dict, line: int, config: SessionConfig, rounds: list[RoundRecord]
 ) -> TranscriptFile:
-    transcript = SessionTranscript(config, rounds, **_fields(row, _KEYS, line))
+    transcript = SessionTranscript(config, rounds)
+    for name, value in _fields(row, _KEYS, line).items():
+        if value != getattr(transcript, name):
+            raise TranscriptError("does not match the rounds", line, name)
     rate = RateReport(**_fields(_field(row, "rate", _OBJECT, line), _RATE, line, "rate."))
     test = _field(row, "test", _OBJECT_OR_NULL, line)
     if test is not None:
@@ -343,7 +346,7 @@ def parse_lines(lines) -> TranscriptFile:
 
     `lines` is any iterable of lines, an open file included; each round
     line becomes its record as it is read, so no row outlives its line.
-    Blank lines are skipped. Malformed input raises `TranscriptError`.
+    Blank lines are skipped. Malformed or inconsistent input raises `TranscriptError`.
     """
     config = summary = None
     rounds: list[RoundRecord] = []
@@ -358,11 +361,11 @@ def parse_lines(lines) -> TranscriptFile:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, number))
+            rounds.append(_round_from(row, number, len(rounds), config.eve_enabled))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")
-            config = _config_from(row, number)
+            config, header_line = _config_from(row, number), number
         elif summary is not None:
             raise TranscriptError("line after the summary", number)
         elif kind == "summary":
@@ -375,6 +378,9 @@ def parse_lines(lines) -> TranscriptFile:
         raise TranscriptError("transcript must start with a header line")
     if summary is None:
         raise TranscriptError("transcript must end with a summary line")
+    if len(rounds) != config.rounds:
+        raise TranscriptError(f"the file holds {len(rounds)} rounds, the header {config.rounds}",
+                              header_line, "config.rounds")
     return _summary_from(summary, summary_line, config, rounds)
 
 

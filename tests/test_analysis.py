@@ -185,15 +185,15 @@ class TestDetectionCurve:
         assert lines[0] == "N,scheme_prob,bb84_prob,empirical,stderr"
         assert lines[1].startswith("2,0.75,0.4375,")
         assert len(lines) == 4
-        bits = [p["bits_tested"] for p in curve.points]
+        bits = [p.bits_tested for p in curve.points]
         assert bits == [2, 4, 6]
 
     def test_empirical_columns_filled_when_requested(self):
         curve = analysis.DetectionCurve.build(2, sessions=60, seed=63)
         for point in curve.points:
-            assert point["empirical"] is not None
-            assert 0.0 <= point["empirical"] <= 1.0
-            assert point["stderr"] > 0
+            assert point.empirical is not None
+            assert 0.0 <= point.empirical <= 1.0
+            assert point.stderr > 0
         assert "," in curve.csv_lines()[1]
 
     def test_validation(self):
@@ -206,7 +206,7 @@ class TestDetectionCurve:
 
     def test_probabilities_monotone(self):
         curve = analysis.DetectionCurve.build(8)
-        scheme = [p["scheme_prob"] for p in curve.points]
-        other = [p["bb84_prob"] for p in curve.points]
+        scheme = [p.scheme_prob for p in curve.points]
+        other = [p.bb84_prob for p in curve.points]
         assert scheme == sorted(scheme)
         assert other == sorted(other)

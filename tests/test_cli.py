@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from swapqkd import analysis, transcript
+from swapqkd.bell import BellLabel
 from swapqkd.cli import main
 from swapqkd.protocol import SessionConfig, run_session
 from swapqkd.rng import COIN, session_seeds, stream
@@ -18,14 +19,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def make_file(rounds=20, seed=7, eve=False, test_fraction=0.0):
-    cfg_kwargs = dict(rounds=rounds, seed=seed, eve_enabled=eve, test_fraction=test_fraction)
+def make_file(rounds=20, seed=7, eve=False, test_fraction=0.0, **cfg):
+    cfg_kwargs = dict(rounds=rounds, seed=seed, eve_enabled=eve, test_fraction=test_fraction,
+                      **cfg)
     result = run_session(SessionConfig(**cfg_kwargs))
     rate = analysis.rate_report(result)
     test = None
     if test_fraction > 0:
         test = analysis.eavesdropping_test(result, test_fraction, stream(seed, COIN))
     return transcript.TranscriptFile(transcript=result, rate=rate, test=test)
+
+
+def labels(*texts):
+    return tuple(BellLabel.from_string(t) for t in texts)
 
 
 class TestTranscriptRoundTrip:
@@ -36,6 +42,8 @@ class TestTranscriptRoundTrip:
             dict(eve=True),
             dict(eve=True, test_fraction=0.25),
             dict(rounds=0),
+            dict(eve=True, test_fraction=0.25, initial_labels=labels("01", "11", "00"),
+                 eve_ancilla=BellLabel.from_string("10")),
         ],
     )
     def test_parse_inverts_emit(self, kwargs):

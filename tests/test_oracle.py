@@ -18,6 +18,34 @@ def lab(s: str) -> BellLabel:
     return BellLabel.from_string(s)
 
 
+def bell_projector_set(state: oracle.StateVector, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """The four Bell projectors on (a, b), extended by identity elsewhere.
+
+    Returned as dense 2^n x 2^n matrices in label order. They are mutually
+    orthogonal, idempotent, and sum to the identity; the cheaper contraction
+    path used by `oracle.oracle_bsm` is checked against them in `TestProjectors`.
+    """
+    n = state.n_qubits
+    pa, pb = state.position(a), state.position(b)
+    rest = 2 ** (n - 2)
+    out = []
+    for label in ALL_LABELS:
+        v = oracle.BELL_VECTORS[label]
+        full = np.kron(np.outer(v, v.conj()), np.eye(rest, dtype=complex))
+        out.append(_restore_axis_order(full, n, pa, pb))
+    return tuple(out)
+
+
+def _restore_axis_order(full: np.ndarray, n: int, pa: int, pb: int) -> np.ndarray:
+    """Rewrite a matrix built for axis order (pa, pb, rest...) in natural order."""
+    order = [pa, pb] + [i for i in range(n) if i not in (pa, pb)]
+    t = full.reshape([2] * (2 * n))
+    # kron axis k (rows and columns alike) is natural axis order[k]
+    src = list(range(2 * n))
+    dst = order + [n + q for q in order]
+    return np.moveaxis(t, src, dst).reshape(2**n, 2**n)
+
+
 class TestPrepare:
     def test_plus_correlation_amplitudes(self):
         state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
@@ -139,7 +167,7 @@ class TestProjectors:
         state = oracle.prepare(
             PairTable([(1, 2, lab("11")), (3, 5, lab("10")), (4, 6, lab("10"))])
         )
-        projectors = oracle.bell_projector_set(state, *pair)
+        projectors = bell_projector_set(state, *pair)
         dim = 2 ** state.n_qubits
         np.testing.assert_allclose(sum(projectors), np.eye(dim), atol=1e-12)
         for i, p in enumerate(projectors):
@@ -149,7 +177,7 @@ class TestProjectors:
 
     def test_projector_weights_match_contraction_path(self):
         state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
-        projectors = oracle.bell_projector_set(state, 1, 3)
+        projectors = bell_projector_set(state, 1, 3)
         direct = [
             float(np.real(np.vdot(state.amplitudes, p @ state.amplitudes)))
             for p in projectors

@@ -20,7 +20,7 @@ from swapqkd.protocol import (
     replay_round,
     run_session,
 )
-from swapqkd.rng import stream
+from swapqkd.rng import round_stream, stream
 
 labels = st.sampled_from(ALL_LABELS)
 
@@ -162,6 +162,19 @@ class TestRoleRotation:
             RoleMap(1, 1, 3, 5, 4, 6)
 
     def test_transmitted_qubits_cycle(self):
+        cfg = SessionConfig(rounds=8, seed=9, eve_enabled=True)
+        session = Session(cfg)
+        for i in range(cfg.rounds):
+            before = dict(session.custody)
+            record = session.run_round(round_stream(cfg.seed, i))
+            # the derived transfers name exactly the custody moves of the round
+            moved = {
+                (q, f"{before[q].value}_to_{holder.value}")
+                for q, holder in session.custody.items()
+                if holder is not before[q]
+            }
+            assert set(record.transfers) == moved
+            session.reset_round()
         transcript = run_session(SessionConfig(rounds=8, seed=9))
         outbound = [rec.transfers[0][0] for rec in transcript.rounds]
         returned = [rec.transfers[1][0] for rec in transcript.rounds]

@@ -75,29 +75,6 @@ class TestRoundTemplate:
         lines = transcript.emit_lines(file)
         assert lines[1:-1] == [_dumps(rec) for rec in result.rounds]
 
-    @pytest.mark.parametrize(
-        "key_bits, direction",
-        [
-            ('0"1', "alice_to_bob"),
-            ("01", 'back\\slash "quoted"'),
-            ("é☃", "café \U0001f600"),
-            (" \n\t\x00", "\x7f\x1f"),
-            ("", ""),
-        ],
-    )
-    def test_free_strings_escape_like_json_dumps(self, key_bits, direction):
-        lines = make_lines()
-        rows = [json.loads(line) for line in lines[1:-1]]
-        for row in rows:
-            row["key_bits"] = key_bits
-            row["transfers"][1][1] = direction
-        edited = [lines[0], *(json.dumps(row, separators=(",", ":")) for row in rows), lines[-1]]
-        parsed = transcript.parse_lines(edited)
-        assert [rec.key_bits for rec in parsed.transcript.rounds] == [key_bits] * len(rows)
-        assert [_dumps(rec) for rec in parsed.transcript.rounds] == edited[1:-1]
-        assert transcript.emit_lines(parsed) == edited
-
-
 class TestParse:
     def test_accepts_an_open_file(self, tmp_path):
         lines = make_lines()
@@ -191,7 +168,8 @@ class TestTranscriptError:
     @pytest.mark.parametrize(
         "field, value",
         [("index", "2"), ("index", True), ("index", 2.0), ("key_bits", 11),
-         ("key_bits", None), ("alice_secret", "0x"), ("announcement", 1)],
+         ("key_bits", None), ("alice_secret", "0x"), ("announcement", 1),
+         ("index", 5), ("eve", None), ("transmissions", 3), ("transmissions", 2.0)],
     )
     def test_round_field_types(self, field, value):
         err = parse_error(edit_round(lambda row: row.__setitem__(field, value)))
@@ -208,6 +186,9 @@ class TestTranscriptError:
             ("corrections", (2, 1), True),
             ("corrections", (0, 0), "mallory"),
             ("corrections", (1, 2), "H"),
+            ("transfers", (0, 0), 2),
+            ("transfers", (0, 0), 3.0),
+            ("transfers", (1, 1), "alice_to_bob"),
         ],
     )
     def test_qubits_directions_and_names(self, field, path, value):
@@ -227,3 +208,57 @@ class TestTranscriptError:
         lines[-1] = json.dumps(summary)
         err = parse_error(lines)
         assert (err.line, err.field) == (len(lines), "test.mismatches")
+
+    @pytest.mark.parametrize(
+        "key_bits, direction",
+        [
+            ('0"1', "alice_to_bob"),
+            ("01", 'back\\slash "quoted"'),
+            ("é☃", "café \U0001f600"),
+            ("\u2028\n\t\x00", "\x7f\x1f"),
+            ("", ""),
+        ],
+    )
+    def test_free_strings_rejected(self, key_bits, direction):
+        # key bits and transfer directions are derived, so a file's copy
+        # must equal the derived value, whatever string it holds
+        err = parse_error(edit_round(lambda row: row.__setitem__("key_bits", key_bits)))
+        assert (err.line, err.field) == (3, "key_bits")
+        err = parse_error(edit_round(lambda row: row["transfers"][1].__setitem__(1, direction)))
+        assert (err.line, err.field) == (3, "transfers")
+
+    def test_eve_section_in_honest_file(self):
+        eve_section = json.loads(make_lines()[2])["eve"]
+        lines = make_lines(eve=False)
+        row = json.loads(lines[2])
+        row["eve"] = eve_section
+        lines[2] = json.dumps(row)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (3, "eve")
+        assert "null" in str(err)
+
+    @pytest.mark.parametrize("change", ["drop_last_round", "header_rounds"])
+    def test_round_count_against_header(self, change):
+        lines = make_lines()
+        if change == "drop_last_round":
+            del lines[-2]
+        else:
+            header = json.loads(lines[0])
+            header["config"]["rounds"] += 1
+            lines[0] = json.dumps(header)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (1, "config.rounds")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alice_key", "0000"), ("alice_key", ""), ("bob_key", 12 * "0"),
+         ("eve_key", None), ("eve_key", "0")],
+    )
+    def test_summary_keys_against_rounds(self, field, value):
+        lines = make_lines()
+        summary = json.loads(lines[-1])
+        assert summary[field] != value
+        summary[field] = value
+        lines[-1] = json.dumps(summary)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (len(lines), field)
