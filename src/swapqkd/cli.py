@@ -21,7 +21,7 @@ from . import analysis, transcript, verify
 from .bell import BellLabel, swap_rule
 from .knowledge import LedgerViolation
 from .protocol import SessionConfig, run_session
-from .rng import COIN, SESSIONS, child_seed, stream
+from .rng import SESSIONS, child_seed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -135,14 +135,8 @@ def _cmd_run(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    result = run_session(config)
-    rate = analysis.rate_report(result)
-    test = None
-    if config.test_fraction > 0:
-        test = analysis.eavesdropping_test(
-            result, config.test_fraction, stream(config.seed, COIN)
-        )
-    record = transcript.TranscriptFile(transcript=result, rate=rate, test=test)
+    record = transcript.TranscriptFile.of(run_session(config))
+    result, rate, test = record.transcript, record.rate, record.test
     lines = transcript.emit_lines(record) if args.format == "json" else transcript.csv_lines(record)
     out_path = _resolve_out(args.out)
     _write_lines(lines, out_path)

@@ -2,29 +2,37 @@
 
 A transcript file is one JSON object per line: a header echoing the
 configuration, one record per round (with the eavesdropper's section when
-she was enabled), and a trailing summary holding the rate report and the
-eavesdropping-test report. Emission is deterministic: rerunning the same
-configuration and seed reproduces the file byte for byte, and
-`parse_lines(emit_lines(...))` returns equal objects.
+she was enabled), and a trailing summary holding the keys, the rate report
+and the eavesdropping-test report. The summary is derived:
+`TranscriptFile.of` builds it from the header's configuration and the
+rounds, the test report by drawing the tested rounds from the public coin.
+Emission is deterministic: rerunning the same configuration and seed
+reproduces the file byte for byte, and `parse_lines(emit_lines(...))`
+returns equal objects.
 
 Bell labels serialize as the two-character strings "00".."11". Round
 lines are written from a fixed template that yields exactly what
 `json.dumps` with separators (",", ":") yields; header and summary go
 through `json.dumps` itself. Malformed input to `parse_lines`, or a copy of
-a derived value that disagrees with the rounds, raises `TranscriptError`.
+a derived value that disagrees with the header and rounds, raises
+`TranscriptError`.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from . import __version__
 from .adversary import EveRoundRecord
-from .analysis import RateReport, TestReport
+from .analysis import RateReport, TestReport, eavesdropping_test, rate_report
 from .bell import ALL_LABELS, PauliOp
 from .knowledge import Party
 from .protocol import TRANSFERS, Correction, RoundRecord, SessionConfig, SessionTranscript
+from .rng import COIN, stream
+
+FORMAT = "swapqkd-transcript"
 
 
 @dataclass
@@ -34,6 +42,16 @@ class TranscriptFile:
     transcript: SessionTranscript
     rate: RateReport
     test: TestReport | None
+
+    @classmethod
+    def of(cls, transcript: SessionTranscript) -> "TranscriptFile":
+        """The file a session writes: its rate report, and the eavesdropping
+        test on the public coin when its config sets a test fraction."""
+        cfg = transcript.config
+        test = None
+        if cfg.test_fraction > 0:
+            test = eavesdropping_test(transcript, cfg.test_fraction, stream(cfg.seed, COIN))
+        return cls(transcript, rate_report(transcript), test)
 
 
 class TranscriptError(ValueError):
@@ -107,9 +125,8 @@ def _config_dict(cfg: SessionConfig) -> dict:
     }
 
 
-def _summary_dict(
-    transcript: SessionTranscript, rate: RateReport, test: TestReport | None
-) -> dict:
+def _summary_dict(file: TranscriptFile) -> dict:
+    transcript, rate, test = file.transcript, file.rate, file.test
     test_d = None
     if test is not None:
         test_d = {
@@ -141,13 +158,13 @@ def _summary_dict(
 def emit_lines(file: TranscriptFile) -> list[str]:
     header = {
         "kind": "header",
-        "format": "swapqkd-transcript",
+        "format": FORMAT,
         "version": __version__,
         "config": _config_dict(file.transcript.config),
     }
     lines = [_dump(header)]
     lines.extend([_round_line(rec) for rec in file.transcript.rounds])
-    lines.append(_dump(_summary_dict(file.transcript, file.rate, file.test)))
+    lines.append(_dump(_summary_dict(file)))
     return lines
 
 
@@ -178,13 +195,10 @@ def _is_correction(c) -> bool:
 _INT = (_is_int, "an integer")
 _NUMBER = (_is_number, "a number")
 _LABEL = (_is_label, "a label")
-_STR = (lambda v: type(v) is str, "a string")
 _BOOL = (lambda v: type(v) is bool, "a boolean")
 _OBJECT = (lambda v: type(v) is dict, "an object")
-_STR_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
-_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a number or null")
+_FORMAT = (lambda v: v == FORMAT, repr(FORMAT))
 _OBJECT_OR_NULL = (lambda v: v is None or type(v) is dict, "an object or null")
-_INTS = (lambda v: type(v) is list and all(map(_is_int, v)), "a list of integers")
 _THREE_LABELS = (
     lambda v: type(v) is list and len(v) == 3 and all(map(_is_label, v)), "three labels"
 )
@@ -233,27 +247,10 @@ _EVE = tuple(
     for name in ("outbound_outcome", "return_readout", "detach_outcome",
                  "inferred_alice", "inferred_bob")
 )
-_KEYS = (("alice_key", _STR), ("bob_key", _STR), ("eve_key", _STR_OR_NULL))
-_RATE = (
-    ("key_bits", _INT),
-    ("transmitted_qubits", _INT),
-    ("rate", _NUMBER_OR_NULL),
-    ("bb84_rate", _NUMBER),
-    ("e91_rate", _NUMBER),
-)
-_TEST = (
-    ("pairs_tested", _INT),
-    ("bits_tested", _INT),
-    ("mismatches", _INT),
-    ("eve_detected", _BOOL),
-    ("remaining_key", _STR),
-    ("remaining_key_bob", _STR),
-    ("tested_rounds", _INTS),
-    ("degenerate", _BOOL),
-)
 
 
 def _config_from(row: dict, line: int) -> SessionConfig:
+    _field(row, "format", _FORMAT, line)
     fields = _fields(_field(row, "config", _OBJECT, line), _CONFIG, line, "config.")
     fields["initial_labels"] = tuple(_LABEL_OF[s] for s in fields["initial_labels"])
     fields["eve_ancilla"] = _LABEL_OF[fields["eve_ancilla"]]
@@ -325,20 +322,22 @@ def _round_error(row: dict, line: int) -> TranscriptError:
     return TranscriptError("malformed round", line)
 
 
-def _summary_from(
-    row: dict, line: int, config: SessionConfig, rounds: list[RoundRecord]
-) -> TranscriptFile:
-    transcript = SessionTranscript(config, rounds)
-    for name, value in _fields(row, _KEYS, line).items():
-        if value != getattr(transcript, name):
-            raise TranscriptError("does not match the rounds", line, name)
-    rate = RateReport(**_fields(_field(row, "rate", _OBJECT, line), _RATE, line, "rate."))
-    test = _field(row, "test", _OBJECT_OR_NULL, line)
-    if test is not None:
-        fields = _fields(test, _TEST, line, "test.")
-        fields["tested_rounds"] = tuple(fields["tested_rounds"])
-        test = TestReport(**fields)
-    return TranscriptFile(transcript=transcript, rate=rate, test=test)
+def _check_derived(found, derived, line: int, field: str = "") -> None:
+    """Raise on the first place where `found`, as json.loads gave it,
+    differs from `derived` in type or value; keys `derived` lacks are ignored."""
+    if type(derived) is dict and type(found) is dict:
+        for name, value in derived.items():
+            sub = f"{field}.{name}" if field else name
+            if name not in found:
+                raise TranscriptError("missing field", line, sub)
+            _check_derived(found[name], value, line, sub)
+    elif type(derived) is list and type(found) is list and len(found) == len(derived):
+        for found_item, derived_item in zip(found, derived):
+            _check_derived(found_item, derived_item, line, field)
+    elif type(found) is not type(derived) or found != derived:
+        raise TranscriptError(
+            f"expected {reprlib.repr(derived)}, derived from the header and rounds; "
+            f"got {reprlib.repr(found)}", line, field)
 
 
 def parse_lines(lines) -> TranscriptFile:
@@ -346,7 +345,9 @@ def parse_lines(lines) -> TranscriptFile:
 
     `lines` is any iterable of lines, an open file included; each round
     line becomes its record as it is read, so no row outlives its line.
-    Blank lines are skipped. Malformed or inconsistent input raises `TranscriptError`.
+    Blank lines are skipped. The summary line is checked against the file
+    `TranscriptFile.of` derives from the header and rounds, which is what
+    is returned. Malformed or inconsistent input raises `TranscriptError`.
     """
     config = summary = None
     rounds: list[RoundRecord] = []
@@ -381,7 +382,9 @@ def parse_lines(lines) -> TranscriptFile:
     if len(rounds) != config.rounds:
         raise TranscriptError(f"the file holds {len(rounds)} rounds, the header {config.rounds}",
                               header_line, "config.rounds")
-    return _summary_from(summary, summary_line, config, rounds)
+    file = TranscriptFile.of(SessionTranscript(config, rounds))
+    _check_derived(summary, _summary_dict(file), summary_line)
+    return file
 
 
 CSV_COLUMNS = (

@@ -1,16 +1,19 @@
 """Command-line surface: exit codes, transcript files, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import swapqkd
 from swapqkd import analysis, transcript
 from swapqkd.bell import BellLabel
 from swapqkd.cli import main
 from swapqkd.protocol import SessionConfig, run_session
-from swapqkd.rng import COIN, session_seeds, stream
+from swapqkd.rng import session_seeds
 
 
 def run_cli(capsys, *argv):
@@ -20,14 +23,8 @@ def run_cli(capsys, *argv):
 
 
 def make_file(rounds=20, seed=7, eve=False, test_fraction=0.0, **cfg):
-    cfg_kwargs = dict(rounds=rounds, seed=seed, eve_enabled=eve, test_fraction=test_fraction,
-                      **cfg)
-    result = run_session(SessionConfig(**cfg_kwargs))
-    rate = analysis.rate_report(result)
-    test = None
-    if test_fraction > 0:
-        test = analysis.eavesdropping_test(result, test_fraction, stream(seed, COIN))
-    return transcript.TranscriptFile(transcript=result, rate=rate, test=test)
+    return transcript.TranscriptFile.of(run_session(SessionConfig(
+        rounds=rounds, seed=seed, eve_enabled=eve, test_fraction=test_fraction, **cfg)))
 
 
 def labels(*texts):
@@ -262,6 +259,13 @@ def test_negative_seed_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this swapqkd."""
+    src = str(Path(swapqkd.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 class TestEntryPoints:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -272,7 +276,7 @@ class TestEntryPoints:
         # 3,000 rounds are about 1.3 MB, far more than a pipe buffers
         proc = subprocess.Popen(
             [sys.executable, "-m", "swapqkd", "run", "--rounds", "3000", "--seed", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         assert proc.stdout.read(100).startswith(b'{"kind":"header"')
         proc.stdout.close()
@@ -286,6 +290,7 @@ class TestEntryPoints:
             [sys.executable, "-m", "swapqkd", "run", "--rounds", "2", "--seed", "1"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert '"kind":"header"' in proc.stdout

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from swapqkd import transcript
 from swapqkd.cli import main
 
 GOLDEN = {
@@ -55,6 +56,23 @@ def test_output_digest(case, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def assert_round_trips(text: str) -> None:
+    """Parsing the pinned bytes and emitting them again gives the same bytes."""
+    lines = text.splitlines()
+    assert transcript.emit_lines(transcript.parse_lines(lines)) == lines
+
+
+JSON_RUNS = sorted(case for case, (argv, _) in GOLDEN.items()
+                   if argv[0] == "run" and "csv" not in argv)
+
+
+@pytest.mark.parametrize("case", JSON_RUNS)
+def test_run_output_round_trips(case, capsys):
+    argv, _ = GOLDEN[case]
+    assert main(argv) == 0
+    assert_round_trips(capsys.readouterr().out)
+
+
 def test_out_file_digest(tmp_path, capsys):
     path = tmp_path / "honest.jsonl"
     argv = ["run", "--rounds", "300", "--seed", "5", "--test-fraction", "0.1",
@@ -63,3 +81,4 @@ def test_out_file_digest(tmp_path, capsys):
     assert "0/30 tested pairs mismatched -> clean" in capsys.readouterr().out
     digest = "bab8a4cd7f382113dab1218924078946ab5f62eabd309d1bd283934eb7ff2bd3"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert_round_trips(path.read_text())

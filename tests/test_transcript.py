@@ -5,10 +5,9 @@ import json
 
 import pytest
 
-from swapqkd import analysis, transcript
+from swapqkd import transcript
 from swapqkd.bell import BellLabel
 from swapqkd.protocol import SessionConfig, run_session
-from swapqkd.rng import COIN, stream
 from swapqkd.transcript import TranscriptError
 
 
@@ -43,12 +42,10 @@ def _dumps(rec) -> str:
     return json.dumps(_round_dict(rec), separators=(",", ":"))
 
 
-def make_lines(rounds=6, eve=True, **cfg):
-    config = SessionConfig(rounds=rounds, seed=29, eve_enabled=eve, test_fraction=0.5, **cfg)
-    result = run_session(config)
-    test = analysis.eavesdropping_test(result, 0.5, stream(29, COIN))
-    file = transcript.TranscriptFile(result, analysis.rate_report(result), test)
-    return transcript.emit_lines(file)
+def make_lines(rounds=6, eve=True, test_fraction=0.5, **cfg):
+    config = SessionConfig(rounds=rounds, seed=29, eve_enabled=eve,
+                           test_fraction=test_fraction, **cfg)
+    return transcript.emit_lines(transcript.TranscriptFile.of(run_session(config)))
 
 
 def labels(*texts):
@@ -71,8 +68,7 @@ class TestRoundTemplate:
         config = SessionConfig(rounds=300, seed=31, **{
             ("eve_enabled" if k == "eve" else k): v for k, v in cfg.items()})
         result = run_session(config)
-        file = transcript.TranscriptFile(result, analysis.rate_report(result), None)
-        lines = transcript.emit_lines(file)
+        lines = transcript.emit_lines(transcript.TranscriptFile.of(result))
         assert lines[1:-1] == [_dumps(rec) for rec in result.rounds]
 
 class TestParse:
@@ -146,6 +142,19 @@ class TestTranscriptError:
         err = parse_error(lines)
         assert (err.line, err.field) == (1, "config")
         assert "nonnegative" in str(err)
+
+    @pytest.mark.parametrize("value", [None, "not-a-transcript"])
+    def test_header_format(self, value):
+        lines = make_lines()
+        header = json.loads(lines[0])
+        if value is None:
+            del header["format"]
+        else:
+            header["format"] = value
+        lines[0] = json.dumps(header)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (1, "format")
+        assert ("missing field" in str(err)) is (value is None)
 
     def test_header_in_the_middle(self):
         lines = make_lines()
@@ -262,3 +271,55 @@ class TestTranscriptError:
         lines[-1] = json.dumps(summary)
         err = parse_error(lines)
         assert (err.line, err.field) == (len(lines), field)
+
+    @pytest.mark.parametrize(
+        "test_fraction, edits, field",
+        [
+            (0.5, {"rate.key_bits": 5, "test.remaining_key": "0", "test.tested_rounds": [9]},
+             "rate.key_bits"),
+            (0.5, {"rate.key_bits": 5}, "rate.key_bits"),
+            (0.5, {"test.remaining_key": "0"}, "test.remaining_key"),
+            (0.5, {"test.tested_rounds": [9]}, "test.tested_rounds"),
+            (0.5, {"rate.rate": 0.25}, "rate.rate"),
+            (0.5, {"rate.bb84_rate": 0.9}, "rate.bb84_rate"),
+            (0.5, {"test.eve_detected": 1}, "test.eve_detected"),
+            (0.5, {"test.tested_rounds": [False, 2, 3]}, "test.tested_rounds"),
+            (0.5, {"rate.key_bits": 12.0}, "rate.key_bits"),
+            (0.5, {"test": None}, "test"),
+            (0.0, {"test": "degenerate"}, "test"),
+        ],
+        ids=["found_file", "key_bits", "remaining_key", "tested_rounds", "rate", "bb84_rate",
+             "eve_detected_int", "tested_rounds_bool", "key_bits_float", "test_null",
+             "test_without_fraction"],
+    )
+    def test_summary_derived_against_rounds(self, test_fraction, edits, field):
+        # the rate and the test report are derived from the header, the
+        # rounds and the public coin: a copy that differs in value or JSON
+        # type is rejected at its dotted field
+        lines = make_lines(test_fraction=test_fraction)
+        summary = json.loads(lines[-1])
+        assert summary["rate"]["key_bits"] == 12
+        assert summary["test"] is None or summary["test"]["tested_rounds"] == [0, 2, 3]
+        for path, value in edits.items():
+            *parents, name = path.split(".")
+            target = summary
+            for step in parents:
+                target = target[step]
+            if value == "degenerate":
+                value = {"pairs_tested": 0, "bits_tested": 0, "mismatches": 0,
+                         "eve_detected": False, "remaining_key": summary["alice_key"],
+                         "remaining_key_bob": summary["bob_key"], "tested_rounds": [],
+                         "degenerate": True}
+            target[name] = value
+        assert json.dumps(summary, separators=(",", ":")) != lines[-1]
+        lines[-1] = json.dumps(summary)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (len(lines), field)
+
+    def test_summary_extra_keys_ignored(self):
+        lines = make_lines()
+        summary = json.loads(lines[-1])
+        summary["note"] = "audited"
+        summary["test"]["note"] = 1
+        lines[-1] = json.dumps(summary)
+        assert transcript.parse_lines(lines) == transcript.parse_lines(make_lines())
