@@ -13,7 +13,7 @@ compare, which is what the eavesdropping test detects.
 Separation of knowledge is structural: Eve's quantum access goes through a
 `ChannelTap` that only reaches her ancillas and the qubit currently in
 transit, and her inference functions receive public announcements and her
-own recorded outcomes, never the transcript's secret fields.
+own outcomes, which she writes once into the round's `EveRoundRecord`.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ class ChannelTap:
 @dataclass(slots=True)
 class EveRoundRecord:
     """Eve's per-round outcomes and reconstructions, kept out of the
-    legitimate parties' transcript fields."""
+    legitimate parties' transcript fields; the intercept functions fill it."""
 
-    outbound_outcome: BellLabel
-    return_readout: BellLabel
-    detach_outcome: BellLabel
-    inferred_alice: BellLabel
-    inferred_bob: BellLabel
+    outbound_outcome: BellLabel | None = None
+    return_readout: BellLabel | None = None
+    detach_outcome: BellLabel | None = None
+    inferred_alice: BellLabel | None = None
+    inferred_bob: BellLabel | None = None
 
 
 @dataclass
@@ -76,47 +76,24 @@ class EveState:
 
     `link_label`, `anchor_label`, `bob_label` are the publicly agreed pair
     labels of the round being attacked; `ancilla_label` is whatever Eve
-    prepared her own pair in. All other fields are her recorded outcomes.
+    prepared her own pair in. `record` is the round's, which the session
+    hands her fresh at round start and keeps as the round's eve section.
     """
 
     link_label: BellLabel
     anchor_label: BellLabel
     bob_label: BellLabel
     ancilla_label: BellLabel = field(default_factory=lambda: BellLabel(0, 0))
-    ancilla_a: int = 7
-    ancilla_b: int = 8
-    outbound_outcome: BellLabel | None = None
-    return_readout: BellLabel | None = None
-    detach_outcome: BellLabel | None = None
-    inferred_alice: BellLabel | None = None
-    inferred_bob: BellLabel | None = None
+    record: EveRoundRecord = field(default_factory=EveRoundRecord)
 
-    @property
-    def ancillas(self) -> tuple[int, int]:
-        return (self.ancilla_a, self.ancilla_b)
-
-    def begin_round(self) -> None:
-        self.outbound_outcome = None
-        self.return_readout = None
-        self.detach_outcome = None
-        self.inferred_alice = None
-        self.inferred_bob = None
-
-    def round_record(self) -> EveRoundRecord:
-        if self.inferred_alice is None:
-            raise RuntimeError("round not finalized; announcement not yet processed")
-        return EveRoundRecord(
-            outbound_outcome=self.outbound_outcome,
-            return_readout=self.return_readout,
-            detach_outcome=self.detach_outcome,
-            inferred_alice=self.inferred_alice,
-            inferred_bob=self.inferred_bob,
-        )
+    ancilla_a = 7
+    ancilla_b = 8
+    ancillas = (ancilla_a, ancilla_b)
 
     def tapped_link_label(self) -> BellLabel:
         """Label binding Alice's retained link qubit to ancilla A after the
         outbound swap; Eve computes it from public data plus her outcome."""
-        return self.link_label ^ self.ancilla_label ^ self.outbound_outcome
+        return self.link_label ^ self.ancilla_label ^ self.record.outbound_outcome
 
 
 def eve_intercept_outbound(
@@ -130,10 +107,9 @@ def eve_intercept_outbound(
     entangles Alice's retained link qubit with ancilla A. The qubit then
     continues to Bob looking untouched.
     """
-    if eve.outbound_outcome is not None:
+    if eve.record.outbound_outcome is not None:
         raise RuntimeError("outbound transmission already intercepted this round")
-    outcome = tap.bsm(tap.transit, eve.ancilla_b, force=force)
-    eve.outbound_outcome = outcome
+    outcome = eve.record.outbound_outcome = tap.bsm(tap.transit, eve.ancilla_b, force=force)
     return outcome
 
 
@@ -151,19 +127,18 @@ def eve_intercept_return(
     (ancilla A, ancilla B) then throws the correlation back onto the two
     qubits Alice is about to compare.
     """
-    if eve.outbound_outcome is None:
+    rec = eve.record
+    if rec.outbound_outcome is None:
         raise RuntimeError("return interception requires the outbound swap first")
-    if eve.return_readout is not None:
+    if rec.return_readout is not None:
         raise RuntimeError("return transmission already intercepted this round")
     if not tap.are_partners(tap.transit, eve.ancilla_b):
         # her outbound swap guarantees this pairing once Bob has measured
         raise RuntimeError("secret measurements not yet done; nothing to read out")
-    readout = tap.bsm(tap.transit, eve.ancilla_b)
-    eve.return_readout = readout
-    eve.inferred_bob = readout ^ eve.bob_label ^ eve.outbound_outcome
-    detach = tap.bsm(eve.ancilla_a, eve.ancilla_b, force=force_detach)
-    eve.detach_outcome = detach
-    return readout, detach
+    rec.return_readout = tap.bsm(tap.transit, eve.ancilla_b)
+    rec.inferred_bob = rec.return_readout ^ eve.bob_label ^ rec.outbound_outcome
+    rec.detach_outcome = tap.bsm(eve.ancilla_a, eve.ancilla_b, force=force_detach)
+    return rec.return_readout, rec.detach_outcome
 
 
 def eve_finalize(eve: EveState, announcement: BellLabel) -> BellLabel:
@@ -173,11 +148,12 @@ def eve_finalize(eve: EveState, announcement: BellLabel) -> BellLabel:
     created, so she can unwind it to the label that linked Alice's anchor
     qubit to ancilla A, and from there to Alice's secret result.
     """
-    if eve.return_readout is None or eve.detach_outcome is None:
+    rec = eve.record
+    if rec.return_readout is None or rec.detach_outcome is None:
         raise RuntimeError("cannot finalize before both interceptions")
-    anchor_tap = announcement ^ eve.return_readout ^ eve.detach_outcome
-    eve.inferred_alice = anchor_tap ^ eve.anchor_label ^ eve.tapped_link_label()
-    return eve.inferred_alice
+    anchor_tap = announcement ^ rec.return_readout ^ rec.detach_outcome
+    rec.inferred_alice = anchor_tap ^ eve.anchor_label ^ eve.tapped_link_label()
+    return rec.inferred_alice
 
 
 def eve_reset(eve: EveState, ledger: KnowledgeLedger):
@@ -186,9 +162,9 @@ def eve_reset(eve: EveState, ledger: KnowledgeLedger):
     After the detaching measurement the ancillas are partners again in a
     state Eve knows, so a single-qubit correction re-arms the attack.
     """
-    if eve.detach_outcome is None:
+    if eve.record.detach_outcome is None:
         raise RuntimeError("ancillas are not in a known post-round state")
     ledger.require_knowledge(eve.ancilla_a, eve.ancilla_b, Party.EVE, "rotate")
-    op = pauli_correction(eve.detach_outcome, eve.ancilla_label)
+    op = pauli_correction(eve.record.detach_outcome, eve.ancilla_label)
     ledger.table.apply_pauli(eve.ancilla_a, op)
     return op

@@ -16,12 +16,11 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from .protocol import SessionConfig, SessionTranscript, run_session
+from .protocol import TRANSFERS, SessionConfig, SessionTranscript, run_session
 from .rng import SESSIONS, RandomStream, child_seed, session_seeds
 
 BB84_RATE = 0.5  # key bits per transmitted qubit with two alternative bases
 E91_RATE = 0.25
-SCHEME_RATE = 1.0  # one fixed measurement kind, two bits per two transits
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,11 @@ def bb84_detection_probability(bits_tested: int) -> float:
 
 
 def rate_report(transcript: SessionTranscript) -> RateReport:
-    """Key bits per transmitted qubit, before any test rounds are spent."""
-    key_bits = len(transcript.alice_key)
-    transmitted = sum(r.transmissions for r in transcript.rounds)
+    """Key bits per transmitted qubit, before any test rounds are spent: each
+    round keys Alice's two-bit secret and makes the schedule's two transits."""
+    rounds = len(transcript.rounds)
+    key_bits = 2 * rounds
+    transmitted = len(TRANSFERS[0]) * rounds
     rate = key_bits / transmitted if transmitted else None
     return RateReport(key_bits=key_bits, transmitted_qubits=transmitted, rate=rate)
 
@@ -128,18 +129,11 @@ class DetectionEstimate:
     stderr: float
 
 
-def _count_detections(pairs_tested: int, seeds, eve_ancilla) -> int:
+def _count_detections(pairs_tested: int, seeds) -> int:
     detections = 0
     for session_seed in seeds:
-        cfg_kwargs = dict(
-            rounds=pairs_tested,
-            seed=session_seed,
-            eve_enabled=True,
-            test_fraction=1.0,
-        )
-        if eve_ancilla is not None:
-            cfg_kwargs["eve_ancilla"] = eve_ancilla
-        transcript = run_session(SessionConfig(**cfg_kwargs))
+        transcript = run_session(SessionConfig(
+            rounds=pairs_tested, seed=session_seed, eve_enabled=True, test_fraction=1.0))
         report = eavesdropping_test(transcript, 1.0, None)
         detections += report.eve_detected
     return detections
@@ -149,7 +143,6 @@ def estimate_detection(
     pairs_tested: int,
     sessions: int,
     seed: int,
-    eve_ancilla=None,
     workers: int = 1,
 ) -> DetectionEstimate:
     """Monte Carlo detection frequency with Eve attacking every round.
@@ -172,15 +165,12 @@ def estimate_detection(
         import multiprocessing
 
         step = (sessions + workers - 1) // workers
-        chunks = [
-            (pairs_tested, seeds[i : i + step], eve_ancilla)
-            for i in range(0, sessions, step)
-        ]
+        chunks = [(pairs_tested, seeds[i : i + step]) for i in range(0, sessions, step)]
         with multiprocessing.Pool(workers) as pool:
             detections = sum(pool.starmap(_count_detections, chunks))
     else:
-        detections = _count_detections(pairs_tested, seeds, eve_ancilla)
-    expected = 1.0 - 0.25**pairs_tested
+        detections = _count_detections(pairs_tested, seeds)
+    expected = scheme_detection_probability(2 * pairs_tested)
     return DetectionEstimate(
         pairs_tested=pairs_tested,
         bits_tested=2 * pairs_tested,
@@ -213,7 +203,10 @@ class DetectionCurve:
         max_pairs: int,
         sessions: int = 0,
         seed: int | None = None,
+        workers: int = 1,
     ) -> "DetectionCurve":
+        """Points for n = 1..max_pairs; with `sessions`, point n also estimates
+        detection under `child_seed(seed, SESSIONS, n)`, the sweep's seed split."""
         if max_pairs < 1:
             raise ValueError("need at least one tested pair")
         if sessions and seed is None:
@@ -226,7 +219,8 @@ class DetectionCurve:
             point = CurvePoint(bits, scheme_detection_probability(bits),
                                bb84_detection_probability(bits))
             if sessions:
-                est = estimate_detection(n, sessions, child_seed(seed, SESSIONS, n))
+                est = estimate_detection(n, sessions, child_seed(seed, SESSIONS, n),
+                                         workers=workers)
                 point = replace(point, empirical=est.empirical, stderr=est.stderr)
             points.append(point)
         return DetectionCurve(points=tuple(points))

@@ -21,7 +21,6 @@ from . import analysis, transcript, verify
 from .bell import BellLabel, swap_rule
 from .knowledge import LedgerViolation
 from .protocol import SessionConfig, run_session
-from .rng import SESSIONS, child_seed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -203,17 +202,15 @@ def _cmd_montecarlo(args) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    curve = analysis.DetectionCurve.build(args.max_pairs, args.sessions, args.seed, args.workers)
     print("pairs,bits,sessions,empirical,expected,stderr,z")
     worst = 0.0
-    for n in range(1, args.max_pairs + 1):
-        est = analysis.estimate_detection(
-            n, args.sessions, seed=child_seed(args.seed, SESSIONS, n), workers=args.workers
-        )
-        z = abs(est.empirical - est.expected) / est.stderr if est.stderr else 0.0
+    for p in curve.points:
+        z = abs(p.empirical - p.scheme_prob) / p.stderr if p.stderr else 0.0
         worst = max(worst, z)
         print(
-            f"{est.pairs_tested},{est.bits_tested},{est.sessions},"
-            f"{est.empirical},{est.expected},{est.stderr},{z:.3f}"
+            f"{p.bits_tested // 2},{p.bits_tested},{args.sessions},"
+            f"{p.empirical},{p.scheme_prob},{p.stderr},{z:.3f}"
         )
     print(f"max |z| = {worst:.3f} (3-sigma bound is 3.0)", file=sys.stderr)
     return EXIT_OK

@@ -24,7 +24,6 @@ which `public_posterior` enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
@@ -183,20 +182,20 @@ class RoundRecord:
 
 @dataclass
 class SessionTranscript:
-    """A session's config and rounds; each key is joined from the rounds once."""
+    """A session's config and rounds; each key is joined from the rounds."""
 
     config: SessionConfig
     rounds: list[RoundRecord]
 
-    @cached_property
+    @property
     def alice_key(self) -> str:
         return "".join([rec.key_bits for rec in self.rounds])
 
-    @cached_property
+    @property
     def bob_key(self) -> str:
         return "".join([str(rec.bob_inferred_alice) for rec in self.rounds])
 
-    @cached_property
+    @property
     def eve_key(self) -> str | None:
         eve = self.config.eve_enabled
         return "".join([str(rec.eve.inferred_alice) for rec in self.rounds]) if eve else None
@@ -291,8 +290,9 @@ class Session:
                 raise ValueError("cannot force the announcement with the eavesdropper on")
             if forced.bob_secret is not None:
                 raise ValueError("force either the announcement or Bob's secret, not both")
+        eve_record = None
         if self.eve is not None:
-            self.eve.begin_round()
+            eve_record = self.eve.record = adversary.EveRoundRecord()
 
         link, anchor, bob = cfg.initial_labels
 
@@ -333,10 +333,8 @@ class Session:
         ledger.record_inference(r.alice_keep, r.anchor_a, Party.BOB)
         ledger.record_inference(r.alice_send, r.bob_keep, Party.ALICE)
 
-        eve_record = None
         if self.eve is not None:
             adversary.eve_finalize(self.eve, announcement)
-            eve_record = self.eve.round_record()
 
         record = RoundRecord(
             index=self.rounds_run,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import __version__
 from .adversary import EveRoundRecord
 from .analysis import RateReport, TestReport, eavesdropping_test, rate_report
-from .bell import ALL_LABELS, PauliOp
+from .bell import ALL_LABELS, BellLabel, PauliOp
 from .knowledge import Party
 from .protocol import TRANSFERS, Correction, RoundRecord, SessionConfig, SessionTranscript
 from .rng import COIN, stream
@@ -260,13 +260,18 @@ def _config_from(row: dict, line: int) -> SessionConfig:
         raise TranscriptError(str(err), line, "config") from None
 
 
-def _round_from(row: dict, line: int, index: int, eve_enabled: bool) -> RoundRecord:
+_INFERRED = "expected the XOR of the initial labels, the announcement and the %s"
+
+
+def _round_from(row: dict, line: int, index: int, eve_enabled: bool,
+                agreed: BellLabel) -> RoundRecord:
     """Round `index` of the file as its record.
 
     Well-formed rows take plain lookups; a row that fails them, or holds a
     value of a type json.loads gives but the record does not take, is
     handed to `_round_error` to name the field. Its index, eve section and
-    derived fields must agree with round `index` of the header's session.
+    derived fields must agree with round `index` of the header's session;
+    `agreed` is its three labels' XOR, as in `protocol.infer_other_secret`.
     """
     try:
         eve = row["eve"]
@@ -300,6 +305,11 @@ def _round_from(row: dict, line: int, index: int, eve_enabled: bool) -> RoundRec
     if (eve is None) is eve_enabled:
         want = "an object" if eve_enabled else "null"
         raise TranscriptError(f"expected {want}, as eve_enabled is {eve_enabled}", line, "eve")
+    public = agreed ^ record.announcement  # labels are canonical: `is` compares them
+    if record.alice_inferred_bob is not public ^ record.alice_secret:
+        raise TranscriptError(_INFERRED % "alice_secret", line, "alice_inferred_bob")
+    if record.bob_inferred_alice is not public ^ record.bob_secret:
+        raise TranscriptError(_INFERRED % "bob_secret", line, "bob_inferred_alice")
     if row.get("key_bits") != row["alice_secret"]:
         raise TranscriptError(f"expected {record.key_bits!r}, the alice_secret", line, "key_bits")
     want, transfers = _TRANSFERS_JSON[index % len(_TRANSFERS_JSON)], row.get("transfers")
@@ -362,11 +372,13 @@ def parse_lines(lines) -> TranscriptFile:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, number, len(rounds), config.eve_enabled))
+            rounds.append(_round_from(row, number, len(rounds), config.eve_enabled, agreed))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")
             config, header_line = _config_from(row, number), number
+            link, anchor, bob = config.initial_labels
+            agreed = link ^ anchor ^ bob
         elif summary is not None:
             raise TranscriptError("line after the summary", number)
         elif kind == "summary":

@@ -97,7 +97,7 @@ def test_criterion_4_eavesdropper_chain_replay():
         tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
         readout, _ = eve_intercept_return(eve, tap, force_detach=lab("01"))
         assert readout == lab("10")
-        assert eve.inferred_bob == lab("00")
+        assert eve.record.inferred_bob == lab("00")
         assert table.partner(5) == 6 and table.label(5) == lab("01")
 
         announcement = table.bsm(5, 6)

@@ -66,7 +66,7 @@ class TestForcedChain:
         tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
         readout, detach = eve_intercept_return(eve, tap, force_detach=lab("01"))
         assert readout == lab("10")
-        assert eve.inferred_bob == lab("00")
+        assert eve.record.inferred_bob == lab("00")
         assert detach == lab("01")
         assert table.label(5) == lab("01") and table.partner(5) == 6
 
@@ -93,7 +93,7 @@ class TestForcedChain:
         ledger.measure(2, 4, Party.BOB, force=lab("00"))
         tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
         eve_intercept_return(eve, tap, force_detach=lab("00"))
-        assert eve.inferred_bob == lab("00")
+        assert eve.record.inferred_bob == lab("00")
         assert table.label(5) == lab("00")
         assert eve_finalize(eve, table.bsm(5, 6)) == lab("00")
 

@@ -112,6 +112,9 @@ class TestRateReport:
         assert report.key_bits == 200
         assert report.transmitted_qubits == 200
         assert report.rate == 1.0
+        # the counts come from the number of rounds; they match the rounds' own
+        assert report.key_bits == len(transcript.alice_key)
+        assert report.transmitted_qubits == sum(r.transmissions for r in transcript.rounds)
 
     def test_empty_session_has_no_rate(self):
         transcript = run_session(SessionConfig(rounds=0, seed=52))

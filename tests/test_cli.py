@@ -211,6 +211,17 @@ class TestMonteCarloCommand:
         assert len(lines) == 3
         assert "max |z|" in err
 
+    def test_same_estimates_as_curves(self, capsys):
+        argv = ("--max-pairs", "3", "--sessions", "40", "--seed", "12")
+        _, curves, _ = run_cli(capsys, "curves", *argv)
+        _, sweep, _ = run_cli(capsys, "montecarlo", *argv)
+        # curves: N,scheme_prob,bb84_prob,empirical,stderr
+        # montecarlo: pairs,bits,sessions,empirical,expected,stderr,z
+        curve_columns = [line.split(",")[3:5] for line in curves.splitlines()[1:]]
+        sweep_columns = [line.split(",")[3:6:2] for line in sweep.splitlines()[1:]]
+        assert len(curve_columns) == 3
+        assert curve_columns == sweep_columns
+
     def test_bad_args(self, capsys):
         code, _, _ = run_cli(capsys, "montecarlo", "--max-pairs", "0", "--seed", "9")
         assert code == 2

@@ -178,7 +178,8 @@ class TestTranscriptError:
         "field, value",
         [("index", "2"), ("index", True), ("index", 2.0), ("key_bits", 11),
          ("key_bits", None), ("alice_secret", "0x"), ("announcement", 1),
-         ("index", 5), ("eve", None), ("transmissions", 3), ("transmissions", 2.0)],
+         ("index", 5), ("eve", None), ("transmissions", 3), ("transmissions", 2.0),
+         ("alice_inferred_bob", "00"), ("bob_inferred_alice", "01")],
     )
     def test_round_field_types(self, field, value):
         err = parse_error(edit_round(lambda row: row.__setitem__(field, value)))
