@@ -44,12 +44,12 @@ class ChannelTap:
         self._allowed = frozenset((*ancillas, transit))
         self.transit = transit
 
-    def bsm(self, a: int, b: int, force: BellLabel | None = None) -> BellLabel:
+    def bsm(self, a: int, b: int) -> BellLabel:
         if a not in self._allowed or b not in self._allowed:
             raise AccessViolation(
                 f"measurement on ({a},{b}) is outside Eve's reach {sorted(self._allowed)}"
             )
-        return self._ledger.measure(a, b, Party.EVE, self._rng, force=force)
+        return self._ledger.measure(a, b, Party.EVE, self._rng)
 
     def are_partners(self, a: int, b: int) -> bool:
         """Pair structure is public; Eve may query it for reachable qubits."""
@@ -96,11 +96,7 @@ class EveState:
         return self.link_label ^ self.ancilla_label ^ self.record.outbound_outcome
 
 
-def eve_intercept_outbound(
-    eve: EveState,
-    tap: ChannelTap,
-    force: BellLabel | None = None,
-) -> BellLabel:
+def eve_intercept_outbound(eve: EveState, tap: ChannelTap) -> BellLabel:
     """Swap the outbound qubit onto ancilla B while it crosses the channel.
 
     Leaves (transit, ancilla B) in the measured state and silently
@@ -109,15 +105,11 @@ def eve_intercept_outbound(
     """
     if eve.record.outbound_outcome is not None:
         raise RuntimeError("outbound transmission already intercepted this round")
-    outcome = eve.record.outbound_outcome = tap.bsm(tap.transit, eve.ancilla_b, force=force)
+    outcome = eve.record.outbound_outcome = tap.bsm(tap.transit, eve.ancilla_b)
     return outcome
 
 
-def eve_intercept_return(
-    eve: EveState,
-    tap: ChannelTap,
-    force_detach: BellLabel | None = None,
-) -> tuple[BellLabel, BellLabel]:
+def eve_intercept_return(eve: EveState, tap: ChannelTap) -> tuple[BellLabel, BellLabel]:
     """Intercept the returning qubit; learn Bob's secret; detach ancillas.
 
     The returning qubit is already partnered with ancilla B (Bob's secret
@@ -137,7 +129,7 @@ def eve_intercept_return(
         raise RuntimeError("secret measurements not yet done; nothing to read out")
     rec.return_readout = tap.bsm(tap.transit, eve.ancilla_b)
     rec.inferred_bob = rec.return_readout ^ eve.bob_label ^ rec.outbound_outcome
-    rec.detach_outcome = tap.bsm(eve.ancilla_a, eve.ancilla_b, force=force_detach)
+    rec.detach_outcome = tap.bsm(eve.ancilla_a, eve.ancilla_b)
     return rec.return_readout, rec.detach_outcome
 
 

@@ -154,20 +154,15 @@ class PairTable:
     def copy(self) -> "PairTable":
         return PairTable(self.pairs())
 
-    def bsm(
-        self,
-        a: int,
-        b: int,
-        randomness: RoundStream | None = None,
-        force: BellLabel | None = None,
-    ) -> BellLabel:
+    def bsm(self, a: int, b: int, randomness: RoundStream | None = None) -> BellLabel:
         """Bell-operator measurement on qubits a and b.
 
         If a and b are already partners this is an eigenstate readout: the
         pair's label is returned and nothing changes. Otherwise the two
-        pairs containing a and b are consumed, the outcome is uniform over
-        the four labels (or `force` when given), and the leftover partners
-        of a and b form a new pair per `swap_rule`.
+        pairs containing a and b are consumed, the outcome is one draw from
+        `randomness` over the four labels (a `rng.ChosenDraws` pins it),
+        and the leftover partners of a and b form a new pair per
+        `swap_rule`.
         """
         partner = self._partner
         labels = self._label
@@ -176,23 +171,14 @@ class PairTable:
         except KeyError:
             raise ValueError(f"qubit {a} is not paired") from None
         if j == b:
-            got = labels[(a, b) if a < b else (b, a)]
-            if force is not None and force != got:
-                raise ValueError(
-                    f"cannot force outcome {force} on eigenstate pair "
-                    f"({a},{b}) with label {got}"
-                )
-            return got
+            return labels[(a, b) if a < b else (b, a)]
         try:
             l = partner[b]
         except KeyError:
             raise ValueError(f"qubit {b} is not paired") from None
-        if force is not None:
-            outcome = force
-        else:
-            if randomness is None:
-                raise ValueError("swap measurement needs a random stream or a forced outcome")
-            outcome = _LABELS[int(randomness.integers(0, 4))]
+        if randomness is None:
+            raise ValueError("swap measurement needs a random stream")
+        outcome = _LABELS[int(randomness.integers(0, 4))]
         left = labels.pop((a, j) if a < j else (j, a))
         right = labels.pop((b, l) if b < l else (l, b))
         partner[a] = b

@@ -87,12 +87,7 @@ class KnowledgeLedger:
         return {k: self.tag(*k) for k in self._mask}
 
     def measure(
-        self,
-        a: int,
-        b: int,
-        party: Party,
-        randomness: RoundStream | None = None,
-        force: BellLabel | None = None,
+        self, a: int, b: int, party: Party, randomness: RoundStream | None = None
     ) -> BellLabel:
         """`party`'s Bell-operator measurement on a and b (`PairTable.bsm`).
 
@@ -110,7 +105,7 @@ class KnowledgeLedger:
         right = (b, l) if b < l else (l, b)
         if left not in mask or right not in mask:
             raise LedgerViolation(f"qubit {a} or {b} is in no ledgered pair")
-        outcome = table.bsm(a, b, randomness, force=force)
+        outcome = table.bsm(a, b, randomness)
         if j == b:
             mask[left] |= bit
             return outcome

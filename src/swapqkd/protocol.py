@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from .knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
-from .rng import RoundStream, round_stream
+from .rng import ChosenDraws, RoundStream, round_stream
 
 
 def _label(s: str) -> BellLabel:
@@ -132,18 +132,17 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class ForcedOutcomes:
-    """Replay hooks: pin specific measurement branches of one round.
+    """Outcomes to pin in one round, in the order the round draws them.
 
-    `announcement` is honored by steering Bob's secret outcome, since by
-    the time Alice measures the announced pair its value is already
-    determined; it cannot be combined with `bob_secret` or an enabled
-    eavesdropper.
+    A round's swaps draw in this order: Eve's outbound swap, Alice's and
+    Bob's secret measurements, Eve's detaching swap; without Eve only the
+    two secrets. `replay_round` turns the pinned outcomes into the round's
+    draws.
     """
 
+    eve_outbound: BellLabel | None = None
     alice_secret: BellLabel | None = None
     bob_secret: BellLabel | None = None
-    announcement: BellLabel | None = None
-    eve_outbound: BellLabel | None = None
     eve_detach: BellLabel | None = None
 
 
@@ -277,19 +276,11 @@ class Session:
             if custody[a] is not holder or custody[b] is not holder:
                 raise ValueError(f"malformed state: {holder.value} does not hold {a},{b}")
 
-    def run_round(
-        self, randomness: RoundStream, forced: ForcedOutcomes | None = None
-    ) -> RoundRecord:
-        forced = forced or ForcedOutcomes()
+    def run_round(self, randomness: RoundStream) -> RoundRecord:
         cfg = self.config
         r = self.roles
-        table, ledger = self.table, self.ledger
+        ledger = self.ledger
         self._check_round_preconditions()
-        if forced.announcement is not None:
-            if cfg.eve_enabled:
-                raise ValueError("cannot force the announcement with the eavesdropper on")
-            if forced.bob_secret is not None:
-                raise ValueError("force either the announcement or Bob's secret, not both")
         eve_record = None
         if self.eve is not None:
             eve_record = self.eve.record = adversary.EveRoundRecord()
@@ -299,30 +290,19 @@ class Session:
         # step 1: link partner crosses to Bob (Eve may tap it in transit)
         if self.eve is not None:
             tap = adversary.ChannelTap(ledger, randomness, self.eve.ancillas, r.alice_send)
-            adversary.eve_intercept_outbound(self.eve, tap, force=forced.eve_outbound)
+            adversary.eve_intercept_outbound(self.eve, tap)
         self.custody[r.alice_send] = Party.BOB
 
         # step 2: Alice's secret measurement
-        alice_secret = ledger.measure(
-            r.alice_keep, r.anchor_a, Party.ALICE, randomness, force=forced.alice_secret
-        )
+        alice_secret = ledger.measure(r.alice_keep, r.anchor_a, Party.ALICE, randomness)
 
         # step 3: Bob's secret measurement
-        bob_force = forced.bob_secret
-        if forced.announcement is not None:
-            # the announced pair's value is fixed once Bob measures; choose
-            # his branch so the readout lands on the requested label
-            bob_force = (
-                table.label(r.alice_send) ^ table.label(r.bob_keep) ^ forced.announcement
-            )
-        bob_secret = ledger.measure(
-            r.alice_send, r.bob_keep, Party.BOB, randomness, force=bob_force
-        )
+        bob_secret = ledger.measure(r.alice_send, r.bob_keep, Party.BOB, randomness)
 
         # step 4: return transit (tapped again), then the public readout
         if self.eve is not None:
             tap = adversary.ChannelTap(ledger, randomness, self.eve.ancillas, r.bob_send)
-            adversary.eve_intercept_return(self.eve, tap, force_detach=forced.eve_detach)
+            adversary.eve_intercept_return(self.eve, tap)
         self.custody[r.bob_send] = Party.ALICE
         announcement = ledger.measure(r.anchor_b, r.bob_send, Party.ALICE, randomness)
         ledger.record_announcement(r.anchor_b, r.bob_send)
@@ -396,13 +376,18 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 def replay_round(
     config: SessionConfig, forced: ForcedOutcomes, randomness: RoundStream | None = None
 ) -> tuple[RoundRecord, Session]:
-    """Run a single round of a fresh session with pinned branches.
+    """Run round 0 of a fresh session on the branch `forced` pins.
 
-    Fully forced rounds need no random stream at all; partially forced
-    ones draw the rest from `randomness`.
+    The round draws each pinned outcome from a `ChosenDraws` stream; each
+    unpinned one takes, in the same order, the next draw of `randomness`
+    (round 0's stream under `config.seed` by default).
     """
-    session = Session(config)
+    outcomes = (forced.alice_secret, forced.bob_secret)
+    if config.eve_enabled:
+        outcomes = (forced.eve_outbound, *outcomes, forced.eve_detach)
     if randomness is None:
         randomness = round_stream(config.seed, 0)
-    record = session.run_round(randomness, forced)
+    draws = [int(randomness.integers(0, 4)) if o is None else o.index for o in outcomes]
+    session = Session(config)
+    record = session.run_round(ChosenDraws(draws))
     return record, session

@@ -161,8 +161,34 @@ class RoundDraws:
         return low + (word >> shift)
 
 
-RoundStream = np.random.Generator | RoundDraws
-"""What a round draws from: `round_stream`'s draws or any numpy Generator."""
+class ChosenDraws:
+    """Given draws, handed out in order: a stream that pins a round's branch.
+
+    A round's only randomness is its swap outcomes, each one draw, so the
+    draws a round is handed fix every outcome it reads. Asking for a draw
+    past the last one, or for one outside the requested range, raises
+    ValueError.
+    """
+
+    __slots__ = ("_draws", "_next")
+
+    def __init__(self, draws):
+        self._draws = tuple(draws)
+        self._next = 0
+
+    def integers(self, low: int, high: int) -> int:
+        if self._next == len(self._draws):
+            raise ValueError(f"all {len(self._draws)} chosen draws are used; none is left")
+        draw = self._draws[self._next]
+        if not low <= draw < high:
+            raise ValueError(f"chosen draw {self._next} is {draw}, outside [{low}, {high})")
+        self._next += 1
+        return draw
+
+
+RoundStream = np.random.Generator | RoundDraws | ChosenDraws
+"""What a round draws from: `round_stream`'s draws, chosen draws or any
+numpy Generator."""
 
 
 def round_stream(seed: int, index: int) -> RoundDraws:

@@ -15,13 +15,15 @@ from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, swap_rule
 from swapqkd.cli import main
 from swapqkd.knowledge import KnowledgeLedger, Party, Visibility
 from swapqkd.protocol import (
+    DEFAULT_LABELS,
     ForcedOutcomes,
     SessionConfig,
+    infer_other_secret,
     public_posterior,
     replay_round,
     run_session,
 )
-from swapqkd.rng import stream
+from swapqkd.rng import ChosenDraws
 
 
 def lab(s: str) -> BellLabel:
@@ -66,8 +68,12 @@ def test_criterion_3_worked_example_replay():
     with criterion(3, "forced-round walkthrough values, exact"):
         record, _ = replay_round(
             SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(alice_secret=lab("11"), announcement=lab("00")),
+            ForcedOutcomes(
+                alice_secret=lab("11"),
+                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("00")),
+            ),
         )
+        assert record.announcement == lab("00")
         assert record.bob_secret == lab("00")
         assert record.bob_inferred_alice == lab("11")
         assert record.alice_inferred_bob == lab("00")
@@ -84,18 +90,20 @@ def test_criterion_4_eavesdropper_chain_replay():
         ledger.declare(7, 8, Visibility.EVE_ONLY)
         eve = EveState(link_label=lab("11"), anchor_label=lab("10"), bob_label=lab("10"))
 
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, force=lab("00"))
+        # the round's draws: outbound 00, Alice 11, Bob 00, detach 01
+        rng = ChosenDraws([lab(t).index for t in ("00", "11", "00", "01")])
+        tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap)
         assert table.partner(1) == 7 and table.label(1) == lab("11")
 
-        ledger.measure(1, 3, Party.ALICE, force=lab("11"))
+        ledger.measure(1, 3, Party.ALICE, rng)
         assert table.partner(5) == 7 and table.label(5) == lab("10")
 
-        ledger.measure(2, 4, Party.BOB, force=lab("00"))
+        ledger.measure(2, 4, Party.BOB, rng)
         assert table.partner(6) == 8 and table.label(6) == lab("10")
 
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
-        readout, _ = eve_intercept_return(eve, tap, force_detach=lab("01"))
+        tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
+        readout, _ = eve_intercept_return(eve, tap)
         assert readout == lab("10")
         assert eve.record.inferred_bob == lab("00")
         assert table.partner(5) == 6 and table.label(5) == lab("01")

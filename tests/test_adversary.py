@@ -14,11 +14,16 @@ from swapqkd.adversary import (
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable
 from swapqkd.knowledge import KnowledgeLedger, Party, Visibility
 from swapqkd.protocol import ForcedOutcomes, SessionConfig, replay_round, run_session
-from swapqkd.rng import stream
+from swapqkd.rng import ChosenDraws, stream
 
 
 def lab(s: str) -> BellLabel:
     return BellLabel.from_string(s)
+
+
+def draws(*texts: str) -> ChosenDraws:
+    """A stream that hands out the given outcomes, in order."""
+    return ChosenDraws([lab(t).index for t in texts])
 
 
 def fresh_scene(ancilla="00"):
@@ -48,23 +53,24 @@ def fresh_scene(ancilla="00"):
 class TestForcedChain:
     def test_step_by_step(self):
         table, ledger, eve = fresh_scene()
-        rng = stream(0)
+        # outbound, Alice's and Bob's secrets (the walkthrough's), detach
+        rng = draws("00", "11", "00", "01")
 
         tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
-        e1 = eve_intercept_outbound(eve, tap, force=lab("00"))
+        e1 = eve_intercept_outbound(eve, tap)
         assert e1 == lab("00")
         assert table.label(1) == lab("11") and table.partner(1) == 7
         assert eve.tapped_link_label() == lab("11")
         assert ledger.tag(1, 7) is Visibility.EVE_ONLY
 
         # the legitimate secret measurements, with the walkthrough outcomes
-        assert ledger.measure(1, 3, Party.ALICE, force=lab("11")) == lab("11")
+        assert ledger.measure(1, 3, Party.ALICE, rng) == lab("11")
         assert table.label(5) == lab("10") and table.partner(5) == 7
-        assert ledger.measure(2, 4, Party.BOB, force=lab("00")) == lab("00")
+        assert ledger.measure(2, 4, Party.BOB, rng) == lab("00")
         assert table.label(6) == lab("10") and table.partner(6) == 8
 
         tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
-        readout, detach = eve_intercept_return(eve, tap, force_detach=lab("01"))
+        readout, detach = eve_intercept_return(eve, tap)
         assert readout == lab("10")
         assert eve.record.inferred_bob == lab("00")
         assert detach == lab("01")
@@ -86,13 +92,14 @@ class TestForcedChain:
             ledger.declare(a, b, Visibility.PUBLIC)
         ledger.declare(7, 8, Visibility.EVE_ONLY)
 
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, force=lab("00"))
+        rng = draws("00", "00", "00", "00")
+        tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap)
         assert table.label(1) == lab("00")
-        ledger.measure(1, 3, Party.ALICE, force=lab("00"))
-        ledger.measure(2, 4, Party.BOB, force=lab("00"))
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
-        eve_intercept_return(eve, tap, force_detach=lab("00"))
+        ledger.measure(1, 3, Party.ALICE, rng)
+        ledger.measure(2, 4, Party.BOB, rng)
+        tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
+        eve_intercept_return(eve, tap)
         assert eve.record.inferred_bob == lab("00")
         assert table.label(5) == lab("00")
         assert eve_finalize(eve, table.bsm(5, 6)) == lab("00")
@@ -182,15 +189,15 @@ class TestAccessControl:
 
     def test_tap_allows_transit_and_ancillas_only(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
-        assert tap.bsm(2, 8, force=lab("00")) == lab("00")
+        tap = ChannelTap(ledger, draws("00"), eve.ancillas, transit=2)
+        assert tap.bsm(2, 8) == lab("00")
 
     def test_double_intercept_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, force=lab("00"))
+        tap = ChannelTap(ledger, draws("00", "00"), eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap)
         with pytest.raises(RuntimeError, match="already intercepted"):
-            eve_intercept_outbound(eve, tap, force=lab("00"))
+            eve_intercept_outbound(eve, tap)
 
     def test_return_before_outbound_rejected(self):
         table, ledger, eve = fresh_scene()
@@ -210,8 +217,8 @@ class TestAccessControl:
 
     def test_return_before_secret_measurements_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
-        eve_intercept_outbound(eve, tap, force=lab("00"))
+        tap = ChannelTap(ledger, draws("00"), eve.ancillas, transit=2)
+        eve_intercept_outbound(eve, tap)
         # nobody has measured: qubit 6 is still partnered with 4, not with 8
         tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
         with pytest.raises(RuntimeError, match="not yet done"):

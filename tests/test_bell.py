@@ -14,7 +14,7 @@ from swapqkd.bell import (
     pauli_correction,
     swap_rule,
 )
-from swapqkd.rng import stream
+from swapqkd.rng import ChosenDraws, stream
 from swapqkd.verify import SWAP_TABLE_ROWS, check_swap_table
 
 labels = st.sampled_from(ALL_LABELS)
@@ -91,20 +91,15 @@ class TestBsm:
         table = PairTable([(6, 8, lab("10"))])
         assert table.bsm(8, 6) == lab("10")
 
-    def test_forcing_wrong_eigenstate_outcome_rejected(self):
-        table = PairTable([(6, 8, lab("10"))])
-        with pytest.raises(ValueError, match="eigenstate"):
-            table.bsm(6, 8, force=lab("00"))
-
     def test_forced_swap_walkthrough(self):
         table = PairTable([(1, 2, lab("11")), (3, 4, lab("01"))])
-        outcome = table.bsm(1, 3, force=lab("00"))
+        outcome = table.bsm(1, 3, ChosenDraws([lab("00").index]))
         assert outcome == lab("00")
         assert table.pairs() == [(1, 3, lab("00")), (2, 4, lab("10"))]
         # every branch: the induced pair conserves the XOR of all four labels
         for left, right, forced in itertools.product(ALL_LABELS, repeat=3):
             table = PairTable([(1, 2, left), (3, 4, right)])
-            assert table.bsm(1, 3, force=forced) == forced
+            assert table.bsm(1, 3, ChosenDraws([forced.index])) == forced
             assert table.pairs() == [(1, 3, forced), (2, 4, left ^ right ^ forced)]
 
     def test_unknown_qubit(self):
@@ -221,7 +216,7 @@ class TestPairTableInvariants:
             elif table.are_partners(a, b):
                 table.bsm(a, b)
             else:
-                table.bsm(a, b, force=outcome)
+                table.bsm(a, b, ChosenDraws([outcome.index]))
             # the partition survives every operation
             assert table.qubits() == set(qubits)
             assert len(table) * 2 == n

@@ -20,7 +20,7 @@ from swapqkd.protocol import (
     replay_round,
     run_session,
 )
-from swapqkd.rng import round_stream, stream
+from swapqkd.rng import ChosenDraws, round_stream, stream
 
 labels = st.sampled_from(ALL_LABELS)
 
@@ -92,7 +92,10 @@ class TestForcedRound:
     def test_walkthrough_round(self):
         record, _ = replay_round(
             SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(alice_secret=lab("11"), announcement=lab("00")),
+            ForcedOutcomes(
+                alice_secret=lab("11"),
+                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("00")),
+            ),
         )
         assert record.bob_secret == lab("00")
         assert record.bob_inferred_alice == lab("11")
@@ -104,26 +107,14 @@ class TestForcedRound:
         for s_a, p in itertools.product(ALL_LABELS, repeat=2):
             record, _ = replay_round(
                 SessionConfig(rounds=1, seed=0),
-                ForcedOutcomes(alice_secret=s_a, announcement=p),
+                ForcedOutcomes(
+                    alice_secret=s_a, bob_secret=infer_other_secret(*DEFAULT_LABELS, s_a, p)
+                ),
             )
             assert record.announcement == p
             assert record.alice_secret == s_a
             assert record.alice_inferred_bob == record.bob_secret
             assert record.bob_inferred_alice == record.alice_secret
-
-    def test_forcing_announcement_and_bob_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            replay_round(
-                SessionConfig(rounds=1, seed=0),
-                ForcedOutcomes(bob_secret=lab("00"), announcement=lab("00")),
-            )
-
-    def test_forcing_announcement_with_eve_rejected(self):
-        with pytest.raises(ValueError, match="eavesdropper"):
-            replay_round(
-                SessionConfig(rounds=1, seed=0, eve_enabled=True),
-                ForcedOutcomes(announcement=lab("00")),
-            )
 
     def test_transmissions_always_two(self):
         record, _ = replay_round(SessionConfig(rounds=1, seed=5), ForcedOutcomes())
@@ -184,20 +175,28 @@ class TestRoleRotation:
 
 class TestReset:
     def test_correction_for_known_offset(self):
-        _, session = replay_round(
+        record, session = replay_round(
             SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(alice_secret=lab("10"), announcement=lab("00")),
+            ForcedOutcomes(
+                alice_secret=lab("10"),
+                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("10"), lab("00")),
+            ),
         )
+        assert record.announcement == lab("00")
         corrections = session.reset_round()
         by_holder = {(c.party, c.qubit): c.op for c in corrections}
         # secret pair sits at 10 and the agreed link label is 11: phase flip
         assert by_holder[(Party.ALICE, 1)] is PauliOp.Z
 
     def test_identity_correction_when_already_agreed(self):
-        _, session = replay_round(
+        record, session = replay_round(
             SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(alice_secret=lab("11"), announcement=lab("10")),
+            ForcedOutcomes(
+                alice_secret=lab("11"),
+                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("10")),
+            ),
         )
+        assert record.announcement == lab("10")
         corrections = session.reset_round()
         by_holder = {(c.party, c.qubit): c.op for c in corrections}
         assert by_holder[(Party.ALICE, 1)] is PauliOp.I  # already at 11
@@ -305,7 +304,7 @@ class TestKnowledgeLedger:
         ledger = ledger_over((1, 2), (3, 5))
         ledger.declare(1, 2, Visibility.PUBLIC)
         ledger.declare(3, 5, Visibility.PUBLIC)
-        ledger.measure(1, 3, Party.ALICE, force=lab("00"))
+        ledger.measure(1, 3, Party.ALICE, ChosenDraws([lab("00").index]))
         assert ledger.tag(1, 3) is Visibility.ALICE_ONLY
         assert ledger.tag(2, 5) is Visibility.ALICE_ONLY
 
@@ -314,8 +313,8 @@ class TestKnowledgeLedger:
         ledger.declare(1, 2, Visibility.PUBLIC)
         ledger.declare(3, 5, Visibility.PUBLIC)
         ledger.declare(4, 6, Visibility.PUBLIC)
-        ledger.measure(1, 3, Party.ALICE, force=lab("00"))
-        ledger.measure(2, 4, Party.BOB, force=lab("00"))
+        ledger.measure(1, 3, Party.ALICE, ChosenDraws([lab("00").index]))
+        ledger.measure(2, 4, Party.BOB, ChosenDraws([lab("00").index]))
         # nobody knows both the Alice-only input and Bob's outcome
         assert ledger.tag(5, 6) is Visibility.UNKNOWN
 
@@ -345,10 +344,10 @@ class TestKnowledgeLedger:
         ledger.declare(1, 2, Visibility.PUBLIC)
         table = ledger.table.copy()
         with pytest.raises(LedgerViolation, match="no ledgered pair"):
-            ledger.measure(1, 9, Party.ALICE, force=lab("00"))
+            ledger.measure(1, 9, Party.ALICE, ChosenDraws([lab("00").index]))
         # (3, 4) is in the table but was never declared
         with pytest.raises(LedgerViolation, match="no ledgered pair"):
-            ledger.measure(1, 3, Party.ALICE, force=lab("00"))
+            ledger.measure(1, 3, Party.ALICE, ChosenDraws([lab("00").index]))
         assert ledger.table == table
 
     def test_updates_on_non_partners_rejected(self):
@@ -382,6 +381,6 @@ class TestKnowledgeLedger:
         ledger = ledger_over((1, 2), (7, 8))
         ledger.declare(1, 2, va)
         ledger.declare(7, 8, vb)
-        ledger.measure(2, 8, Party.EVE, force=lab("00"))
+        ledger.measure(2, 8, Party.EVE, ChosenDraws([lab("00").index]))
         assert ledger.tag(2, 8) is Visibility.EVE_ONLY
         assert ledger.tag(1, 7) in (Visibility.EVE_ONLY, Visibility.UNKNOWN)
