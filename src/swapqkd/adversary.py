@@ -128,7 +128,7 @@ def eve_intercept_return(eve: EveState, tap: ChannelTap) -> tuple[BellLabel, Bel
         # her outbound swap guarantees this pairing once Bob has measured
         raise RuntimeError("secret measurements not yet done; nothing to read out")
     rec.return_readout = tap.bsm(tap.transit, eve.ancilla_b)
-    rec.inferred_bob = rec.return_readout ^ eve.bob_label ^ rec.outbound_outcome
+    rec.inferred_bob = infer_bob_secret(eve.bob_label, rec.outbound_outcome, rec.return_readout)
     rec.detach_outcome = tap.bsm(eve.ancilla_a, eve.ancilla_b)
     return rec.return_readout, rec.detach_outcome
 
@@ -143,9 +143,42 @@ def eve_finalize(eve: EveState, announcement: BellLabel) -> BellLabel:
     rec = eve.record
     if rec.return_readout is None or rec.detach_outcome is None:
         raise RuntimeError("cannot finalize before both interceptions")
-    anchor_tap = announcement ^ rec.return_readout ^ rec.detach_outcome
-    rec.inferred_alice = anchor_tap ^ eve.anchor_label ^ eve.tapped_link_label()
+    rec.inferred_alice = infer_alice_secret(
+        eve.link_label, eve.anchor_label, eve.ancilla_label,
+        rec.outbound_outcome, rec.return_readout, rec.detach_outcome, announcement,
+    )
     return rec.inferred_alice
+
+
+def infer_bob_secret(bob: BellLabel, outbound: BellLabel, readout: BellLabel) -> BellLabel:
+    """Bob's secret result from Eve's outbound outcome and return readout.
+
+    Her outbound swap paired the transit qubit with ancilla B in `outbound`;
+    Bob's secret measurement consumed that pair and his agreed `bob` pair,
+    leaving the returning qubit with ancilla B in `readout`.
+    """
+    return readout ^ bob ^ outbound
+
+
+def infer_alice_secret(
+    link: BellLabel,
+    anchor: BellLabel,
+    ancilla: BellLabel,
+    outbound: BellLabel,
+    readout: BellLabel,
+    detach: BellLabel,
+    announcement: BellLabel,
+) -> BellLabel:
+    """Alice's secret result from the announcement and Eve's three outcomes.
+
+    The announced pair is the one her detaching measurement created, so
+    unwinding it gives the label that linked Alice's anchor qubit to
+    ancilla A; her outbound swap had linked Alice's retained qubit to
+    ancilla A in link ^ ancilla ^ outbound, and Alice's secret is what
+    joined the two.
+    """
+    anchor_tap = announcement ^ readout ^ detach
+    return anchor_tap ^ anchor ^ link ^ ancilla ^ outbound
 
 
 def eve_reset(eve: EveState, ledger: KnowledgeLedger):

@@ -19,9 +19,6 @@ from dataclasses import dataclass, replace
 from .protocol import TRANSFERS, SessionConfig, SessionTranscript, run_session
 from .rng import SESSIONS, RandomStream, child_seed, session_seeds
 
-BB84_RATE = 0.5  # key bits per transmitted qubit with two alternative bases
-E91_RATE = 0.25
-
 
 @dataclass(frozen=True)
 class TestReport:
@@ -40,8 +37,9 @@ class RateReport:
     key_bits: int
     transmitted_qubits: int
     rate: float | None
-    bb84_rate: float = BB84_RATE
-    e91_rate: float = E91_RATE
+
+    bb84_rate = 0.5  # key bits per transmitted qubit with two alternative bases
+    e91_rate = 0.25
 
 
 def eavesdropping_test(

@@ -16,6 +16,11 @@ the role map advances, so every round is identically prepared while the
 same six physical qubits circulate forever. An enabled eavesdropper
 (adversary module) is spliced into both channel transits.
 
+A round's only randomness is its swap outcomes, each one draw from the
+round's stream, in a fixed order: Eve's outbound swap, Alice's and Bob's
+secret measurements, Eve's detaching swap. `replay_round` pins a branch
+by handing the round chosen draws.
+
 The public announcement leaks only the XOR of the two secrets: four
 (alice, bob) combinations stay equally likely to an outside observer,
 which `public_posterior` enumerates.
@@ -23,6 +28,7 @@ which `public_posterior` enumerates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import adversary
@@ -146,7 +152,7 @@ class ForcedOutcomes:
     eve_detach: BellLabel | None = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Correction:
     party: Party
     qubit: int
@@ -215,6 +221,48 @@ def infer_other_secret(
     passes hers to get Bob's, Bob passes his to get Alice's.
     """
     return link ^ anchor ^ bob ^ own_secret ^ announcement
+
+
+def closing_corrections(
+    config: SessionConfig,
+    index: int,
+    alice_secret: BellLabel,
+    announcement: BellLabel,
+    bob_secret: BellLabel,
+    eve_detach: BellLabel | None = None,
+) -> tuple[Correction, ...]:
+    """The rotations that close round `index` of a session under `config`.
+
+    The round leaves its three pairs as the agreed pairs of the next
+    round's roles, holding Alice's secret, the announcement and Bob's
+    secret in that order; each holder rotates its pair back to the agreed
+    label. Given `eve_detach`, the outcome her ancillas are left in, Eve
+    rotates them back to her preparation label last.
+    """
+    return _closing_corrections(
+        config.initial_labels, config.eve_ancilla, (index + 1) % len(ROLE_SCHEDULE),
+        alice_secret, announcement, bob_secret, eve_detach,
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _closing_corrections(labels, ancilla, next_roles, alice_secret, announcement, bob_secret,
+                         eve_detach) -> tuple[Correction, ...]:
+    """`closing_corrections` with the next roles as ROLE_SCHEDULE[next_roles].
+
+    A session meets at most 4 * 4**4 distinct argument tuples, and a
+    lookup costs less than deriving the corrections each round.
+    """
+    pairs = ROLE_SCHEDULE[next_roles].agreed_pairs(labels)
+    held = (alice_secret, announcement, bob_secret)
+    corrections = [
+        Correction(party, q, pauli_correction(label, target))
+        for (q, _, target, party), label in zip(pairs, held)
+    ]
+    if eve_detach is not None:
+        op = pauli_correction(eve_detach, ancilla)
+        corrections.append(Correction(Party.EVE, adversary.EveState.ancilla_a, op))
+    return tuple(corrections)
 
 
 def public_posterior(
@@ -339,23 +387,26 @@ class Session:
         value, Bob knows his secret outcome.
         """
         roles = ROLE_SCHEDULE[self.rounds_run % len(ROLE_SCHEDULE)]
-        corrections = []
-        for q, partner, target, party in roles.agreed_pairs(self.config.initial_labels):
-            if not self.table.are_partners(q, partner):
+        pairs = roles.agreed_pairs(self.config.initial_labels)
+        table, ledger, eve = self.table, self.ledger, self.eve
+        held = []
+        for q, partner, _, party in pairs:
+            if not table.are_partners(q, partner):
                 raise ValueError(f"malformed state: qubits {q},{partner} are not paired")
             if self.custody[q] is not party:
                 raise LedgerViolation(f"{party.value} does not hold qubit {q}")
-            self.ledger.require_knowledge(q, partner, party, "rotate")
-            op = pauli_correction(self.table.label(q), target)
-            self.table.apply_pauli(q, op)
+            ledger.require_knowledge(q, partner, party, "rotate")
+            held.append(table.label(q))
+        detach = None if eve is None else eve.record.detach_outcome
+        corrections = closing_corrections(self.config, self.rounds_run - 1, *held, detach)
+        for (q, partner, _, _), correction in zip(pairs, corrections):
+            table.apply_pauli(q, correction.op)
             # the rotation targets are the public agreed labels
-            self.ledger.record_announcement(q, partner)
-            corrections.append(Correction(party, q, op))
-        if self.eve is not None:
-            op = adversary.eve_reset(self.eve, self.ledger)
-            corrections.append(Correction(Party.EVE, self.eve.ancilla_a, op))
+            ledger.record_announcement(q, partner)
+        if eve is not None:
+            adversary.eve_reset(eve, ledger)
         self.roles = roles
-        return tuple(corrections)
+        return corrections
 
     # -- whole session -------------------------------------------------------
 

@@ -25,11 +25,17 @@ import reprlib
 from dataclasses import dataclass
 
 from . import __version__
-from .adversary import EveRoundRecord
+from .adversary import EveRoundRecord, infer_alice_secret, infer_bob_secret
 from .analysis import RateReport, TestReport, eavesdropping_test, rate_report
 from .bell import ALL_LABELS, BellLabel, PauliOp
 from .knowledge import Party
-from .protocol import TRANSFERS, Correction, RoundRecord, SessionConfig, SessionTranscript
+from .protocol import (
+    TRANSFERS,
+    RoundRecord,
+    SessionConfig,
+    SessionTranscript,
+    closing_corrections,
+)
 from .rng import COIN, stream
 
 FORMAT = "swapqkd-transcript"
@@ -261,17 +267,22 @@ def _config_from(row: dict, line: int) -> SessionConfig:
 
 
 _INFERRED = "expected the XOR of the initial labels, the announcement and the %s"
+_EVE_INFERRED = "expected Eve's inference from the initial labels, her ancilla and her %s"
 
 
-def _round_from(row: dict, line: int, index: int, eve_enabled: bool,
-                agreed: BellLabel) -> RoundRecord:
+def _round_from(row: dict, line: int, index: int, config: SessionConfig,
+                agreed: BellLabel, closing: dict) -> RoundRecord:
     """Round `index` of the file as its record.
 
     Well-formed rows take plain lookups; a row that fails them, or holds a
     value of a type json.loads gives but the record does not take, is
     handed to `_round_error` to name the field. Its index, eve section and
-    derived fields must agree with round `index` of the header's session;
-    `agreed` is its three labels' XOR, as in `protocol.infer_other_secret`.
+    derived fields must agree with round `index` of the header's session:
+    the inferences, Eve's among them, and the corrections follow from the
+    secrets, the announcement and her outcomes. `agreed` is the three
+    labels' XOR, as in `protocol.infer_other_secret`; `closing` caches
+    `protocol.closing_corrections` and their JSON form for the file, so
+    its rounds share the correction tuples.
     """
     try:
         eve = row["eve"]
@@ -291,20 +302,17 @@ def _round_from(row: dict, line: int, index: int, eve_enabled: bool,
             _LABEL_OF[row["alice_inferred_bob"]],
             _LABEL_OF[row["bob_inferred_alice"]],
             eve,
-            tuple([Correction(_PARTY_OF[p], q, _PAULI_OF[op]) for p, q, op in row["corrections"]]),
         )
     except (KeyError, TypeError, ValueError):
         raise _round_error(row, line) from None
     if type(record.index) is not int:
         raise _round_error(row, line)
-    for c in record.corrections:
-        if type(c.qubit) is not int:
-            raise _round_error(row, line)
     if record.index != index:
         raise TranscriptError(f"expected {index}, the round's position", line, "index")
-    if (eve is None) is eve_enabled:
-        want = "an object" if eve_enabled else "null"
-        raise TranscriptError(f"expected {want}, as eve_enabled is {eve_enabled}", line, "eve")
+    if (eve is None) is config.eve_enabled:
+        want = "an object" if config.eve_enabled else "null"
+        raise TranscriptError(f"expected {want}, as eve_enabled is {config.eve_enabled}",
+                              line, "eve")
     public = agreed ^ record.announcement  # labels are canonical: `is` compares them
     if record.alice_inferred_bob is not public ^ record.alice_secret:
         raise TranscriptError(_INFERRED % "alice_secret", line, "alice_inferred_bob")
@@ -318,6 +326,32 @@ def _round_from(row: dict, line: int, index: int, eve_enabled: bool,
     transmissions = row.get("transmissions")
     if transmissions != len(want) or type(transmissions) is not int:
         raise TranscriptError(f"expected {len(want)}, one per transfer", line, "transmissions")
+    detach = None
+    if eve is not None:
+        link, anchor, bob = config.initial_labels
+        outbound, readout, detach = eve.outbound_outcome, eve.return_readout, eve.detach_outcome
+        if eve.inferred_bob is not infer_bob_secret(bob, outbound, readout):
+            raise TranscriptError(_EVE_INFERRED % "outbound_outcome and return_readout",
+                                  line, "eve.inferred_bob")
+        inferred_alice = infer_alice_secret(link, anchor, config.eve_ancilla, outbound, readout,
+                                            detach, record.announcement)
+        if eve.inferred_alice is not inferred_alice:
+            raise TranscriptError(_EVE_INFERRED % "three outcomes and the announcement",
+                                  line, "eve.inferred_alice")
+    # keyed by the row's label strings, which hash faster than labels
+    key = (index % len(_TRANSFERS_JSON), row["alice_secret"], row["announcement"],
+           row["bob_secret"], detach)
+    if key not in closing:
+        corrections = closing_corrections(config, index, record.alice_secret,
+                                          record.announcement, record.bob_secret, detach)
+        closing[key] = corrections, [[c.party.value, c.qubit, c.op.name] for c in corrections]
+    record.corrections, want = closing[key]
+    found = row.get("corrections")
+    if found != want or not all([type(c[1]) is int for c in found]):
+        _field(row, "corrections", _CORRECTIONS, line)
+        raise TranscriptError("expected the rotations back to the agreed labels from the "
+                              "secrets, the announcement and Eve's detach_outcome",
+                              line, "corrections")
     return record
 
 
@@ -361,6 +395,7 @@ def parse_lines(lines) -> TranscriptFile:
     """
     config = summary = None
     rounds: list[RoundRecord] = []
+    closing: dict = {}
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -372,7 +407,7 @@ def parse_lines(lines) -> TranscriptFile:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, number, len(rounds), config.eve_enabled, agreed))
+            rounds.append(_round_from(row, number, len(rounds), config, agreed, closing))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")

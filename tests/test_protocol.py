@@ -122,6 +122,51 @@ class TestForcedRound:
         assert record.transfers == ((2, "alice_to_bob"), (6, "bob_to_alice"))
 
 
+class TestEveryBranch:
+    """Round 0 over every draw sequence: 4**2 honest, 4**4 with Eve."""
+
+    def test_honest_inferences_hold_on_every_branch(self):
+        config = SessionConfig(rounds=1, seed=0)
+        for s_a, s_b in itertools.product(ALL_LABELS, repeat=2):
+            record, _ = replay_round(config, ForcedOutcomes(alice_secret=s_a, bob_secret=s_b))
+            assert (record.alice_secret, record.bob_secret) == (s_a, s_b)
+            assert record.alice_inferred_bob == s_b
+            assert record.bob_inferred_alice == s_a
+
+    @pytest.mark.parametrize("ancilla", ["00", "01", "10", "11"])
+    def test_eve_exact_and_bob_disturbed_on_three_quarters(self, ancilla):
+        config = SessionConfig(rounds=1, seed=0, eve_enabled=True, eve_ancilla=lab(ancilla))
+        disturbed = 0
+        for outbound, s_a, s_b, detach in itertools.product(ALL_LABELS, repeat=4):
+            record, _ = replay_round(config, ForcedOutcomes(outbound, s_a, s_b, detach))
+            eve = record.eve
+            assert (eve.outbound_outcome, record.alice_secret) == (outbound, s_a)
+            assert (record.bob_secret, eve.detach_outcome) == (s_b, detach)
+            assert eve.inferred_alice == s_a
+            assert eve.inferred_bob == s_b
+            disturbed += record.bob_inferred_alice != s_a
+        assert disturbed == 192
+
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    def test_replaying_recorded_outcomes_reproduces_each_round(self, eve):
+        config = SessionConfig(
+            rounds=200, seed=41, eve_enabled=eve,
+            initial_labels=(lab("01"), lab("11"), lab("00")), eve_ancilla=lab("10"),
+        )
+        for rec in run_session(config).rounds:
+            forced = ForcedOutcomes(alice_secret=rec.alice_secret, bob_secret=rec.bob_secret)
+            if eve:
+                forced = ForcedOutcomes(
+                    rec.eve.outbound_outcome, rec.alice_secret, rec.bob_secret,
+                    rec.eve.detach_outcome,
+                )
+            replayed, _ = replay_round(config, forced)
+            assert replayed.announcement == rec.announcement
+            assert replayed.alice_inferred_bob == rec.alice_inferred_bob
+            assert replayed.bob_inferred_alice == rec.bob_inferred_alice
+            assert replayed.eve == rec.eve
+
+
 class TestRoleRotation:
     def test_initial_roles(self):
         assert INITIAL_ROLES.qubits() == (1, 2, 3, 5, 4, 6)

@@ -1,10 +1,11 @@
-"""Round draws against numpy's SeedSequence/PCG64 stream at (ROUNDS, i)."""
+"""Round draws against numpy's SeedSequence/PCG64 stream at (ROUNDS, i), and
+chosen draws."""
 
 import random
 
 import pytest
 
-from swapqkd.rng import ROUNDS, round_stream, stream
+from swapqkd.rng import ROUNDS, ChosenDraws, round_stream, stream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**160 + 12345]
 """The last seed has more 32-bit words than SeedSequence's pool of four."""
@@ -57,3 +58,26 @@ def test_negative_seed_or_index_rejected():
         round_stream(-1, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         round_stream(1, -1)
+
+
+def test_chosen_draws_handed_out_in_order():
+    chosen = ChosenDraws([3, 0, 2])
+    assert [chosen.integers(0, 4) for _ in range(3)] == [3, 0, 2]
+
+
+def test_chosen_draws_reject_an_extra_draw():
+    chosen = ChosenDraws([1, 2])
+    chosen.integers(0, 4)
+    chosen.integers(0, 4)
+    with pytest.raises(ValueError, match="none is left"):
+        chosen.integers(0, 4)
+
+
+@pytest.mark.parametrize("draw", [4, -1])
+def test_chosen_draws_reject_an_out_of_range_draw(draw):
+    chosen = ChosenDraws([draw, 0])
+    with pytest.raises(ValueError, match="outside"):
+        chosen.integers(0, 4)
+    # the rejected draw is not consumed
+    with pytest.raises(ValueError, match="outside"):
+        chosen.integers(0, 4)

@@ -211,6 +211,45 @@ class TestTranscriptError:
         err = parse_error(edit_round(change))
         assert (err.line, err.field) == (3, field)
 
+    @pytest.mark.parametrize(
+        "edited, field",
+        [
+            ("inferred_bob", "eve.inferred_bob"),
+            ("inferred_alice", "eve.inferred_alice"),
+            ("outbound_outcome", "eve.inferred_bob"),
+            ("return_readout", "eve.inferred_bob"),
+            ("detach_outcome", "eve.inferred_alice"),
+        ],
+    )
+    def test_eve_inferences_against_her_outcomes(self, edited, field):
+        # her inferences follow from her outcomes, the header and the
+        # announcement; an edit to any of them breaks one of the two
+        def change(row):
+            flipped = BellLabel.from_string(row["eve"][edited]) ^ BellLabel.from_string("01")
+            row["eve"][edited] = str(flipped)
+
+        err = parse_error(edit_round(change))
+        assert (err.line, err.field) == (3, field)
+
+    @pytest.mark.parametrize(
+        "corrections",
+        [[], [["alice", 1, "Y"], ["bob", 2, "I"]], "swap_first_two", "eve_op"],
+        ids=["empty", "two_edited", "swap_first_two", "eve_op"],
+    )
+    def test_corrections_against_the_round(self, corrections):
+        def change(row):
+            if corrections == "swap_first_two":
+                row["corrections"][:2] = row["corrections"][1::-1]
+            elif corrections == "eve_op":
+                eve = row["corrections"][3]
+                eve[2] = "X" if eve[2] != "X" else "Z"
+            else:
+                row["corrections"] = corrections
+
+        err = parse_error(edit_round(change))
+        assert (err.line, err.field) == (3, "corrections")
+        assert "agreed labels" in str(err)
+
     def test_summary_field(self):
         lines = make_lines()
         summary = json.loads(lines[-1])
