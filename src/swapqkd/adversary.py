@@ -10,6 +10,11 @@ Eve can reconstruct both secret results exactly. The price is that her
 ancilla-pair measurement re-randomizes the correlation Alice and Bob
 compare, which is what the eavesdropping test detects.
 
+This module holds only her measurements and inferences. Her ancilla pair
+is the last of a round's agreed pairs (`protocol.RoleMap.agreed_pairs`),
+so the session checks it at round start and rotates it back to her
+preparation label with the others (`protocol.closing_corrections`).
+
 Separation of knowledge is structural: Eve's quantum access goes through a
 `ChannelTap` that only reaches her ancillas and the qubit currently in
 transit, and her inference functions receive public announcements and her
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bell import BellLabel, pauli_correction
+from .bell import BellLabel
 from .knowledge import KnowledgeLedger, Party
 from .rng import RoundStream
 
@@ -89,11 +94,6 @@ class EveState:
     ancilla_a = 7
     ancilla_b = 8
     ancillas = (ancilla_a, ancilla_b)
-
-    def tapped_link_label(self) -> BellLabel:
-        """Label binding Alice's retained link qubit to ancilla A after the
-        outbound swap; Eve computes it from public data plus her outcome."""
-        return self.link_label ^ self.ancilla_label ^ self.record.outbound_outcome
 
 
 def eve_intercept_outbound(eve: EveState, tap: ChannelTap) -> BellLabel:
@@ -179,17 +179,3 @@ def infer_alice_secret(
     """
     anchor_tap = announcement ^ readout ^ detach
     return anchor_tap ^ anchor ^ link ^ ancilla ^ outbound
-
-
-def eve_reset(eve: EveState, ledger: KnowledgeLedger):
-    """Rotate the ancilla pair back to Eve's preparation label.
-
-    After the detaching measurement the ancillas are partners again in a
-    state Eve knows, so a single-qubit correction re-arms the attack.
-    """
-    if eve.record.detach_outcome is None:
-        raise RuntimeError("ancillas are not in a known post-round state")
-    ledger.require_knowledge(eve.ancilla_a, eve.ancilla_b, Party.EVE, "rotate")
-    op = pauli_correction(eve.record.detach_outcome, eve.ancilla_label)
-    ledger.table.apply_pauli(eve.ancilla_a, op)
-    return op

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of rounds sacrificed to the eavesdropping test")
     p_run.add_argument("--labels", type=_label_arg, nargs=3, metavar=("LINK", "ANCHOR", "BOB"),
                        default=None, help="agreed pair labels, e.g. 11 10 10")
-    p_run.add_argument("--ancilla", type=_label_arg, default=BellLabel(0, 0),
+    p_run.add_argument("--ancilla", type=_label_arg, default=None,
                        help="the eavesdropper's ancilla pair label")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--out", default=None, help="output path, '-' or absent for stdout")
@@ -129,7 +129,7 @@ def _cmd_run(args) -> int:
             eve_enabled=args.eve,
             test_fraction=args.test_fraction,
             **({"initial_labels": tuple(args.labels)} if args.labels else {}),
-            eve_ancilla=args.ancilla,
+            **({"eve_ancilla": args.ancilla} if args.ancilla is not None else {}),
         )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

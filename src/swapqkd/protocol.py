@@ -14,7 +14,8 @@ One round, with the six protocol qubits in their role positions:
 Between rounds each holder rotates its pair back to the agreed labels and
 the role map advances, so every round is identically prepared while the
 same six physical qubits circulate forever. An enabled eavesdropper
-(adversary module) is spliced into both channel transits.
+(adversary module) is spliced into both channel transits; her ancilla
+pair is a fourth agreed pair, checked and rotated back with the others.
 
 A round's only randomness is its swap outcomes, each one draw from the
 round's stream, in a fixed order: Eve's outbound swap, Alice's and Bob's
@@ -75,14 +76,18 @@ class RoleMap:
         if len(set(self.qubits())) != 6:
             raise ValueError(f"role map must name six distinct qubits: {self}")
 
-    def agreed_pairs(self, labels) -> tuple[tuple[int, int, BellLabel, Party], ...]:
-        """(qubit, partner, label, holder) of each pair at round start."""
+    def agreed_pairs(self, labels, ancilla=None) -> tuple[tuple[int, int, BellLabel, Party], ...]:
+        """(qubit, partner, label, holder) of each pair at round start;
+        given Eve's `ancilla` label, her ancilla pair comes last."""
         link, anchor, bob = labels
-        return (
+        pairs = (
             (self.alice_keep, self.alice_send, link, Party.ALICE),
             (self.anchor_a, self.anchor_b, anchor, Party.ALICE),
             (self.bob_keep, self.bob_send, bob, Party.BOB),
         )
+        if ancilla is None:
+            return pairs
+        return (*pairs, (*adversary.EveState.ancillas, ancilla, Party.EVE))
 
     def rotated(self) -> "RoleMap":
         """Roles for the next round.
@@ -114,6 +119,13 @@ while ROLE_SCHEDULE[-1].rotated() != INITIAL_ROLES:
 TRANSFERS = tuple(((r.alice_send, "alice_to_bob"), (r.bob_send, "bob_to_alice"))
                   for r in ROLE_SCHEDULE)
 """(qubit, direction) of each channel transit of round i: TRANSFERS[i % len(TRANSFERS)]."""
+
+
+@functools.lru_cache(maxsize=512)
+def _agreed_schedule(labels, ancilla) -> tuple[tuple[tuple[int, int, BellLabel, Party], ...], ...]:
+    """`agreed_pairs(labels, ancilla)` of each ROLE_SCHEDULE entry, built
+    once per configuration (at most 64 * 5 of them)."""
+    return tuple(roles.agreed_pairs(labels, ancilla) for roles in ROLE_SCHEDULE)
 
 
 @dataclass(frozen=True)
@@ -236,8 +248,9 @@ def closing_corrections(
     The round leaves its three pairs as the agreed pairs of the next
     round's roles, holding Alice's secret, the announcement and Bob's
     secret in that order; each holder rotates its pair back to the agreed
-    label. Given `eve_detach`, the outcome her ancillas are left in, Eve
-    rotates them back to her preparation label last.
+    label. Given `eve_detach`, the outcome her ancillas are left in, Eve's
+    ancilla pair is the fourth agreed pair, and she rotates it back to her
+    preparation label last.
     """
     return _closing_corrections(
         config.initial_labels, config.eve_ancilla, (index + 1) % len(ROLE_SCHEDULE),
@@ -253,16 +266,12 @@ def _closing_corrections(labels, ancilla, next_roles, alice_secret, announcement
     A session meets at most 4 * 4**4 distinct argument tuples, and a
     lookup costs less than deriving the corrections each round.
     """
-    pairs = ROLE_SCHEDULE[next_roles].agreed_pairs(labels)
-    held = (alice_secret, announcement, bob_secret)
-    corrections = [
+    pairs = _agreed_schedule(labels, None if eve_detach is None else ancilla)[next_roles]
+    held = (alice_secret, announcement, bob_secret, eve_detach)
+    return tuple(
         Correction(party, q, pauli_correction(label, target))
         for (q, _, target, party), label in zip(pairs, held)
-    ]
-    if eve_detach is not None:
-        op = pauli_correction(eve_detach, ancilla)
-        corrections.append(Correction(Party.EVE, adversary.EveState.ancilla_a, op))
-    return tuple(corrections)
+    )
 
 
 def public_posterior(
@@ -288,32 +297,25 @@ class Session:
     def __init__(self, config: SessionConfig):
         self.config = config
         self.roles = ROLE_SCHEDULE[0]
-        link, anchor, bob = config.initial_labels
-        pairs = self.roles.agreed_pairs(config.initial_labels)
+        ancilla = config.eve_ancilla if config.eve_enabled else None
+        self._schedule = _agreed_schedule(config.initial_labels, ancilla)
+        self._pairs = pairs = self._schedule[0]
         self.table = PairTable([(a, b, label) for a, b, label, _ in pairs])
         self.ledger = KnowledgeLedger(self.table)
-        for a, b, _ in self.table.pairs():
-            self.ledger.declare(a, b, Visibility.PUBLIC)
+        for a, b, _, holder in pairs:
+            tag = Visibility.EVE_ONLY if holder is Party.EVE else Visibility.PUBLIC
+            self.ledger.declare(a, b, tag)
         self.custody: dict[int, Party] = {q: holder for a, b, _, holder in pairs for q in (a, b)}
         self.eve: adversary.EveState | None = None
         if config.eve_enabled:
-            self.eve = adversary.EveState(
-                link_label=link,
-                anchor_label=anchor,
-                bob_label=bob,
-                ancilla_label=config.eve_ancilla,
-            )
-            self.table.add_pair(self.eve.ancilla_a, self.eve.ancilla_b, config.eve_ancilla)
-            self.ledger.declare(self.eve.ancilla_a, self.eve.ancilla_b, Visibility.EVE_ONLY)
-            self.custody[self.eve.ancilla_a] = Party.EVE
-            self.custody[self.eve.ancilla_b] = Party.EVE
+            self.eve = adversary.EveState(*config.initial_labels, ancilla_label=ancilla)
         self.rounds_run = 0
 
     # -- round execution ---------------------------------------------------
 
     def _check_round_preconditions(self):
         table, custody = self.table, self.custody
-        for a, b, want, holder in self.roles.agreed_pairs(self.config.initial_labels):
+        for a, b, want, holder in self._pairs:
             if not table.are_partners(a, b):
                 raise ValueError(f"malformed state: qubits {a},{b} are not paired")
             if table.label(a) != want:
@@ -380,32 +382,33 @@ class Session:
 
     def reset_round(self) -> tuple[Correction, ...]:
         """Advance roles, rotating each pair the round leaves (an agreed pair
-        of the next roles) back to its agreed label.
+        of the next roles, Eve's ancilla pair last) back to its agreed label.
 
-        Each correcting party must know its pair's current label, which the
-        ledger certifies: Alice knows her secret outcome and the announced
-        value, Bob knows his secret outcome.
+        Each correcting party must hold its pair and know its current
+        label, which the ledger certifies: Alice knows her secret outcome
+        and the announced value, Bob knows his secret outcome, Eve her
+        detaching outcome. Every op `closing_corrections` returns is
+        applied; the honest pairs' targets are the public agreed labels,
+        so those pairs become public, while Eve's pair stays hers.
         """
-        roles = ROLE_SCHEDULE[self.rounds_run % len(ROLE_SCHEDULE)]
-        pairs = roles.agreed_pairs(self.config.initial_labels)
-        table, ledger, eve = self.table, self.ledger, self.eve
+        next_roles = self.rounds_run % len(ROLE_SCHEDULE)
+        pairs = self._schedule[next_roles]
+        table, ledger, custody = self.table, self.ledger, self.custody
         held = []
         for q, partner, _, party in pairs:
             if not table.are_partners(q, partner):
                 raise ValueError(f"malformed state: qubits {q},{partner} are not paired")
-            if self.custody[q] is not party:
+            if custody[q] is not party:
                 raise LedgerViolation(f"{party.value} does not hold qubit {q}")
             ledger.require_knowledge(q, partner, party, "rotate")
             held.append(table.label(q))
-        detach = None if eve is None else eve.record.detach_outcome
-        corrections = closing_corrections(self.config, self.rounds_run - 1, *held, detach)
-        for (q, partner, _, _), correction in zip(pairs, corrections):
+        corrections = closing_corrections(self.config, self.rounds_run - 1, *held)
+        for (q, partner, _, party), correction in zip(pairs, corrections):
             table.apply_pauli(q, correction.op)
-            # the rotation targets are the public agreed labels
-            ledger.record_announcement(q, partner)
-        if eve is not None:
-            adversary.eve_reset(eve, ledger)
-        self.roles = roles
+            if party is not Party.EVE:
+                ledger.record_announcement(q, partner)
+        self.roles = ROLE_SCHEDULE[next_roles]
+        self._pairs = pairs
         return corrections
 
     # -- whole session -------------------------------------------------------

@@ -268,6 +268,7 @@ def _config_from(row: dict, line: int) -> SessionConfig:
 
 _INFERRED = "expected the XOR of the initial labels, the announcement and the %s"
 _EVE_INFERRED = "expected Eve's inference from the initial labels, her ancilla and her %s"
+_EVE_EXACT = "expected the %s, which Eve's inference recovers exactly"
 
 
 def _round_from(row: dict, line: int, index: int, config: SessionConfig,
@@ -279,8 +280,10 @@ def _round_from(row: dict, line: int, index: int, config: SessionConfig,
     handed to `_round_error` to name the field. Its index, eve section and
     derived fields must agree with round `index` of the header's session:
     the inferences, Eve's among them, and the corrections follow from the
-    secrets, the announcement and her outcomes. `agreed` is the three
-    labels' XOR, as in `protocol.infer_other_secret`; `closing` caches
+    secrets, the announcement and her outcomes, and the inferences
+    recover the secrets: Bob's of Alice's without Eve, both of Eve's with
+    her. `agreed` is the three labels' XOR, as in
+    `protocol.infer_other_secret`; `closing` caches
     `protocol.closing_corrections` and their JSON form for the file, so
     its rounds share the correction tuples.
     """
@@ -327,7 +330,11 @@ def _round_from(row: dict, line: int, index: int, config: SessionConfig,
     if transmissions != len(want) or type(transmissions) is not int:
         raise TranscriptError(f"expected {len(want)}, one per transfer", line, "transmissions")
     detach = None
-    if eve is not None:
+    if eve is None:
+        if record.bob_inferred_alice is not record.alice_secret:
+            raise TranscriptError("expected the XOR of the initial labels and both secrets, "
+                                  "as Bob infers Alice's secret without Eve", line, "announcement")
+    else:
         link, anchor, bob = config.initial_labels
         outbound, readout, detach = eve.outbound_outcome, eve.return_readout, eve.detach_outcome
         if eve.inferred_bob is not infer_bob_secret(bob, outbound, readout):
@@ -338,6 +345,10 @@ def _round_from(row: dict, line: int, index: int, config: SessionConfig,
         if eve.inferred_alice is not inferred_alice:
             raise TranscriptError(_EVE_INFERRED % "three outcomes and the announcement",
                                   line, "eve.inferred_alice")
+        if eve.inferred_bob is not record.bob_secret:
+            raise TranscriptError(_EVE_EXACT % "bob_secret", line, "eve.inferred_bob")
+        if eve.inferred_alice is not record.alice_secret:
+            raise TranscriptError(_EVE_EXACT % "alice_secret", line, "eve.inferred_alice")
     # keyed by the row's label strings, which hash faster than labels
     key = (index % len(_TRANSFERS_JSON), row["alice_secret"], row["announcement"],
            row["bob_secret"], detach)

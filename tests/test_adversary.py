@@ -9,12 +9,11 @@ from swapqkd.adversary import (
     eve_finalize,
     eve_intercept_outbound,
     eve_intercept_return,
-    eve_reset,
 )
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable
-from swapqkd.knowledge import KnowledgeLedger, Party, Visibility
-from swapqkd.protocol import ForcedOutcomes, SessionConfig, replay_round, run_session
-from swapqkd.rng import ChosenDraws, stream
+from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
+from swapqkd.protocol import ForcedOutcomes, Session, SessionConfig, replay_round, run_session
+from swapqkd.rng import ChosenDraws, round_stream, stream
 
 
 def lab(s: str) -> BellLabel:
@@ -60,7 +59,7 @@ class TestForcedChain:
         e1 = eve_intercept_outbound(eve, tap)
         assert e1 == lab("00")
         assert table.label(1) == lab("11") and table.partner(1) == 7
-        assert eve.tapped_link_label() == lab("11")
+        assert eve.link_label ^ eve.ancilla_label ^ e1 == table.label(1)
         assert ledger.tag(1, 7) is Visibility.EVE_ONLY
 
         # the legitimate secret measurements, with the walkthrough outcomes
@@ -211,9 +210,13 @@ class TestAccessControl:
             eve_finalize(eve, lab("00"))
 
     def test_reset_requires_detached_ancillas(self):
-        _, ledger, eve = fresh_scene()
-        with pytest.raises(RuntimeError, match="known post-round state"):
-            eve_reset(eve, ledger)
+        # Eve rotates her ancilla pair back only if she knows its label,
+        # which her detaching measurement tells her
+        session = Session(SessionConfig(rounds=1, seed=0, eve_enabled=True))
+        session.run_round(round_stream(0, 0))
+        session.ledger.declare(7, 8, Visibility.UNKNOWN)
+        with pytest.raises(LedgerViolation, match="eve cannot rotate"):
+            session.reset_round()
 
     def test_return_before_secret_measurements_rejected(self):
         table, ledger, eve = fresh_scene()

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp
+from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
     DEFAULT_LABELS,
     INITIAL_ROLES,
+    Correction,
     ForcedOutcomes,
     RoleMap,
     Session,
@@ -138,13 +139,18 @@ class TestEveryBranch:
         config = SessionConfig(rounds=1, seed=0, eve_enabled=True, eve_ancilla=lab(ancilla))
         disturbed = 0
         for outbound, s_a, s_b, detach in itertools.product(ALL_LABELS, repeat=4):
-            record, _ = replay_round(config, ForcedOutcomes(outbound, s_a, s_b, detach))
+            record, session = replay_round(config, ForcedOutcomes(outbound, s_a, s_b, detach))
             eve = record.eve
             assert (eve.outbound_outcome, record.alice_secret) == (outbound, s_a)
             assert (record.bob_secret, eve.detach_outcome) == (s_b, detach)
             assert eve.inferred_alice == s_a
             assert eve.inferred_bob == s_b
             disturbed += record.bob_inferred_alice != s_a
+            # the reset rotates her ancilla pair back with the other three
+            corrections = session.reset_round()
+            assert session.table.are_partners(7, 8)
+            assert session.table.label(7) == lab(ancilla)
+            assert corrections[-1] == Correction(Party.EVE, 7, pauli_correction(detach, lab(ancilla)))
         assert disturbed == 192
 
     @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
@@ -316,6 +322,17 @@ class TestSessionProperties:
         session.table.apply_pauli(1, PauliOp.X)  # break the agreed label
         with pytest.raises(ValueError, match="malformed state"):
             session.run_round(stream(cfg.seed, 0, 0))
+
+    def test_mis_rotated_ancilla_pair_rejected(self):
+        # Eve's ancilla pair is an agreed pair too: a round starts only
+        # from her preparation label
+        cfg = SessionConfig(rounds=2, seed=3, eve_enabled=True)
+        session = Session(cfg)
+        session.run_round(round_stream(cfg.seed, 0))
+        session.reset_round()
+        session.table.apply_pauli(7, PauliOp.X)
+        with pytest.raises(ValueError, match="malformed state"):
+            session.run_round(round_stream(cfg.seed, 1))
 
 
 class TestLedgerThroughRound:

@@ -7,7 +7,7 @@ import pytest
 
 from swapqkd import transcript
 from swapqkd.bell import BellLabel
-from swapqkd.protocol import SessionConfig, run_session
+from swapqkd.protocol import SessionConfig, closing_corrections, run_session
 from swapqkd.transcript import TranscriptError
 
 
@@ -94,6 +94,20 @@ def edit_round(change, at=2):
     change(row)
     lines[at] = json.dumps(row)
     return lines
+
+
+def rederive_round(change, eve, at=1):
+    """Lines of a file whose round `at` is changed by `change` and whose
+    corrections and summary are derived anew, so only what `change`
+    breaks is inconsistent."""
+    config = SessionConfig(rounds=6, seed=29, eve_enabled=eve, test_fraction=0.5)
+    result = run_session(config)
+    rec = result.rounds[at]
+    change(rec)
+    detach = rec.eve.detach_outcome if eve else None
+    rec.corrections = closing_corrections(config, at, rec.alice_secret, rec.announcement,
+                                          rec.bob_secret, detach)
+    return transcript.emit_lines(transcript.TranscriptFile.of(result))
 
 
 def parse_error(lines) -> TranscriptError:
@@ -249,6 +263,30 @@ class TestTranscriptError:
         err = parse_error(edit_round(change))
         assert (err.line, err.field) == (3, "corrections")
         assert "agreed labels" in str(err)
+
+    @pytest.mark.parametrize(
+        "eve, edited, field",
+        [
+            (False, ("announcement", "alice_inferred_bob", "bob_inferred_alice"),
+             "announcement"),
+            (True, ("eve.return_readout", "eve.inferred_bob", "eve.inferred_alice"),
+             "eve.inferred_bob"),
+            (True, ("eve.detach_outcome", "eve.inferred_alice"), "eve.inferred_alice"),
+        ],
+        ids=["honest_bob_wrong", "eve_bob_wrong", "eve_alice_wrong"],
+    )
+    def test_inferences_recover_the_secrets(self, eve, edited, field):
+        # each edit keeps every formula and the summary consistent, but
+        # leaves an inference that no session makes: Bob's of Alice's
+        # secret without Eve, or Eve's of either secret
+        def change(rec):
+            for path in edited:
+                *section, name = path.split(".")
+                owner = rec.eve if section else rec
+                setattr(owner, name, getattr(owner, name) ^ BellLabel.from_string("10"))
+
+        err = parse_error(rederive_round(change, eve))
+        assert (err.line, err.field) == (3, field)
 
     def test_summary_field(self):
         lines = make_lines()
