@@ -13,38 +13,44 @@ Global phase is discarded throughout; every observable in the protocol
 depends only on the label. The Bell-operator measurement on one qubit from
 each of two pairs (entanglement swapping) obeys a pure XOR rule that
 `swap_rule` implements and the state-vector oracle cross-checks.
+
+There are exactly four `BellLabel` objects, `ALL_LABELS`, interned and
+immutable: `BellLabel(x, z)`, `from_string`, pickle and copy all return
+one of them, so labels compare and hash by identity. Each carries its
+`index` (x << 1) | z, and the label algebra is XOR on indices: `^`,
+`swap_rule`, `PauliOp.apply` (each op carries the index it toggles) and
+`pauli_correction` are one tuple lookup each.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .rng import RoundStream
 
 
-@dataclass(frozen=True)
 class BellLabel:
-    """Two-bit name of a Bell state: x = bit-flip part, z = phase part."""
+    """Two-bit name of a Bell state: x = bit-flip part, z = phase part,
+    `index` = (x << 1) | z, its position in `ALL_LABELS`."""
 
-    x: int
-    z: int
+    __slots__ = ("x", "z", "index")
 
-    def __post_init__(self):
-        if self.x not in (0, 1) or self.z not in (0, 1):
-            raise ValueError(f"label bits must be 0 or 1, got ({self.x}, {self.z})")
+    def __new__(cls, x: int, z: int) -> "BellLabel":
+        if x not in (0, 1) or z not in (0, 1):
+            raise ValueError(f"label bits must be 0 or 1, got ({x}, {z})")
+        return _LABELS[(int(x) << 1) | int(z)]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BellLabel is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BellLabel is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return BellLabel, (self.x, self.z)
 
     def __xor__(self, other: "BellLabel") -> "BellLabel":
-        return _LABELS[((self.x ^ other.x) << 1) | (self.z ^ other.z)]
-
-    @property
-    def index(self) -> int:
-        """Position 0..3 in the fixed enumeration 00, 01, 10, 11."""
-        return (self.x << 1) | self.z
-
-    @classmethod
-    def from_index(cls, i: int) -> "BellLabel":
-        return _LABELS[i]
+        return _LABELS[self.index ^ other.index]
 
     @classmethod
     def from_string(cls, s: str) -> "BellLabel":
@@ -55,27 +61,42 @@ class BellLabel:
     def __str__(self) -> str:
         return f"{self.x}{self.z}"
 
+    def __repr__(self) -> str:
+        return f"BellLabel(x={self.x}, z={self.z})"
 
-_LABELS = tuple(BellLabel(x, z) for x in (0, 1) for z in (0, 1))
+
+def _intern(x: int, z: int) -> BellLabel:
+    label = object.__new__(BellLabel)
+    for name, value in (("x", x), ("z", z), ("index", (x << 1) | z)):
+        object.__setattr__(label, name, value)
+    return label
+
+
+_LABELS = tuple(_intern(x, z) for x in (0, 1) for z in (0, 1))
 
 ALL_LABELS = _LABELS
 """The four labels in index order: 00, 01, 10, 11."""
 
 
 class PauliOp(enum.Enum):
-    """Single-qubit rotation, named by which label bits it toggles."""
+    """Single-qubit rotation, named by which label bits (x, z) it toggles;
+    `toggle` is the label index it XORs in."""
 
     I = (0, 0)
     X = (1, 0)
     Z = (0, 1)
     Y = (1, 1)
 
+    __hash__ = object.__hash__  # members are singletons; enum's own hash runs in Python
+
+    def __init__(self, dx: int, dz: int):
+        self.toggle = (dx << 1) | dz
+
     def apply(self, label: BellLabel) -> BellLabel:
-        dx, dz = self.value
-        return _LABELS[((label.x ^ dx) << 1) | (label.z ^ dz)]
+        return _LABELS[label.index ^ self.toggle]
 
 
-_PAULI_BY_TOGGLE = {op.value: op for op in PauliOp}
+_PAULI_BY_TOGGLE = tuple(sorted(PauliOp, key=lambda op: op.toggle))
 
 
 def swap_rule(left: BellLabel, right: BellLabel, outcome: BellLabel) -> BellLabel:
@@ -86,14 +107,12 @@ def swap_rule(left: BellLabel, right: BellLabel, outcome: BellLabel) -> BellLabe
     partners in the returned label. Componentwise XOR of all four labels in
     play is conserved, which is exactly this formula.
     """
-    return _LABELS[
-        (((left.x ^ right.x ^ outcome.x) << 1) | (left.z ^ right.z ^ outcome.z))
-    ]
+    return _LABELS[left.index ^ right.index ^ outcome.index]
 
 
 def pauli_correction(current: BellLabel, target: BellLabel) -> PauliOp:
     """The unique single-qubit rotation taking `current` to `target`."""
-    return _PAULI_BY_TOGGLE[(current.x ^ target.x, current.z ^ target.z)]
+    return _PAULI_BY_TOGGLE[current.index ^ target.index]
 
 
 class PairTable:
@@ -102,7 +121,9 @@ class PairTable:
     Single-owner mutable: measurements and rotations update the table in
     place. Pairs are stored with their qubits in ascending order, which is
     safe because every Bell label is symmetric under qubit exchange up to
-    global phase.
+    global phase. The knowledge ledger and the session check pairs on the
+    round's hot path by reading `_partner` and `_label` directly; only the
+    table's own methods write them.
     """
 
     def __init__(self, pairs=()):
@@ -191,6 +212,10 @@ class PairTable:
 
     def apply_pauli(self, q: int, op: PauliOp) -> None:
         """Toggle the label of q's pair by op; other pairs untouched."""
-        p = self.partner(q)
+        try:
+            p = self._partner[q]
+        except KeyError:
+            raise ValueError(f"qubit {q} is not paired") from None
         key = (q, p) if q < p else (p, q)
-        self._label[key] = op.apply(self._label[key])
+        labels = self._label
+        labels[key] = _LABELS[labels[key].index ^ op.toggle]

@@ -33,6 +33,8 @@ class Party(enum.Enum):
     BOB = "bob"
     EVE = "eve"
 
+    __hash__ = object.__hash__  # members are singletons; enum's own hash runs in Python
+
 
 class Visibility(enum.Enum):
     PUBLIC = "public"
@@ -48,7 +50,8 @@ class LedgerViolation(RuntimeError):
 
 
 # knower sets as bitmasks
-_BIT = {Party.ALICE: 1, Party.BOB: 2, Party.EVE: 4}
+KNOWER_BIT = {Party.ALICE: 1, Party.BOB: 2, Party.EVE: 4}
+"""Each party's bit in a pair's knower mask."""
 _WORLD = 7
 
 _MASK_OF = {
@@ -81,7 +84,7 @@ class KnowledgeLedger:
             raise LedgerViolation(f"pair ({a},{b}) reached untaggable knower set {mask}")
 
     def knows(self, a: int, b: int, party: Party) -> bool:
-        return bool(self._mask[self._pair(a, b)] & _BIT[party])
+        return bool(self._mask[self._pair(a, b)] & KNOWER_BIT[party])
 
     def pairs(self) -> dict[tuple[int, int], Visibility]:
         return {k: self.tag(*k) for k in self._mask}
@@ -96,11 +99,12 @@ class KnowledgeLedger:
         the party, and the induced pair's label is known to whoever knew
         both consumed labels and the outcome.
         """
-        table, mask, bit = self.table, self._mask, _BIT[party]
-        try:
-            j, l = table.partner(a), table.partner(b)
-        except ValueError as unpaired:
-            raise LedgerViolation(f"{unpaired}; no ledgered pair holds it") from None
+        table, mask, bit = self.table, self._mask, KNOWER_BIT[party]
+        partner_of = table._partner.get
+        j, l = partner_of(a), partner_of(b)
+        if j is None or l is None:
+            unpaired = a if j is None else b
+            raise LedgerViolation(f"qubit {unpaired} is not paired; no ledgered pair holds it")
         left = (a, j) if a < j else (j, a)
         right = (b, l) if b < l else (l, b)
         if left not in mask or right not in mask:
@@ -118,7 +122,7 @@ class KnowledgeLedger:
         """Key of the declared pair (a, b); a LedgerViolation if a and b are
         not partners in the table or were never declared."""
         key = (a, b) if a < b else (b, a)
-        if key not in self._mask or not self.table.are_partners(a, b):
+        if key not in self._mask or self.table._partner.get(a) != b:
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
         return key
 
@@ -128,7 +132,7 @@ class KnowledgeLedger:
 
     def record_inference(self, a: int, b: int, party: Party) -> None:
         """`party` derives the label from announcements plus what it holds."""
-        self._mask[self._pair(a, b)] |= _BIT[party]
+        self._mask[self._pair(a, b)] |= KNOWER_BIT[party]
 
     def require_knowledge(self, a: int, b: int, party: Party, action: str) -> None:
         if not self.knows(a, b, party):

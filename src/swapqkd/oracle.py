@@ -95,16 +95,6 @@ def _pair_front_inverse(m: np.ndarray, state: StateVector, a: int, b: int) -> np
     return np.moveaxis(t, (0, 1), (pa, pb)).reshape(-1)
 
 
-def born_probabilities(state: StateVector, a: int, b: int) -> np.ndarray:
-    """Born weights of the four Bell projectors on (a, b), in label order."""
-    m = _pair_front(state, a, b)
-    weights = np.empty(4)
-    for label in ALL_LABELS:
-        branch = BELL_VECTORS[label].conj() @ m
-        weights[label.index] = float(np.real(np.vdot(branch, branch)))
-    return weights
-
-
 def oracle_bsm(
     state: StateVector,
     a: int,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
-from .knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
+from .knowledge import KNOWER_BIT, KnowledgeLedger, LedgerViolation, Party, Visibility
 from .rng import ChosenDraws, RoundStream, round_stream
 
 
@@ -314,14 +314,14 @@ class Session:
     # -- round execution ---------------------------------------------------
 
     def _check_round_preconditions(self):
-        table, custody = self.table, self.custody
+        partner, labels, custody = self.table._partner, self.table._label, self.custody
         for a, b, want, holder in self._pairs:
-            if not table.are_partners(a, b):
+            if partner.get(a) != b:
                 raise ValueError(f"malformed state: qubits {a},{b} are not paired")
-            if table.label(a) != want:
+            held = labels[(a, b) if a < b else (b, a)]
+            if held is not want:
                 raise ValueError(
-                    f"malformed state: pair ({a},{b}) holds {table.label(a)}, "
-                    f"agreed label is {want}"
+                    f"malformed state: pair ({a},{b}) holds {held}, agreed label is {want}"
                 )
             if custody[a] is not holder or custody[b] is not holder:
                 raise ValueError(f"malformed state: {holder.value} does not hold {a},{b}")
@@ -389,19 +389,24 @@ class Session:
         and the announced value, Bob knows his secret outcome, Eve her
         detaching outcome. Every op `closing_corrections` returns is
         applied; the honest pairs' targets are the public agreed labels,
-        so those pairs become public, while Eve's pair stays hers.
+        so those pairs become public, while Eve's pair stays hers. The
+        checks read the table and the knower mask once per pair;
+        `require_knowledge` runs only to raise its `LedgerViolation`.
         """
         next_roles = self.rounds_run % len(ROLE_SCHEDULE)
         pairs = self._schedule[next_roles]
         table, ledger, custody = self.table, self.ledger, self.custody
+        partner_of, labels, masks = table._partner.get, table._label, ledger._mask
         held = []
         for q, partner, _, party in pairs:
-            if not table.are_partners(q, partner):
+            if partner_of(q) != partner:
                 raise ValueError(f"malformed state: qubits {q},{partner} are not paired")
             if custody[q] is not party:
                 raise LedgerViolation(f"{party.value} does not hold qubit {q}")
-            ledger.require_knowledge(q, partner, party, "rotate")
-            held.append(table.label(q))
+            key = (q, partner) if q < partner else (partner, q)
+            if not masks.get(key, 0) & KNOWER_BIT[party]:
+                ledger.require_knowledge(q, partner, party, "rotate")  # raises
+            held.append(labels[key])
         corrections = closing_corrections(self.config, self.rounds_run - 1, *held)
         for (q, partner, _, party), correction in zip(pairs, corrections):
             table.apply_pauli(q, correction.op)

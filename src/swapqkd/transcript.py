@@ -349,9 +349,8 @@ def _round_from(row: dict, line: int, index: int, config: SessionConfig,
             raise TranscriptError(_EVE_EXACT % "bob_secret", line, "eve.inferred_bob")
         if eve.inferred_alice is not record.alice_secret:
             raise TranscriptError(_EVE_EXACT % "alice_secret", line, "eve.inferred_alice")
-    # keyed by the row's label strings, which hash faster than labels
-    key = (index % len(_TRANSFERS_JSON), row["alice_secret"], row["announcement"],
-           row["bob_secret"], detach)
+    key = (index % len(_TRANSFERS_JSON), record.alice_secret, record.announcement,
+           record.bob_secret, detach)
     if key not in closing:
         corrections = closing_corrections(config, index, record.alice_secret,
                                           record.announcement, record.bob_secret, detach)

@@ -1,6 +1,8 @@
 """Unit tests for the symbolic Bell-pair algebra."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from swapqkd.bell import (
     pauli_correction,
     swap_rule,
 )
+from swapqkd.knowledge import Party
 from swapqkd.rng import ChosenDraws, stream
 from swapqkd.verify import SWAP_TABLE_ROWS, check_swap_table
 
@@ -34,7 +37,7 @@ class TestBellLabel:
     @pytest.mark.parametrize("text", ["00", "01", "10", "11"])
     def test_string_round_trip(self, text):
         assert str(lab(text)) == text
-        assert BellLabel.from_index(lab(text).index) == lab(text)
+        assert ALL_LABELS[lab(text).index] is lab(text)
 
     @pytest.mark.parametrize("bad", ["0", "012", "2a", "ab", ""])
     def test_bad_strings_rejected(self, bad):
@@ -52,6 +55,61 @@ class TestBellLabel:
     @given(labels, labels, labels)
     def test_xor_associative(self, a, b, c):
         assert (a ^ b) ^ c == a ^ (b ^ c)
+
+
+class TestInterning:
+    """There are four label objects; every way of naming a label returns one."""
+
+    @pytest.mark.parametrize("x, z", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_constructor_returns_the_interned_label(self, x, z):
+        label = BellLabel(x, z)
+        assert label is ALL_LABELS[(x << 1) | z]
+        assert label is BellLabel.from_string(f"{x}{z}")
+        assert (label.x, label.z, label.index) == (x, z, (x << 1) | z)
+
+    @pytest.mark.parametrize("bits", [(2, 0), (0, -1), (1, 2), ("1", 0)])
+    def test_bad_bits_raise_value_error(self, bits):
+        with pytest.raises(ValueError, match="label bits must be 0 or 1"):
+            BellLabel(*bits)
+
+    @pytest.mark.parametrize("name", ["x", "z", "index", "other"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        label = ALL_LABELS[1]
+        with pytest.raises(AttributeError):
+            setattr(label, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(label, name)
+        assert (label.x, label.z, label.index) == (0, 1, 1)
+
+    @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
+    def test_pickle_and_copies_return_the_same_object(self, label):
+        assert pickle.loads(pickle.dumps(label)) is label
+        assert copy.copy(label) is label
+        assert copy.deepcopy(label) is label
+        assert copy.deepcopy([label, (label,)])[1][0] is label
+
+    def test_dict_keys_look_up_as_before(self):
+        by_label = {label: str(label) for label in ALL_LABELS}
+        assert [by_label[BellLabel.from_string(s)] for s in ("00", "01", "10", "11")] == [
+            "00", "01", "10", "11"]
+        by_op = {op: op.name for op in PauliOp}
+        assert [by_op[PauliOp[name]] for name in "IXZY"] == list("IXZY")
+        assert by_op[PauliOp((1, 1))] == "Y"
+        by_party = {party: party.value for party in Party}
+        assert by_party[Party("eve")] == "eve" and by_party[Party.ALICE] == "alice"
+        assert len({*ALL_LABELS, *ALL_LABELS}) == 4
+
+    def test_index_algebra_matches_the_bits(self):
+        for a, b in itertools.product(ALL_LABELS, repeat=2):
+            assert (a ^ b).x == a.x ^ b.x and (a ^ b).z == a.z ^ b.z
+        for op in PauliOp:
+            dx, dz = op.value
+            assert op.toggle == (dx << 1) | dz
+            for label in ALL_LABELS:
+                assert op.apply(label) is BellLabel(label.x ^ dx, label.z ^ dz)
+
+    def test_repr(self):
+        assert repr(ALL_LABELS[2]) == "BellLabel(x=1, z=0)"
 
 
 class TestSwapRule:

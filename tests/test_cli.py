@@ -296,6 +296,22 @@ class TestEntryPoints:
         assert "Traceback" not in err
         assert "rounds: 3000" in err
 
+    def test_output_independent_of_the_process(self, tmp_path):
+        # labels and enum members hash by identity, which differs from one
+        # process to the next, as string hashes do under PYTHONHASHSEED
+        argv = ["run", "--rounds", "300", "--seed", "7", "--eve", "--test-fraction", "0.1"]
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / f"hashseed-{hash_seed}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "swapqkd", *argv, "--out", str(out)],
+                capture_output=True, env={**child_env(), "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 302
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "swapqkd", "run", "--rounds", "2", "--seed", "1"],

@@ -182,7 +182,8 @@ class TestProjectors:
             float(np.real(np.vdot(state.amplitudes, p @ state.amplitudes)))
             for p in projectors
         ]
-        np.testing.assert_allclose(direct, oracle.born_probabilities(state, 1, 3), atol=1e-12)
+        _, _, weights = oracle.oracle_bsm(state, 1, 3, force=lab("00"))
+        np.testing.assert_allclose(direct, weights, atol=1e-12)
 
 
 class TestSymbolicEquivalence:

@@ -1,6 +1,8 @@
 """Round execution, inference, reset/rotation, and ledger behavior."""
 
+import gc
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -19,9 +21,12 @@ from swapqkd.protocol import (
     infer_other_secret,
     public_posterior,
     replay_round,
+    _agreed_schedule,
+    _closing_corrections,
     run_session,
 )
 from swapqkd.rng import ChosenDraws, round_stream, stream
+from swapqkd.transcript import TranscriptFile, emit_lines
 
 labels = st.sampled_from(ALL_LABELS)
 
@@ -333,6 +338,79 @@ class TestSessionProperties:
         session.table.apply_pauli(7, PauliOp.X)
         with pytest.raises(ValueError, match="malformed state"):
             session.run_round(round_stream(cfg.seed, 1))
+
+
+class TestStateCheckMessages:
+    """Every round-start and reset check keeps its exception and message."""
+
+    def started(self) -> Session:
+        session = Session(SessionConfig(rounds=2, seed=3))
+        session.run_round(round_stream(3, 0))
+        return session  # reset pairs: (1,3) and (5,6) Alice's, (4,2) Bob's
+
+    def test_round_start(self):
+        cases = [
+            (lambda s: s.table.bsm(1, 3, ChosenDraws([0])), ValueError,
+             "malformed state: qubits 1,2 are not paired"),
+            (lambda s: s.table.apply_pauli(1, PauliOp.X), ValueError,
+             "malformed state: pair (1,2) holds 01, agreed label is 11"),
+            (lambda s: s.custody.update({2: Party.BOB}), ValueError,
+             "malformed state: alice does not hold 1,2"),
+        ]
+        for damage, error, message in cases:
+            session = Session(SessionConfig(rounds=1, seed=3))
+            damage(session)
+            with pytest.raises(error) as caught:
+                session.run_round(round_stream(3, 0))
+            assert type(caught.value) is error and str(caught.value) == message
+
+    def test_reset(self):
+        cases = [
+            (lambda s: s.table.bsm(1, 5, ChosenDraws([0])), ValueError,
+             "malformed state: qubits 1,3 are not paired"),
+            (lambda s: s.custody.update({1: Party.BOB}), LedgerViolation,
+             "alice does not hold qubit 1"),
+            (lambda s: s.ledger.declare(1, 3, Visibility.UNKNOWN), LedgerViolation,
+             "alice cannot rotate pair (1,3): label tag is unknown"),
+            (lambda s: s.ledger.declare(4, 2, Visibility.ALICE_ONLY), LedgerViolation,
+             "bob cannot rotate pair (4,2): label tag is alice_only"),
+        ]
+        for damage, error, message in cases:
+            session = self.started()
+            damage(session)
+            with pytest.raises(error) as caught:
+                session.reset_round()
+            assert type(caught.value) is error and str(caught.value) == message
+            assert session.rounds_run == 1 and session.roles == INITIAL_ROLES
+
+
+class TestHotPath:
+    def test_python_calls_per_eve_round(self):
+        """Python-level calls of a 200-round Eve session, transcript included.
+
+        A deterministic stand-in for a timing test: the count depends only
+        on the code (and the seed), not on the machine. With the four
+        interned labels, index-XOR algebra and single-read checks it is
+        18,894 (42,838 with dataclass labels and enum hashing).
+        """
+        _closing_corrections.cache_clear()
+        _agreed_schedule.cache_clear()
+        config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        gc.collect()  # so no finalizer of earlier garbage runs inside the count
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            emit_lines(TranscriptFile.of(run_session(config)))
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert calls <= 18_894
 
 
 class TestLedgerThroughRound:
