@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
+    _agreed_schedule,
+    _closing_corrections,
     DEFAULT_LABELS,
     INITIAL_ROLES,
     Correction,
@@ -21,8 +23,6 @@ from swapqkd.protocol import (
     infer_other_secret,
     public_posterior,
     replay_round,
-    _agreed_schedule,
-    _closing_corrections,
     run_session,
 )
 from swapqkd.rng import ChosenDraws, round_stream, stream
@@ -389,9 +389,8 @@ class TestHotPath:
         """Python-level calls of a 200-round Eve session, transcript included.
 
         A deterministic stand-in for a timing test: the count depends only
-        on the code (and the seed), not on the machine. With the four
-        interned labels, index-XOR algebra and single-read checks it is
-        18,894 (42,838 with dataclass labels and enum hashing).
+        on the code and the seed, not on the machine's speed. The bound is
+        the count on CPython 3.11 with both caches of `protocol` empty.
         """
         _closing_corrections.cache_clear()
         _agreed_schedule.cache_clear()
