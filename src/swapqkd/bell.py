@@ -17,9 +17,9 @@ each of two pairs (entanglement swapping) obeys a pure XOR rule that
 There are exactly four `BellLabel` objects, `ALL_LABELS`, interned and
 immutable: `BellLabel(x, z)`, `from_string`, pickle and copy all return
 one of them, so labels compare and hash by identity. Each carries its
-`index` (x << 1) | z, and the label algebra is XOR on indices: `^`,
-`swap_rule`, `PauliOp.apply` (each op carries the index it toggles) and
-`pauli_correction` are one tuple lookup each.
+`index` (x << 1) | z and its `text` "00".."11", and the label algebra is
+XOR on indices: `^`, `swap_rule`, `PauliOp.apply` (each op carries the
+index it toggles) and `pauli_correction` are one tuple lookup each.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .rng import RoundStream
 
 class BellLabel:
     """Two-bit name of a Bell state: x = bit-flip part, z = phase part,
-    `index` = (x << 1) | z, its position in `ALL_LABELS`."""
+    `index` = (x << 1) | z, its position in `ALL_LABELS`, `text` = "xz"."""
 
-    __slots__ = ("x", "z", "index")
+    __slots__ = ("x", "z", "index", "text")
 
     def __new__(cls, x: int, z: int) -> "BellLabel":
         if x not in (0, 1) or z not in (0, 1):
@@ -59,7 +59,7 @@ class BellLabel:
         return _LABELS[(int(s[0]) << 1) | int(s[1])]
 
     def __str__(self) -> str:
-        return f"{self.x}{self.z}"
+        return self.text
 
     def __repr__(self) -> str:
         return f"BellLabel(x={self.x}, z={self.z})"
@@ -67,7 +67,7 @@ class BellLabel:
 
 def _intern(x: int, z: int) -> BellLabel:
     label = object.__new__(BellLabel)
-    for name, value in (("x", x), ("z", z), ("index", (x << 1) | z)):
+    for name, value in (("x", x), ("z", z), ("index", (x << 1) | z), ("text", f"{x}{z}")):
         object.__setattr__(label, name, value)
     return label
 
@@ -119,16 +119,16 @@ class PairTable:
     """Partition of live qubits into disjoint labelled Bell pairs.
 
     Single-owner mutable: measurements and rotations update the table in
-    place. Pairs are stored with their qubits in ascending order, which is
-    safe because every Bell label is symmetric under qubit exchange up to
-    global phase. The knowledge ledger and the session check pairs on the
-    round's hot path by reading `_partner` and `_label` directly; only the
-    table's own methods write them.
+    place. `_partner` and `_label` map each qubit to its partner and to its
+    pair's label, which both qubits hold: every Bell label is symmetric
+    under qubit exchange up to global phase, so only `pairs` orders them.
+    The knowledge ledger and the session check pairs on the round's hot
+    path by reading both dicts directly; only the table's methods write them.
     """
 
     def __init__(self, pairs=()):
         self._partner: dict[int, int] = {}
-        self._label: dict[tuple[int, int], BellLabel] = {}
+        self._label: dict[int, BellLabel] = {}
         for a, b, label in pairs:
             self.add_pair(a, b, label)
 
@@ -140,7 +140,7 @@ class PairTable:
                 raise ValueError(f"qubit {q} is already paired")
         self._partner[a] = b
         self._partner[b] = a
-        self._label[(a, b) if a < b else (b, a)] = label
+        self._label[a] = self._label[b] = label
 
     def partner(self, q: int) -> int:
         try:
@@ -149,8 +149,7 @@ class PairTable:
             raise ValueError(f"qubit {q} is not paired") from None
 
     def label(self, q: int) -> BellLabel:
-        p = self.partner(q)
-        return self._label[(q, p) if q < p else (p, q)]
+        return self._label[self.partner(q)]
 
     def are_partners(self, a: int, b: int) -> bool:
         return self._partner.get(a) == b
@@ -160,13 +159,13 @@ class PairTable:
 
     def pairs(self) -> list[tuple[int, int, BellLabel]]:
         """All pairs as (low qubit, high qubit, label), sorted by low qubit."""
-        return [(a, b, lab) for (a, b), lab in sorted(self._label.items())]
+        return [(a, b, self._label[a]) for a, b in sorted(self._partner.items()) if a < b]
 
     def __len__(self) -> int:
-        return len(self._label)
+        return len(self._partner) // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PairTable) and self._label == other._label
+        return isinstance(other, PairTable) and self.pairs() == other.pairs()
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a},{b}):{lab}" for a, b, lab in self.pairs())
@@ -192,7 +191,7 @@ class PairTable:
         except KeyError:
             raise ValueError(f"qubit {a} is not paired") from None
         if j == b:
-            return labels[(a, b) if a < b else (b, a)]
+            return labels[a]
         try:
             l = partner[b]
         except KeyError:
@@ -200,14 +199,13 @@ class PairTable:
         if randomness is None:
             raise ValueError("swap measurement needs a random stream")
         outcome = _LABELS[int(randomness.integers(0, 4))]
-        left = labels.pop((a, j) if a < j else (j, a))
-        right = labels.pop((b, l) if b < l else (l, b))
+        induced = swap_rule(labels[a], labels[b], outcome)
         partner[a] = b
         partner[b] = a
         partner[j] = l
         partner[l] = j
-        labels[(a, b) if a < b else (b, a)] = outcome
-        labels[(j, l) if j < l else (l, j)] = swap_rule(left, right, outcome)
+        labels[a] = labels[b] = outcome
+        labels[j] = labels[l] = induced
         return outcome
 
     def apply_pauli(self, q: int, op: PauliOp) -> None:
@@ -216,6 +214,5 @@ class PairTable:
             p = self._partner[q]
         except KeyError:
             raise ValueError(f"qubit {q} is not paired") from None
-        key = (q, p) if q < p else (p, q)
         labels = self._label
-        labels[key] = _LABELS[labels[key].index ^ op.toggle]
+        labels[q] = labels[p] = _LABELS[labels[q].index ^ op.toggle]

@@ -6,7 +6,10 @@ one party, shared by Alice and Bob, or unknown to everyone (a pair created
 by a swap whose inputs no single party fully knows).
 
 The ledger is built on the session's `PairTable` and keeps only each
-pair's knower set; the pair structure is read from the table. Every Bell
+pair's knower set, a bitmask in a one-element list (the pair's cell) that
+both its qubits map to; the pair structure is read from the table. A pair
+is declared while its qubits share a cell and are partners, so one the
+table forms outside `measure` is refused until declared. Every Bell
 measurement is one `measure` call, which measures once on the table and
 derives the new tags set-algebraically from what the table did. Knowing a
 swapped pair's label requires knowing both consumed labels and the outcome,
@@ -68,26 +71,27 @@ _TAG_OF = {mask: tag for tag, mask in _MASK_OF.items()}
 class KnowledgeLedger:
     def __init__(self, table: PairTable):
         self.table = table
-        self._mask: dict[tuple[int, int], int] = {}
+        self._mask: dict[int, list[int]] = {}
 
     def declare(self, a: int, b: int, visibility: Visibility) -> None:
         """Tag a pair the table holds with an explicitly known visibility."""
         if not self.table.are_partners(a, b):
             raise LedgerViolation(f"qubits {a},{b} are not a pair in the table")
-        self._mask[(a, b) if a < b else (b, a)] = _MASK_OF[visibility]
+        self._mask[a] = self._mask[b] = [_MASK_OF[visibility]]
 
     def tag(self, a: int, b: int) -> Visibility:
-        mask = self._mask[self._pair(a, b)]
+        mask = self._pair(a, b)[0]
         try:
             return _TAG_OF[mask]
         except KeyError:
             raise LedgerViolation(f"pair ({a},{b}) reached untaggable knower set {mask}")
 
     def knows(self, a: int, b: int, party: Party) -> bool:
-        return bool(self._mask[self._pair(a, b)] & KNOWER_BIT[party])
+        return bool(self._pair(a, b)[0] & KNOWER_BIT[party])
 
     def pairs(self) -> dict[tuple[int, int], Visibility]:
-        return {k: self.tag(*k) for k in self._mask}
+        mask = self._mask
+        return {(a, b): self.tag(a, b) for a, b, _ in self.table.pairs() if a in mask or b in mask}
 
     def measure(
         self, a: int, b: int, party: Party, randomness: RoundStream | None = None
@@ -105,34 +109,32 @@ class KnowledgeLedger:
         if j is None or l is None:
             unpaired = a if j is None else b
             raise LedgerViolation(f"qubit {unpaired} is not paired; no ledgered pair holds it")
-        left = (a, j) if a < j else (j, a)
-        right = (b, l) if b < l else (l, b)
-        if left not in mask or right not in mask:
+        left, right = mask.get(a), mask.get(b)
+        if left is None or left is not mask.get(j) or right is None or right is not mask.get(l):
             raise LedgerViolation(f"qubit {a} or {b} is in no ledgered pair")
         outcome = table.bsm(a, b, randomness)
         if j == b:
-            mask[left] |= bit
+            left[0] |= bit
             return outcome
-        induced_mask = mask.pop(left) & mask.pop(right) & bit
-        mask[(a, b) if a < b else (b, a)] = bit
-        mask[(j, l) if j < l else (l, j)] = induced_mask
+        mask[a] = mask[b] = [bit]
+        mask[j] = mask[l] = [left[0] & right[0] & bit]
         return outcome
 
-    def _pair(self, a: int, b: int) -> tuple[int, int]:
-        """Key of the declared pair (a, b); a LedgerViolation if a and b are
-        not partners in the table or were never declared."""
-        key = (a, b) if a < b else (b, a)
-        if key not in self._mask or self.table._partner.get(a) != b:
+    def _pair(self, a: int, b: int) -> list[int]:
+        """Cell of the declared pair (a, b); a LedgerViolation if a and b are
+        not partners in the table or do not share a declared cell."""
+        cell = self._mask.get(a)
+        if cell is None or cell is not self._mask.get(b) or self.table._partner.get(a) != b:
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
-        return key
+        return cell
 
     def record_announcement(self, a: int, b: int) -> None:
         """The pair's label is published; everyone, Eve included, knows it."""
-        self._mask[self._pair(a, b)] = _WORLD
+        self._pair(a, b)[0] = _WORLD
 
     def record_inference(self, a: int, b: int, party: Party) -> None:
         """`party` derives the label from announcements plus what it holds."""
-        self._mask[self._pair(a, b)] |= KNOWER_BIT[party]
+        self._pair(a, b)[0] |= KNOWER_BIT[party]
 
     def require_knowledge(self, a: int, b: int, party: Party, action: str) -> None:
         if not self.knows(a, b, party):

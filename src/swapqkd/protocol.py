@@ -194,7 +194,7 @@ class RoundRecord:
 
     @property
     def key_bits(self) -> str:
-        return str(self.alice_secret)
+        return self.alice_secret.text
 
 
 @dataclass
@@ -210,12 +210,12 @@ class SessionTranscript:
 
     @property
     def bob_key(self) -> str:
-        return "".join([str(rec.bob_inferred_alice) for rec in self.rounds])
+        return "".join([rec.bob_inferred_alice.text for rec in self.rounds])
 
     @property
     def eve_key(self) -> str | None:
         eve = self.config.eve_enabled
-        return "".join([str(rec.eve.inferred_alice) for rec in self.rounds]) if eve else None
+        return "".join([rec.eve.inferred_alice.text for rec in self.rounds]) if eve else None
 
 
 def infer_other_secret(
@@ -318,7 +318,7 @@ class Session:
         for a, b, want, holder in self._pairs:
             if partner.get(a) != b:
                 raise ValueError(f"malformed state: qubits {a},{b} are not paired")
-            held = labels[(a, b) if a < b else (b, a)]
+            held = labels[a]
             if held is not want:
                 raise ValueError(
                     f"malformed state: pair ({a},{b}) holds {held}, agreed label is {want}"
@@ -390,23 +390,23 @@ class Session:
         detaching outcome. Every op `closing_corrections` returns is
         applied; the honest pairs' targets are the public agreed labels,
         so those pairs become public, while Eve's pair stays hers. The
-        checks read the table and the knower mask once per pair;
+        checks read the table and the knower cell once per pair;
         `require_knowledge` runs only to raise its `LedgerViolation`.
         """
         next_roles = self.rounds_run % len(ROLE_SCHEDULE)
         pairs = self._schedule[next_roles]
         table, ledger, custody = self.table, self.ledger, self.custody
-        partner_of, labels, masks = table._partner.get, table._label, ledger._mask
+        partner_of, labels, cells = table._partner.get, table._label, ledger._mask
         held = []
         for q, partner, _, party in pairs:
             if partner_of(q) != partner:
                 raise ValueError(f"malformed state: qubits {q},{partner} are not paired")
             if custody[q] is not party:
                 raise LedgerViolation(f"{party.value} does not hold qubit {q}")
-            key = (q, partner) if q < partner else (partner, q)
-            if not masks.get(key, 0) & KNOWER_BIT[party]:
+            cell = cells.get(q)
+            if cell is None or cell is not cells.get(partner) or not cell[0] & KNOWER_BIT[party]:
                 ledger.require_knowledge(q, partner, party, "rotate")  # raises
-            held.append(labels[key])
+            held.append(labels[q])
         corrections = closing_corrections(self.config, self.rounds_run - 1, *held)
         for (q, partner, _, party), correction in zip(pairs, corrections):
             table.apply_pauli(q, correction.op)

@@ -78,14 +78,14 @@ def _dump(obj: dict) -> str:
 
 # Text tables for the round template: each entry is the JSON text
 # json.dumps gives for that value.
-_LABEL_TEXT = {lab: f'"{lab}"' for lab in ALL_LABELS}
+_LABEL_TEXT = {lab: f'"{lab.text}"' for lab in ALL_LABELS}
 _PARTY_TEXT = {party: f'"{party.value}"' for party in Party}
 _PAULI_TEXT = {op: f'"{op.name}"' for op in PauliOp}
 # round i's "transfers" as json.loads gives them, and as text with "transmissions"
 _TRANSFERS_JSON = tuple([list(transit) for transit in t] for t in TRANSFERS)
 _TRANSFERS_TEXT = tuple(f'"transfers":{_dump(t)},"transmissions":{len(t)}' for t in _TRANSFERS_JSON)
 
-_LABEL_OF = {str(lab): lab for lab in ALL_LABELS}
+_LABEL_OF = {lab.text: lab for lab in ALL_LABELS}
 _PARTY_OF = {party.value: party for party in Party}
 _PAULI_OF = {op.name: op for op in PauliOp}
 
@@ -126,8 +126,8 @@ def _config_dict(cfg: SessionConfig) -> dict:
         "seed": cfg.seed,
         "eve_enabled": cfg.eve_enabled,
         "test_fraction": cfg.test_fraction,
-        "initial_labels": [str(lab) for lab in cfg.initial_labels],
-        "eve_ancilla": str(cfg.eve_ancilla),
+        "initial_labels": [lab.text for lab in cfg.initial_labels],
+        "eve_ancilla": cfg.eve_ancilla.text,
     }
 
 
@@ -462,11 +462,11 @@ def csv_lines(file: TranscriptFile) -> list[str]:
     """Flat per-round projection; drops corrections, transfers, summary."""
     lines = [",".join(CSV_COLUMNS)]
     for rec in file.transcript.rounds:
-        eve_a = str(rec.eve.inferred_alice) if rec.eve else ""
-        eve_b = str(rec.eve.inferred_bob) if rec.eve else ""
+        eve_a = rec.eve.inferred_alice.text if rec.eve else ""
+        eve_b = rec.eve.inferred_bob.text if rec.eve else ""
         lines.append(
-            f"{rec.index},{rec.alice_secret},{rec.bob_secret},{rec.announcement},"
-            f"{rec.alice_inferred_bob},{rec.bob_inferred_alice},{rec.key_bits},"
+            f"{rec.index},{rec.alice_secret.text},{rec.bob_secret.text},{rec.announcement.text},"
+            f"{rec.alice_inferred_bob.text},{rec.bob_inferred_alice.text},{rec.key_bits},"
             f"{rec.transmissions},{eve_a},{eve_b}"
         )
     return lines

@@ -206,10 +206,12 @@ class TestSymbolicEquivalence:
         st.integers(0, 7),
         st.integers(0, 7),
         labels,
+        st.integers(0, 7),
+        st.sampled_from(list(PauliOp)),
     )
     @settings(max_examples=50, deadline=None)
     def test_forced_measurement_agrees_with_symbolic_table(
-        self, pair_labels, ia, ib, outcome
+        self, pair_labels, ia, ib, outcome, ip, op
     ):
         n = len(pair_labels)
         table = PairTable(
@@ -223,6 +225,12 @@ class TestSymbolicEquivalence:
         _, post, _ = oracle.oracle_bsm(state, a, b, force=outcome)
         symbolic = table.copy()
         assert symbolic.bsm(a, b, ChosenDraws([outcome.index])) == outcome
+        # rotate one pair through its high qubit: both ends must see the new label
+        _, high, _ = symbolic.pairs()[ip % n]
+        symbolic.apply_pauli(high, op)
+        post = oracle.oracle_apply_pauli(post, high, op)
+        for q in symbolic.qubits():
+            assert symbolic.label(q) is symbolic.label(symbolic.partner(q))
         for x, y, expected in symbolic.pairs():
             assert oracle.bell_label_of(post, x, y) == expected
         assert abs(post.norm() - 1.0) < 1e-12

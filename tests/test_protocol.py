@@ -409,7 +409,7 @@ class TestHotPath:
         finally:
             sys.setprofile(None)
             gc.enable()
-        assert calls <= 18_894
+        assert calls <= 17_930
 
 
 class TestLedgerThroughRound:
@@ -507,6 +507,21 @@ class TestKnowledgeLedger:
         with pytest.raises(LedgerViolation, match="not a pair in the table"):
             ledger.declare(1, 3, Visibility.UNKNOWN)
         assert ledger.pairs() == before
+
+    def test_pair_formed_behind_the_ledger_rejected(self):
+        ledger = ledger_over((1, 2), (5, 6))
+        ledger.declare(1, 2, Visibility.PUBLIC)
+        ledger.declare(5, 6, Visibility.PUBLIC)
+        ledger.table.bsm(1, 5, ChosenDraws([lab("00").index]))
+        for a, b in ((1, 5), (2, 6)):
+            with pytest.raises(LedgerViolation, match=f"qubits {a},{b} are not a ledgered pair"):
+                ledger.tag(a, b)
+            with pytest.raises(LedgerViolation, match=f"qubits {a},{b} are not a ledgered pair"):
+                ledger.record_announcement(a, b)
+            with pytest.raises(LedgerViolation, match=f"qubits {a},{b} are not a ledgered pair"):
+                ledger.record_inference(a, b, Party.BOB)
+            with pytest.raises(LedgerViolation, match=f"qubit {a} or {b} is in no ledgered pair"):
+                ledger.measure(a, b, Party.ALICE)
 
     def test_require_knowledge(self):
         ledger = ledger_over((1, 2))
