@@ -11,23 +11,29 @@ ancilla-pair measurement re-randomizes the correlation Alice and Bob
 compare, which is what the eavesdropping test detects.
 
 This module holds only her measurements and inferences. Her ancilla pair
-is the last of a round's agreed pairs (`protocol.RoleMap.agreed_pairs`),
-so the session checks it at round start and rotates it back to her
-preparation label with the others (`protocol.closing_corrections`).
+on `ANCILLAS` is the last of a round's agreed pairs
+(`protocol.RoleMap.agreed_pairs`), so the session checks it at round start
+and rotates it back to her preparation label with the others
+(`protocol.closing_corrections`).
 
 Separation of knowledge is structural: Eve's quantum access goes through a
 `ChannelTap` that only reaches her ancillas and the qubit currently in
-transit, and her inference functions receive public announcements and her
-own outcomes, which she writes once into the round's `EveRoundRecord`.
+transit. Her three steps fill the round's `EveRoundRecord`, which the
+session creates, each outcome written once; besides it they read only
+public values: the agreed labels, her ancilla label and the announcement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bell import BellLabel
 from .knowledge import KnowledgeLedger, Party
 from .rng import RoundStream
+
+
+ANCILLAS = (7, 8)
+"""Eve's ancilla qubits A and B, which hold her pair."""
 
 
 class AccessViolation(RuntimeError):
@@ -42,11 +48,10 @@ class ChannelTap:
     outside her ancillas and the single qubit currently in the channel.
     """
 
-    def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream,
-                 ancillas: tuple[int, int], transit: int):
+    def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream, transit: int):
         self._ledger = ledger
         self._rng = randomness
-        self._allowed = frozenset((*ancillas, transit))
+        self._allowed = frozenset((*ANCILLAS, transit))
         self.transit = transit
 
     def bsm(self, a: int, b: int) -> BellLabel:
@@ -66,7 +71,8 @@ class ChannelTap:
 @dataclass(slots=True)
 class EveRoundRecord:
     """Eve's per-round outcomes and reconstructions, kept out of the
-    legitimate parties' transcript fields; the intercept functions fill it."""
+    legitimate parties' transcript fields; the session creates one per
+    round and her three steps fill it."""
 
     outbound_outcome: BellLabel | None = None
     return_readout: BellLabel | None = None
@@ -75,79 +81,61 @@ class EveRoundRecord:
     inferred_bob: BellLabel | None = None
 
 
-@dataclass
-class EveState:
-    """Attack state across one round.
-
-    `link_label`, `anchor_label`, `bob_label` are the publicly agreed pair
-    labels of the round being attacked; `ancilla_label` is whatever Eve
-    prepared her own pair in. `record` is the round's, which the session
-    hands her fresh at round start and keeps as the round's eve section.
-    """
-
-    link_label: BellLabel
-    anchor_label: BellLabel
-    bob_label: BellLabel
-    ancilla_label: BellLabel = field(default_factory=lambda: BellLabel(0, 0))
-    record: EveRoundRecord = field(default_factory=EveRoundRecord)
-
-    ancilla_a = 7
-    ancilla_b = 8
-    ancillas = (ancilla_a, ancilla_b)
-
-
-def eve_intercept_outbound(eve: EveState, tap: ChannelTap) -> BellLabel:
+def eve_intercept_outbound(record: EveRoundRecord, tap: ChannelTap) -> BellLabel:
     """Swap the outbound qubit onto ancilla B while it crosses the channel.
 
     Leaves (transit, ancilla B) in the measured state and silently
     entangles Alice's retained link qubit with ancilla A. The qubit then
     continues to Bob looking untouched.
     """
-    if eve.record.outbound_outcome is not None:
+    if record.outbound_outcome is not None:
         raise RuntimeError("outbound transmission already intercepted this round")
-    outcome = eve.record.outbound_outcome = tap.bsm(tap.transit, eve.ancilla_b)
+    outcome = record.outbound_outcome = tap.bsm(tap.transit, ANCILLAS[1])
     return outcome
 
 
-def eve_intercept_return(eve: EveState, tap: ChannelTap) -> tuple[BellLabel, BellLabel]:
+def eve_intercept_return(record: EveRoundRecord, tap: ChannelTap,
+                         bob: BellLabel) -> tuple[BellLabel, BellLabel]:
     """Intercept the returning qubit; learn Bob's secret; detach ancillas.
 
     The returning qubit is already partnered with ancilla B (Bob's secret
     measurement induced that pair), so the first measurement is a
     deterministic readout that, combined with Eve's outbound outcome and
-    the public labels, reveals Bob's result. The follow-up measurement on
-    (ancilla A, ancilla B) then throws the correlation back onto the two
-    qubits Alice is about to compare.
+    Bob's agreed label `bob`, reveals Bob's result. The follow-up
+    measurement on (ancilla A, ancilla B) then throws the correlation back
+    onto the two qubits Alice is about to compare.
     """
-    rec = eve.record
-    if rec.outbound_outcome is None:
+    if record.outbound_outcome is None:
         raise RuntimeError("return interception requires the outbound swap first")
-    if rec.return_readout is not None:
+    if record.return_readout is not None:
         raise RuntimeError("return transmission already intercepted this round")
-    if not tap.are_partners(tap.transit, eve.ancilla_b):
+    ancilla_a, ancilla_b = ANCILLAS
+    if not tap.are_partners(tap.transit, ancilla_b):
         # her outbound swap guarantees this pairing once Bob has measured
         raise RuntimeError("secret measurements not yet done; nothing to read out")
-    rec.return_readout = tap.bsm(tap.transit, eve.ancilla_b)
-    rec.inferred_bob = infer_bob_secret(eve.bob_label, rec.outbound_outcome, rec.return_readout)
-    rec.detach_outcome = tap.bsm(eve.ancilla_a, eve.ancilla_b)
-    return rec.return_readout, rec.detach_outcome
+    record.return_readout = tap.bsm(tap.transit, ancilla_b)
+    record.inferred_bob = infer_bob_secret(bob, record.outbound_outcome, record.return_readout)
+    record.detach_outcome = tap.bsm(ancilla_a, ancilla_b)
+    return record.return_readout, record.detach_outcome
 
 
-def eve_finalize(eve: EveState, announcement: BellLabel) -> BellLabel:
+def eve_finalize(record: EveRoundRecord, labels: tuple[BellLabel, BellLabel, BellLabel],
+                 ancilla: BellLabel, announcement: BellLabel) -> BellLabel:
     """Reconstruct Alice's secret from her public announcement.
 
     The announcement reads out the pair Eve's detaching measurement
     created, so she can unwind it to the label that linked Alice's anchor
-    qubit to ancilla A, and from there to Alice's secret result.
+    qubit to ancilla A, and from there, through the agreed (link, anchor,
+    bob) `labels` and her `ancilla` label, to Alice's secret result.
     """
-    rec = eve.record
-    if rec.return_readout is None or rec.detach_outcome is None:
+    if record.return_readout is None or record.detach_outcome is None:
         raise RuntimeError("cannot finalize before both interceptions")
-    rec.inferred_alice = infer_alice_secret(
-        eve.link_label, eve.anchor_label, eve.ancilla_label,
-        rec.outbound_outcome, rec.return_readout, rec.detach_outcome, announcement,
+    link, anchor, _ = labels
+    record.inferred_alice = infer_alice_secret(
+        link, anchor, ancilla, record.outbound_outcome, record.return_readout,
+        record.detach_outcome, announcement,
     )
-    return rec.inferred_alice
+    return record.inferred_alice
 
 
 def infer_bob_secret(bob: BellLabel, outbound: BellLabel, readout: BellLabel) -> BellLabel:

@@ -7,7 +7,8 @@ Subcommands:
   curves        closed-form (optionally empirical) detection curves as CSV
   montecarlo    detection-frequency estimates against the closed forms
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a size too
+large to allocate, 3 I/O error, a failed write to stdout included.
 Relative --out paths resolve under $SWAPQKD_OUTDIR when it is set.
 """
 
@@ -55,17 +56,22 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _write_lines(lines, out_path: str | None) -> None:
+    """Write `lines` to `out_path`, or to stdout when it is None; every
+    stdout write of the commands goes through here."""
     if out_path is None:
         try:
             for line in lines:
                 sys.stdout.write(f"{line}\n")
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader stopped early (`swapqkd run ... | head`): the rest
-            # has nowhere to go, and the exit-time flush must not fail too
+        except OSError as err:
+            # the rest has nowhere to go, and the exit-time flush must not
+            # fail too; a reader that stopped early (`swapqkd run ... | head`)
+            # is no error
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(err, BrokenPipeError):
+                raise _IOFailure(f"cannot write standard output: {err}") from None
         return
     try:
         with open(out_path, "w") as fh:
@@ -140,22 +146,20 @@ def _cmd_run(args) -> int:
     out_path = _resolve_out(args.out)
     _write_lines(lines, out_path)
 
-    summary_sink = sys.stderr if out_path is None else sys.stdout
     key_len = len(test.remaining_key) if test else len(result.alice_key)
-    print(f"rounds: {config.rounds}", file=summary_sink)
-    print(f"key bits (after testing): {key_len}", file=summary_sink)
     rate_text = "n/a" if rate.rate is None else f"{rate.rate}"
-    print(f"rate: {rate_text} key bits per transmitted qubit", file=summary_sink)
-    if test is not None:
-        if test.degenerate:
-            print("eavesdropping test: degenerate (no rounds selected)", file=summary_sink)
-        else:
-            verdict = "EVE DETECTED" if test.eve_detected else "clean"
-            print(
-                f"eavesdropping test: {test.mismatches}/{test.pairs_tested} tested "
-                f"pairs mismatched -> {verdict}",
-                file=summary_sink,
-            )
+    summary = [f"rounds: {config.rounds}", f"key bits (after testing): {key_len}",
+               f"rate: {rate_text} key bits per transmitted qubit"]
+    if test is not None and test.degenerate:
+        summary.append("eavesdropping test: degenerate (no rounds selected)")
+    elif test is not None:
+        verdict = "EVE DETECTED" if test.eve_detected else "clean"
+        summary.append(f"eavesdropping test: {test.mismatches}/{test.pairs_tested} "
+                       f"tested pairs mismatched -> {verdict}")
+    if out_path is None:
+        print(*summary, sep="\n", file=sys.stderr)
+    else:
+        _write_lines(summary, None)
     return EXIT_OK
 
 
@@ -171,13 +175,11 @@ def _cmd_verify_oracle(args) -> int:
             return honest
 
     cases, problems = verify.run_all(rule)
+    tally = f"{cases - len(problems)}/{cases} cases verified"
     if problems:
-        for line in problems:
-            print(f"DISCREPANCY {line}")
-        print(f"{cases - len(problems)}/{cases} cases verified; {len(problems)} discrepancies")
-        return EXIT_VERIFY_FAILED
-    print(f"{cases}/{cases} cases verified")
-    return EXIT_OK
+        tally += f"; {len(problems)} discrepancies"
+    _write_lines([*(f"DISCREPANCY {line}" for line in problems), tally], None)
+    return EXIT_VERIFY_FAILED if problems else EXIT_OK
 
 
 def _cmd_curves(args) -> int:
@@ -203,15 +205,16 @@ def _cmd_montecarlo(args) -> int:
         print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     curve = analysis.DetectionCurve.build(args.max_pairs, args.sessions, args.seed, args.workers)
-    print("pairs,bits,sessions,empirical,expected,stderr,z")
+    rows = ["pairs,bits,sessions,empirical,expected,stderr,z"]
     worst = 0.0
     for p in curve.points:
         z = abs(p.empirical - p.scheme_prob) / p.stderr if p.stderr else 0.0
         worst = max(worst, z)
-        print(
+        rows.append(
             f"{p.bits_tested // 2},{p.bits_tested},{args.sessions},"
             f"{p.empirical},{p.scheme_prob},{p.stderr},{z:.3f}"
         )
+    _write_lines(rows, None)
     print(f"max |z| = {worst:.3f} (3-sigma bound is 3.0)", file=sys.stderr)
     return EXIT_OK
 
@@ -233,6 +236,9 @@ def main(argv=None) -> int:
     except LedgerViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except MemoryError as err:  # e.g. numpy's seed array for a huge --sessions
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

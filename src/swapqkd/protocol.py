@@ -87,7 +87,7 @@ class RoleMap:
         )
         if ancilla is None:
             return pairs
-        return (*pairs, (*adversary.EveState.ancillas, ancilla, Party.EVE))
+        return (*pairs, (*adversary.ANCILLAS, ancilla, Party.EVE))
 
     def rotated(self) -> "RoleMap":
         """Roles for the next round.
@@ -306,9 +306,6 @@ class Session:
             tag = Visibility.EVE_ONLY if holder is Party.EVE else Visibility.PUBLIC
             self.ledger.declare(a, b, tag)
         self.custody: dict[int, Party] = {q: holder for a, b, _, holder in pairs for q in (a, b)}
-        self.eve: adversary.EveState | None = None
-        if config.eve_enabled:
-            self.eve = adversary.EveState(*config.initial_labels, ancilla_label=ancilla)
         self.rounds_run = 0
 
     # -- round execution ---------------------------------------------------
@@ -331,16 +328,14 @@ class Session:
         r = self.roles
         ledger = self.ledger
         self._check_round_preconditions()
-        eve_record = None
-        if self.eve is not None:
-            eve_record = self.eve.record = adversary.EveRoundRecord()
+        eve_record = adversary.EveRoundRecord() if cfg.eve_enabled else None
 
         link, anchor, bob = cfg.initial_labels
 
         # step 1: link partner crosses to Bob (Eve may tap it in transit)
-        if self.eve is not None:
-            tap = adversary.ChannelTap(ledger, randomness, self.eve.ancillas, r.alice_send)
-            adversary.eve_intercept_outbound(self.eve, tap)
+        if eve_record is not None:
+            tap = adversary.ChannelTap(ledger, randomness, r.alice_send)
+            adversary.eve_intercept_outbound(eve_record, tap)
         self.custody[r.alice_send] = Party.BOB
 
         # step 2: Alice's secret measurement
@@ -350,9 +345,9 @@ class Session:
         bob_secret = ledger.measure(r.alice_send, r.bob_keep, Party.BOB, randomness)
 
         # step 4: return transit (tapped again), then the public readout
-        if self.eve is not None:
-            tap = adversary.ChannelTap(ledger, randomness, self.eve.ancillas, r.bob_send)
-            adversary.eve_intercept_return(self.eve, tap)
+        if eve_record is not None:
+            tap = adversary.ChannelTap(ledger, randomness, r.bob_send)
+            adversary.eve_intercept_return(eve_record, tap, bob)
         self.custody[r.bob_send] = Party.ALICE
         announcement = ledger.measure(r.anchor_b, r.bob_send, Party.ALICE, randomness)
         ledger.record_announcement(r.anchor_b, r.bob_send)
@@ -363,8 +358,8 @@ class Session:
         ledger.record_inference(r.alice_keep, r.anchor_a, Party.BOB)
         ledger.record_inference(r.alice_send, r.bob_keep, Party.ALICE)
 
-        if self.eve is not None:
-            adversary.eve_finalize(self.eve, announcement)
+        if eve_record is not None:
+            adversary.eve_finalize(eve_record, cfg.initial_labels, cfg.eve_ancilla, announcement)
 
         record = RoundRecord(
             index=self.rounds_run,

@@ -17,11 +17,12 @@ a PCG64 generator (O'Neill, "PCG", HMC-CS-2014-0905).
 Round draws are the hot path: a session derives one stream per round, and
 building a SeedSequence, PCG64 and Generator for each takes a large share
 of the round, although the seed words and the ROUNDS word mix into the
-same SeedSequence pool every round. So `round_stream` keeps that pool per
-seed in a small cache, mixes in only the round index, runs the state
-generation and PCG64's two seeding steps on Python integers and returns a
-`RoundDraws`. Its draws equal those of ``stream(seed, ROUNDS, i)`` bit for
-bit, which the test suite checks; every other stream is a numpy Generator.
+same SeedSequence pool every round. So `round_stream` takes that pool from
+numpy once per seed, keeps it in a small cache, mixes in only the round
+index, runs the state generation and PCG64's two seeding steps on Python
+integers and returns a `RoundDraws`. Its draws equal those of
+``stream(seed, ROUNDS, i)`` bit for bit, which the test suite checks;
+every other stream is a numpy Generator.
 """
 
 from __future__ import annotations
@@ -89,39 +90,30 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _absorb(pool: list[int], h: int, word: int, skip: int = -1) -> int:
-    """Mix the hash of `word` into every pool word but `skip`, one step of
+def _absorb(pool: list[int], h: int, word: int) -> int:
+    """Mix the hash of `word` into every pool word, one step of
     SeedSequence's mixing; returns the running hash constant."""
     for dst in range(_POOL_SIZE):
-        if dst != skip:
-            # the hash is inlined: a call per step costs a few percent of a round
-            h_next = (h * _MULT_A) & _M32
-            value = ((word ^ h) * h_next) & _M32
-            value ^= value >> 16
-            h = h_next
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _M32
-            pool[dst] = mixed ^ (mixed >> 16)
+        # the hash is inlined: a call per step costs a few percent of a round
+        h_next = (h * _MULT_A) & _M32
+        value = ((word ^ h) * h_next) & _M32
+        value ^= value >> 16
+        h = h_next
+        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _M32
+        pool[dst] = mixed ^ (mixed >> 16)
     return h
 
 
 @functools.lru_cache(maxsize=16)
 def _round_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's pool and hash constant for entropy `seed` and spawn
-    key ``(ROUNDS, i)``, after every word that precedes the index."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))  # numpy pads when a spawn key is given
-    h = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        h_next = (h * _MULT_A) & _M32
-        value = ((word ^ h) * h_next) & _M32
-        pool.append(value ^ (value >> 16))
-        h = h_next
-    for src in range(_POOL_SIZE):
-        h = _absorb(pool, h, pool[src], skip=src)
-    for word in entropy[_POOL_SIZE:] + _words(ROUNDS):
-        h = _absorb(pool, h, word)
-    return tuple(pool), h
+    key ``(ROUNDS, i)``, after every word that precedes the index: numpy's
+    pool for spawn key ``(ROUNDS,)``, and `_INIT_A` times `_MULT_A` per
+    hashing step, 16 to fill and cross-mix the pool from the first four
+    (zero-padded) entropy words and four per later word, ROUNDS included."""
+    steps = 16 + 4 * (max(len(_words(seed)), _POOL_SIZE) - 3)
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, steps, 1 << 32) & _M32
 
 
 class RoundDraws:

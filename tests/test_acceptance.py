@@ -10,7 +10,13 @@ import time
 from contextlib import contextmanager
 
 from swapqkd import analysis, verify
-from swapqkd.adversary import ChannelTap, EveState, eve_finalize, eve_intercept_outbound, eve_intercept_return
+from swapqkd.adversary import (
+    ChannelTap,
+    EveRoundRecord,
+    eve_finalize,
+    eve_intercept_outbound,
+    eve_intercept_return,
+)
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, swap_rule
 from swapqkd.cli import main
 from swapqkd.knowledge import KnowledgeLedger, Party, Visibility
@@ -88,11 +94,12 @@ def test_criterion_4_eavesdropper_chain_replay():
         for a, b, _ in table.pairs():
             ledger.declare(a, b, Visibility.PUBLIC)
         ledger.declare(7, 8, Visibility.EVE_ONLY)
-        eve = EveState(link_label=lab("11"), anchor_label=lab("10"), bob_label=lab("10"))
+        labels, ancilla = (lab("11"), lab("10"), lab("10")), lab("00")
+        eve = EveRoundRecord()
 
         # the round's draws: outbound 00, Alice 11, Bob 00, detach 01
         rng = ChosenDraws([lab(t).index for t in ("00", "11", "00", "01")])
-        tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
+        tap = ChannelTap(ledger, rng, transit=2)
         eve_intercept_outbound(eve, tap)
         assert table.partner(1) == 7 and table.label(1) == lab("11")
 
@@ -102,14 +109,14 @@ def test_criterion_4_eavesdropper_chain_replay():
         ledger.measure(2, 4, Party.BOB, rng)
         assert table.partner(6) == 8 and table.label(6) == lab("10")
 
-        tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
-        readout, _ = eve_intercept_return(eve, tap)
+        tap = ChannelTap(ledger, rng, transit=6)
+        readout, _ = eve_intercept_return(eve, tap, labels[2])
         assert readout == lab("10")
-        assert eve.record.inferred_bob == lab("00")
+        assert eve.inferred_bob == lab("00")
         assert table.partner(5) == 6 and table.label(5) == lab("01")
 
         announcement = table.bsm(5, 6)
-        assert eve_finalize(eve, announcement) == lab("11")
+        assert eve_finalize(eve, labels, ancilla, announcement) == lab("11")
 
         # same chain through the full round runner: Bob decodes a tampered 10
         record, _ = replay_round(

@@ -5,14 +5,21 @@ import pytest
 from swapqkd.adversary import (
     AccessViolation,
     ChannelTap,
-    EveState,
+    EveRoundRecord,
     eve_finalize,
     eve_intercept_outbound,
     eve_intercept_return,
 )
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
-from swapqkd.protocol import ForcedOutcomes, Session, SessionConfig, replay_round, run_session
+from swapqkd.protocol import (
+    DEFAULT_LABELS,
+    ForcedOutcomes,
+    Session,
+    SessionConfig,
+    replay_round,
+    run_session,
+)
 from swapqkd.rng import ChosenDraws, round_stream, stream
 
 
@@ -27,7 +34,7 @@ def draws(*texts: str) -> ChosenDraws:
 
 def fresh_scene(ancilla="00"):
     """Round-start state with the attacker armed: protocol pairs public,
-    ancillas hers."""
+    ancillas hers; Eve's record of the round is empty."""
     table = PairTable(
         [
             (1, 2, lab("11")),
@@ -40,26 +47,22 @@ def fresh_scene(ancilla="00"):
     for a, b, _ in table.pairs():
         ledger.declare(a, b, Visibility.PUBLIC)
     ledger.declare(7, 8, Visibility.EVE_ONLY)
-    eve = EveState(
-        link_label=lab("11"),
-        anchor_label=lab("10"),
-        bob_label=lab("10"),
-        ancilla_label=lab(ancilla),
-    )
-    return table, ledger, eve
+    return table, ledger, EveRoundRecord()
 
 
 class TestForcedChain:
     def test_step_by_step(self):
         table, ledger, eve = fresh_scene()
+        link, _, bob = DEFAULT_LABELS
+        ancilla = lab("00")
         # outbound, Alice's and Bob's secrets (the walkthrough's), detach
         rng = draws("00", "11", "00", "01")
 
-        tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
+        tap = ChannelTap(ledger, rng, transit=2)
         e1 = eve_intercept_outbound(eve, tap)
         assert e1 == lab("00")
         assert table.label(1) == lab("11") and table.partner(1) == 7
-        assert eve.link_label ^ eve.ancilla_label ^ e1 == table.label(1)
+        assert link ^ ancilla ^ e1 == table.label(1)
         assert ledger.tag(1, 7) is Visibility.EVE_ONLY
 
         # the legitimate secret measurements, with the walkthrough outcomes
@@ -68,40 +71,38 @@ class TestForcedChain:
         assert ledger.measure(2, 4, Party.BOB, rng) == lab("00")
         assert table.label(6) == lab("10") and table.partner(6) == 8
 
-        tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
-        readout, detach = eve_intercept_return(eve, tap)
+        tap = ChannelTap(ledger, rng, transit=6)
+        readout, detach = eve_intercept_return(eve, tap, bob)
         assert readout == lab("10")
-        assert eve.record.inferred_bob == lab("00")
+        assert eve.inferred_bob == lab("00")
         assert detach == lab("01")
         assert table.label(5) == lab("01") and table.partner(5) == 6
 
         announcement = table.bsm(5, 6)
         assert announcement == lab("01")
-        assert eve_finalize(eve, announcement) == lab("11")
+        assert eve_finalize(eve, DEFAULT_LABELS, ancilla, announcement) == lab("11")
 
     def test_all_zero_chain(self):
         table, ledger, eve = fresh_scene()
         # zero out the protocol pairs too
         table = PairTable([(q, p, lab("00")) for q, p, _ in table.pairs()])
-        eve = EveState(
-            link_label=lab("00"), anchor_label=lab("00"), bob_label=lab("00")
-        )
+        zeros = (lab("00"),) * 3
         ledger = KnowledgeLedger(table)
         for a, b, _ in table.pairs():
             ledger.declare(a, b, Visibility.PUBLIC)
         ledger.declare(7, 8, Visibility.EVE_ONLY)
 
         rng = draws("00", "00", "00", "00")
-        tap = ChannelTap(ledger, rng, eve.ancillas, transit=2)
+        tap = ChannelTap(ledger, rng, transit=2)
         eve_intercept_outbound(eve, tap)
         assert table.label(1) == lab("00")
         ledger.measure(1, 3, Party.ALICE, rng)
         ledger.measure(2, 4, Party.BOB, rng)
-        tap = ChannelTap(ledger, rng, eve.ancillas, transit=6)
-        eve_intercept_return(eve, tap)
-        assert eve.record.inferred_bob == lab("00")
+        tap = ChannelTap(ledger, rng, transit=6)
+        eve_intercept_return(eve, tap, zeros[2])
+        assert eve.inferred_bob == lab("00")
         assert table.label(5) == lab("00")
-        assert eve_finalize(eve, table.bsm(5, 6)) == lab("00")
+        assert eve_finalize(eve, zeros, lab("00"), table.bsm(5, 6)) == lab("00")
 
     def test_full_round_record(self):
         record, _ = replay_round(
@@ -179,35 +180,35 @@ class TestDisturbance:
 
 class TestAccessControl:
     def test_tap_rejects_out_of_reach_qubits(self):
-        _, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=2)
+        _, ledger, _ = fresh_scene()
+        tap = ChannelTap(ledger, stream(0), transit=2)
         with pytest.raises(AccessViolation):
             tap.bsm(1, 8)  # Alice's retained qubit is not in the channel
         with pytest.raises(AccessViolation):
             tap.bsm(3, 5)
 
     def test_tap_allows_transit_and_ancillas_only(self):
-        table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, draws("00"), eve.ancillas, transit=2)
+        table, ledger, _ = fresh_scene()
+        tap = ChannelTap(ledger, draws("00"), transit=2)
         assert tap.bsm(2, 8) == lab("00")
 
     def test_double_intercept_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, draws("00", "00"), eve.ancillas, transit=2)
+        tap = ChannelTap(ledger, draws("00", "00"), transit=2)
         eve_intercept_outbound(eve, tap)
         with pytest.raises(RuntimeError, match="already intercepted"):
             eve_intercept_outbound(eve, tap)
 
     def test_return_before_outbound_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
+        tap = ChannelTap(ledger, stream(0), transit=6)
         with pytest.raises(RuntimeError, match="outbound swap first"):
-            eve_intercept_return(eve, tap)
+            eve_intercept_return(eve, tap, DEFAULT_LABELS[2])
 
     def test_finalize_before_interceptions_rejected(self):
         _, _, eve = fresh_scene()
         with pytest.raises(RuntimeError, match="both interceptions"):
-            eve_finalize(eve, lab("00"))
+            eve_finalize(eve, DEFAULT_LABELS, lab("00"), lab("00"))
 
     def test_reset_requires_detached_ancillas(self):
         # Eve rotates her ancilla pair back only if she knows its label,
@@ -220,9 +221,9 @@ class TestAccessControl:
 
     def test_return_before_secret_measurements_rejected(self):
         table, ledger, eve = fresh_scene()
-        tap = ChannelTap(ledger, draws("00"), eve.ancillas, transit=2)
+        tap = ChannelTap(ledger, draws("00"), transit=2)
         eve_intercept_outbound(eve, tap)
         # nobody has measured: qubit 6 is still partnered with 4, not with 8
-        tap = ChannelTap(ledger, stream(0), eve.ancillas, transit=6)
+        tap = ChannelTap(ledger, stream(0), transit=6)
         with pytest.raises(RuntimeError, match="not yet done"):
-            eve_intercept_return(eve, tap)
+            eve_intercept_return(eve, tap, DEFAULT_LABELS[2])

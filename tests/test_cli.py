@@ -270,6 +270,22 @@ def test_negative_seed_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--sessions", str(10**15), "--seed", "1"],
+        ["curves", "--max-pairs", "2", "--sessions", str(10**15), "--seed", "1"],
+    ],
+    ids=["montecarlo", "curves"],
+)
+def test_size_too_large_to_allocate_is_usage_error(argv, capsys):
+    # numpy refuses the 8 PB seed array at once, so nothing is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def child_env() -> dict:
     """The environment for a child interpreter that imports this swapqkd."""
     src = str(Path(swapqkd.__file__).resolve().parent.parent)
@@ -295,6 +311,30 @@ class TestEntryPoints:
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err
         assert "rounds: 3000" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--rounds", "50", "--seed", "1"],
+            ["run", "--rounds", "5", "--seed", "1", "--out", os.devnull],
+            ["curves", "--max-pairs", "3"],
+            ["montecarlo", "--max-pairs", "2", "--sessions", "20", "--seed", "1"],
+            ["verify-oracle"],
+        ],
+        ids=["run", "run-summary", "curves", "montecarlo", "verify-oracle"],
+    )
+    def test_failed_stdout_write_is_io_error(self, argv):
+        # every write to /dev/full fails with ENOSPC
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "swapqkd", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=child_env(),
+            )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write standard output")
 
     def test_output_independent_of_the_process(self, tmp_path):
         # labels and enum members hash by identity, which differs from one

@@ -7,8 +7,9 @@ import pytest
 
 from swapqkd.rng import ROUNDS, ChosenDraws, round_stream, stream
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**160 + 12345]
-"""The last seed has more 32-bit words than SeedSequence's pool of four."""
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 2**128 - 1, 2**128, 2**160 + 12345]
+"""Seeds of 1, 2, 4, 4, 5 and 6 32-bit words: from 5 words on, a seed has
+more than SeedSequence's pool of four."""
 
 INDICES = [0, 1, 2**32 - 1, 2**32, random.Random(3).randrange(2**31)]
 
