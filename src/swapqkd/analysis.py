@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .protocol import TRANSFERS, SessionConfig, SessionTranscript, run_session
-from .rng import SESSIONS, RandomStream, child_seed, session_seeds
+from .rng import SESSIONS, RandomStream, child_seed, session_seeds, sessions_draws, sessions_per_pass
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,9 @@ class DetectionEstimate:
 
 def _count_detections(pairs_tested: int, seeds) -> int:
     detections = 0
-    for session_seed in seeds:
+    for session_seed, draws in sessions_draws(seeds, pairs_tested):
         transcript = run_session(SessionConfig(
-            rounds=pairs_tested, seed=session_seed, eve_enabled=True, test_fraction=1.0))
+            rounds=pairs_tested, seed=session_seed, eve_enabled=True, test_fraction=1.0), draws)
         report = eavesdropping_test(transcript, 1.0, None)
         detections += report.eve_detected
     return detections
@@ -149,7 +149,10 @@ def estimate_detection(
     as a detection if any tested pair mismatches. Session seeds derive
     from `seed` by the documented split, so the estimate is identical for
     any `workers` value; extra workers only spread the sessions across
-    processes, at most one per CPU.
+    processes, at most one per CPU. Sessions run in the chunks whose
+    round draws one pass derives (`rng.sessions_per_pass`), and a worker
+    takes a whole chunk, or an equal share when there are fewer chunks
+    than workers.
     """
     if pairs_tested < 1:
         raise ValueError("need at least one tested pair")
@@ -162,8 +165,8 @@ def estimate_detection(
     if workers > 1 and sessions >= 2 * workers:
         import multiprocessing
 
-        step = (sessions + workers - 1) // workers
-        chunks = [(pairs_tested, seeds[i : i + step]) for i in range(0, sessions, step)]
+        step = min(sessions_per_pass(pairs_tested), -(-sessions // workers))
+        chunks = ((pairs_tested, seeds[i : i + step]) for i in range(0, sessions, step))
         with multiprocessing.Pool(workers) as pool:
             detections = sum(pool.starmap(_count_detections, chunks))
     else:

@@ -19,8 +19,9 @@ pair is a fourth agreed pair, checked and rotated back with the others.
 
 A round's only randomness is its swap outcomes, each one draw from the
 round's stream, in a fixed order: Eve's outbound swap, Alice's and Bob's
-secret measurements, Eve's detaching swap. `replay_round` pins a branch
-by handing the round chosen draws.
+secret measurements, Eve's detaching swap. A session hands each round its
+row of `rng.session_draws` as chosen draws; `replay_round` pins a branch
+the same way.
 
 The public announcement leaks only the XOR of the two secrets: four
 (alice, bob) combinations stay equally likely to an outside observer,
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from .knowledge import KNOWER_BIT, KnowledgeLedger, LedgerViolation, Party, Visibility
-from .rng import ChosenDraws, RoundStream, round_stream
+from .rng import ChosenDraws, RoundStream, round_stream, session_draws
 
 
 def _label(s: str) -> BellLabel:
@@ -413,18 +414,26 @@ class Session:
 
     # -- whole session -------------------------------------------------------
 
-    def run(self) -> SessionTranscript:
+    def run(self, draws=None) -> SessionTranscript:
+        """Run every round, round i on row i of `draws` (each round's
+        draws in order; `session_draws` under the config's seed by
+        default), which must hold one row per round."""
+        rounds = self.config.rounds
+        if draws is None:
+            draws = session_draws(self.config.seed, rounds)
         records = []
-        for i in range(self.config.rounds):
-            record = self.run_round(round_stream(self.config.seed, i))
+        for row in draws:
+            record = self.run_round(ChosenDraws(row))
             record.corrections = self.reset_round()
             records.append(record)
+        if len(records) != rounds:
+            raise ValueError(f"draws for {len(records)} rounds, the session has {rounds}")
         return SessionTranscript(self.config, records)
 
 
-def run_session(config: SessionConfig) -> SessionTranscript:
-    """Run a fresh seeded session end to end."""
-    return Session(config).run()
+def run_session(config: SessionConfig, draws=None) -> SessionTranscript:
+    """Run a fresh seeded session end to end; `draws` as in `Session.run`."""
+    return Session(config).run(draws)
 
 
 def replay_round(
@@ -434,12 +443,13 @@ def replay_round(
 
     The round draws each pinned outcome from a `ChosenDraws` stream; each
     unpinned one takes, in the same order, the next draw of `randomness`
-    (round 0's stream under `config.seed` by default).
+    (by default round 0's stream under `config.seed`, derived only when an
+    outcome is unpinned).
     """
     outcomes = (forced.alice_secret, forced.bob_secret)
     if config.eve_enabled:
         outcomes = (forced.eve_outbound, *outcomes, forced.eve_detach)
-    if randomness is None:
+    if randomness is None and None in outcomes:
         randomness = round_stream(config.seed, 0)
     draws = [int(randomness.integers(0, 4)) if o is None else o.index for o in outcomes]
     session = Session(config)

@@ -15,19 +15,24 @@ which is the documented way to build non-overlapping child streams, feeding
 a PCG64 generator (O'Neill, "PCG", HMC-CS-2014-0905).
 
 Round draws are the hot path: a session derives one stream per round, and
-building a SeedSequence, PCG64 and Generator for each takes a large share
-of the round, although the seed words and the ROUNDS word mix into the
-same SeedSequence pool every round. So `round_stream` takes that pool from
-numpy once per seed, keeps it in a small cache, mixes in only the round
-index, runs the state generation and PCG64's two seeding steps on Python
-integers and returns a `RoundDraws`. Its draws equal those of
-``stream(seed, ROUNDS, i)`` bit for bit, which the test suite checks;
-every other stream is a numpy Generator.
+building a SeedSequence, PCG64 and Generator for each would take more
+time than the round, although the seed words and the ROUNDS word mix into
+the same SeedSequence pool every round. So rounds are derived a block at a
+time. `session_draws` takes a seed's pool from numpy once; then, for up to
+`BLOCK` round indices in one numpy pass, it mixes in each index, runs the
+state generation, PCG64's two seeding steps and its first two outputs on
+32-bit limbs held in ``np.uint64`` arrays, and hands out each round's four
+draws. `sessions_draws` does the same for the short sessions of a Monte
+Carlo sweep, one pass per chunk of at most `BLOCK` rows of its sessions.
+`round_stream` is one row of the same derivation, returned as a
+`RoundDraws` that can step on for any number of draws. All of them equal
+the draws of ``stream(seed, ROUNDS, i)`` bit for bit, which the test suite
+checks; every other stream is a numpy Generator.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 
 import numpy as np
 
@@ -37,6 +42,14 @@ RandomStream = np.random.Generator
 ROUNDS = 0
 COIN = 1
 SESSIONS = 2
+
+BLOCK = 1024
+"""Most rows one pass derives: a pass has a fixed cost of a few hundred
+microseconds, and a longer one holds more memory for no gain."""
+
+_DRAWS_PER_ROUND = 4
+"""Draws derived per round: an Eve round's four swaps; an honest round
+reads the first two."""
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
@@ -57,19 +70,39 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SPAN_SHIFTS = {1 << k: 32 - k for k in range(1, 33)}
 """Lemire's multiply-shift for a span of 2**k: a 32-bit word's top k bits."""
 
+# typed constants for the block code: each meets arrays of its own dtype
+_W1, _W16, _W31, _ML, _MR = map(np.uint32, (1, 16, 31, _MIX_MULT_L, _MIX_MULT_R))
+_L32, _L3, _L12 = map(np.uint64, (_M32, 3, 12))
+_S4, _S26, _S30, _S32, _S60, _S63, _S64 = map(np.uint64, (4, 26, 30, 32, 60, 63, 64))
 
-def _state_hashes() -> tuple[tuple[int, int], ...]:
-    """(xor, multiplier) of each of the 8 words `generate_state(4, uint64)`
-    makes; they depend only on the word's position."""
+_HASH_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(9)], dtype=np.uint32)[:, None]
+"""`_MULT_A`**k mod 2**32 for k = 0..8: the hash constants of absorbing up
+to two index words are the pool's hash constant times these."""
+
+
+def _state_hashes() -> tuple[np.ndarray, np.ndarray]:
+    """The xors and multipliers of the 8 words `generate_state(4, uint64)`
+    makes, shaped (2, 4, 1) to meet the pool lanes twice over; they
+    depend only on the word's position."""
     pairs, h = [], _INIT_B
     for _ in range(8):
         nxt = (h * _MULT_B) & _M32
         pairs.append((h, nxt))
         h = nxt
-    return tuple(pairs)
+    return tuple(np.array(col, dtype=np.uint32).reshape(2, 4, 1) for col in zip(*pairs))
 
 
-_STATE_HASHES = _state_hashes()
+_STATE_XOR, _STATE_MULT = _state_hashes()
+
+_PCG_LIMBS = np.array([_PCG_MULT >> 32 * j & _M32 for j in range(4)],
+                      dtype=np.uint64).reshape(4, 1, 1)
+"""PCG64's multiplier as 32-bit limbs, lowest first, shaped to multiply
+every limb of a state at once."""
+
+_ROWS = np.empty(4**_DRAWS_PER_ROUND, dtype=object)
+_ROWS[:] = [tuple(code >> 2 * k & 3 for k in range(_DRAWS_PER_ROUND))
+            for code in range(4**_DRAWS_PER_ROUND)]
+"""A round's draws by their code, two bits a draw, the first lowest."""
 
 
 def stream(seed: int, *path: int) -> RandomStream:
@@ -90,30 +123,142 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _absorb(pool: list[int], h: int, word: int) -> int:
-    """Mix the hash of `word` into every pool word, one step of
-    SeedSequence's mixing; returns the running hash constant."""
-    for dst in range(_POOL_SIZE):
-        # the hash is inlined: a call per step costs a few percent of a round
-        h_next = (h * _MULT_A) & _M32
-        value = ((word ^ h) * h_next) & _M32
-        value ^= value >> 16
-        h = h_next
-        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _M32
-        pool[dst] = mixed ^ (mixed >> 16)
-    return h
-
-
-@functools.lru_cache(maxsize=16)
-def _round_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant for entropy `seed` and spawn
-    key ``(ROUNDS, i)``, after every word that precedes the index: numpy's
-    pool for spawn key ``(ROUNDS,)``, and `_INIT_A` times `_MULT_A` per
-    hashing step, 16 to fill and cross-mix the pool from the first four
-    (zero-padded) entropy words and four per later word, ROUNDS included."""
+def _round_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's pool, shaped (4, 1), and hash constant, shaped (1,),
+    for entropy `seed` and spawn key ``(ROUNDS, i)``, after every word
+    that precedes the index: numpy's pool for spawn key ``(ROUNDS,)``, and
+    `_INIT_A` times `_MULT_A` per hashing step, 16 to fill and cross-mix
+    the pool from the first four (zero-padded) entropy words and four per
+    later word, ROUNDS included."""
     steps = 16 + 4 * (max(len(_words(seed)), _POOL_SIZE) - 3)
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool
-    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, steps, 1 << 32) & _M32
+    h = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _M32
+    return pool[:, None], np.array([h], dtype=np.uint32)
+
+
+def _carry(cols: np.ndarray) -> np.ndarray:
+    """Propagate the carries of (4, n) limb sums, lowest first, in place,
+    dropping the one out of the top limb: the sum mod 2**128."""
+    cols[1] += cols[0] >> _S32
+    cols[2] += cols[1] >> _S32
+    cols[3] += cols[2] >> _S32
+    cols &= _L32
+    return cols
+
+
+def _mul_add(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``x * _PCG_MULT + c`` mod 2**128 on (4, n) arrays of 32-bit limbs.
+
+    Limb j of the multiplier times limb i of `x` adds its low half to limb
+    i + j and its high half to limb i + j + 1; a limb sums at most seven
+    halves, a limb of `c` and a carry, far below 2**64.
+    """
+    products = x * _PCG_LIMBS
+    low, high = products & _L32, products >> _S32
+    cols = low[0] + c
+    for j in range(1, 4):
+        cols[j:] += low[j, :4 - j]
+    for j in range(3):
+        cols[j + 1:] += high[j, :3 - j]
+    return _carry(cols)
+
+
+def _seeded(pool: np.ndarray, h: np.ndarray, indices: np.ndarray):
+    """PCG64's state after seeding and its increment, each a (4, n) array
+    of 32-bit limbs (lowest first), for every round in `indices`
+    (``np.uint64``).
+
+    `pool` and `h` come from `_round_pool`: one seed's for every row, or
+    one per row (lanes (4, n), constants (n,)). This is the one
+    round-seeding derivation. SeedSequence absorbs the index's words into
+    the pool lanes and `generate_state(4, uint64)` hashes them into eight
+    words, all mod 2**32 in ``np.uint32``. Those words' 64-bit pairs are
+    the high and low halves of the initial state, then of the stream, and
+    PCG64 seeds by stepping from state 0, adding the initial state and
+    stepping again. Every constant is typed like the array it meets:
+    numpy 1.x casts an unsigned array mixed with a Python int by the int's
+    value, numpy 2 by its type.
+    """
+    hashes = h * _HASH_POWERS
+    high = (indices >> _S32).astype(np.uint32)
+    two_words = high.astype(bool)
+    lanes = pool
+    for k, word in enumerate(((indices & _L32).astype(np.uint32), high)):
+        if k and not two_words.any():
+            break
+        value = (word ^ hashes[4 * k:4 * k + 4]) * hashes[4 * k + 1:4 * k + 5]
+        value ^= value >> _W16
+        mixed = _ML * lanes - _MR * value
+        mixed ^= mixed >> _W16
+        lanes = np.where(two_words, mixed, lanes) if k else mixed
+    words = (lanes ^ _STATE_XOR) * _STATE_MULT
+    words ^= words >> _W16
+    words = words.reshape(8, -1)
+    init = words[[2, 3, 0, 1]].astype(np.uint64)
+    seq = words[[6, 7, 4, 5]]
+    inc = seq << _W1
+    inc[0] |= _W1
+    inc[1:] |= seq[:3] >> _W31
+    inc = inc.astype(np.uint64)
+    return _mul_add(_carry(inc + init), inc), inc
+
+
+def _draw_codes(states: np.ndarray) -> np.ndarray:
+    """The two ``integers(0, 4)`` draws each PCG64 XSL-RR output of
+    `states` (4 limbs first) gives, two bits each, first lowest: the top
+    two bits of the output's low 32-bit half, then of its high half."""
+    x = (states[0] ^ states[2]) | ((states[1] ^ states[3]) << _S32)
+    rot = states[3] >> _S26
+    out = (x >> rot) | (x << ((_S64 - rot) & _S63))
+    return ((out >> _S30) & _L3) | ((out >> _S60) & _L12)
+
+
+def _draws(pool: np.ndarray, h: np.ndarray, indices: np.ndarray) -> list:
+    """Each round's first four ``integers(0, 4)`` draws, as a tuple per
+    round: one pass."""
+    state, inc = _seeded(pool, h, indices)
+    second = _mul_add(state, inc)
+    codes = _draw_codes(np.stack((second, _mul_add(second, inc)), axis=1))
+    return _ROWS.take((codes[0] | codes[1] << _S4).astype(np.intp)).tolist()
+
+
+def session_draws(seed: int, rounds: int):
+    """An iterator over the draws of each round of a `rounds`-round session
+    under `seed`: row i is the first four ``integers(0, 4)`` of
+    ``stream(seed, ROUNDS, i)``. One pass derives `BLOCK` rows, the next
+    when they are used up."""
+    pool, h = _round_pool(seed)
+    return itertools.chain.from_iterable(
+        _draws(pool, h, np.arange(start, min(start + BLOCK, rounds), dtype=np.uint64))
+        for start in range(0, rounds, BLOCK)
+    )
+
+
+def sessions_per_pass(rounds: int) -> int:
+    """Sessions of `rounds` rounds whose draws one pass derives."""
+    return max(1, BLOCK // max(rounds, 1))
+
+
+def sessions_draws(seeds: np.ndarray, rounds: int):
+    """(seed, draws) for each of `seeds` in order, where draws are the rows
+    ``session_draws(seed, rounds)`` yields.
+
+    Sessions of at most `BLOCK` rounds share passes, `sessions_per_pass`
+    of them at a time. The seed array is read one chunk at a time, so it
+    is never turned into Python ints whole.
+    """
+    step = sessions_per_pass(rounds)
+    indices = np.arange(rounds, dtype=np.uint64)
+    for start in range(0, len(seeds), step):
+        chunk = seeds[start:start + step].tolist()
+        if rounds > BLOCK:  # the session fills passes of its own
+            yield chunk[0], session_draws(chunk[0], rounds)
+            continue
+        pools, hs = zip(*map(_round_pool, chunk))
+        rows = _draws(np.repeat(np.hstack(pools), rounds, axis=1),
+                      np.repeat(np.concatenate(hs), rounds), np.tile(indices, len(chunk)))
+        for k, seed in enumerate(chunk):
+            yield seed, rows[k * rounds:(k + 1) * rounds]
 
 
 class RoundDraws:
@@ -185,21 +330,13 @@ numpy Generator."""
 
 def round_stream(seed: int, index: int) -> RoundDraws:
     """The draws of round `index` of a session under `seed`: the same as
-    those of ``stream(seed, ROUNDS, index)``."""
+    those of ``stream(seed, ROUNDS, index)``; one row of `session_draws`'
+    derivation."""
+    if index < 0 or index >> 64:
+        raise ValueError(f"round indices must be nonnegative and below 2**64, got {index}")
     pool, h = _round_pool(seed)
-    pool = list(pool)
-    for word in _words(index):
-        h = _absorb(pool, h, word)
-    words = []
-    for lane, (xor, mult) in zip(pool + pool, _STATE_HASHES):
-        value = ((lane ^ xor) * mult) & _M32
-        words.append(value ^ (value >> 16))
-    # PCG64 seeds from generate_state(4, uint64), whose 64-bit words are
-    # the high and low halves of the initial state, then of the stream;
-    # seeding steps from state 0, adds the initial state and steps again
-    initstate = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
-    inc = (((words[4] | words[5] << 32) << 64 | words[6] | words[7] << 32) << 1 | 1) & _M128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+    state, inc = (sum(int(limb) << 32 * k for k, limb in enumerate(x[:, 0]))
+                  for x in _seeded(pool, h, np.array([index], dtype=np.uint64)))
     return RoundDraws(state, inc)
 
 
@@ -209,7 +346,8 @@ def child_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def session_seeds(seed: int, n: int) -> list[int]:
-    """Independent per-session seeds for an n-session Monte Carlo sweep."""
+def session_seeds(seed: int, n: int) -> np.ndarray:
+    """Independent per-session seeds for an n-session Monte Carlo sweep,
+    as a ``np.uint64`` array (8 bytes a session)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(SESSIONS,))
-    return [int(s) for s in ss.generate_state(n, dtype=np.uint64)]
+    return ss.generate_state(n, dtype=np.uint64)

@@ -5,7 +5,7 @@ import pytest
 
 from swapqkd import analysis
 from swapqkd.protocol import SessionConfig, run_session
-from swapqkd.rng import COIN, stream
+from swapqkd.rng import COIN, session_seeds, sessions_per_pass, stream
 
 
 class TestClosedForms:
@@ -139,6 +139,19 @@ class TestMonteCarlo:
         serial = analysis.estimate_detection(2, 300, seed=62, workers=1)
         parallel = analysis.estimate_detection(2, 300, seed=62, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("pairs_tested", [1, 2, 3, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_equal_a_plain_session_loop(self, pairs_tested, workers):
+        # more sessions than one pass derives, so the sweep spans chunks
+        sessions = sessions_per_pass(pairs_tested) + 7
+        est = analysis.estimate_detection(pairs_tested, sessions, seed=65, workers=workers)
+        detections = 0
+        for seed in session_seeds(65, sessions).tolist():
+            config = SessionConfig(rounds=pairs_tested, seed=seed, eve_enabled=True,
+                                   test_fraction=1.0)
+            detections += analysis.eavesdropping_test(run_session(config), 1.0, None).eve_detected
+        assert est.detections == detections
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         import multiprocessing

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swapqkd import rng
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
@@ -341,6 +340,20 @@ class TestSessionProperties:
             session.run_round(round_stream(cfg.seed, 1))
 
 
+class TestSessionDraws:
+    def test_given_draws_drive_the_rounds(self):
+        config = SessionConfig(rounds=5, seed=17, eve_enabled=True)
+        streams = [round_stream(17, i) for i in range(5)]
+        draws = [[source.integers(0, 4) for _ in range(4)] for source in streams]
+        assert run_session(config, draws) == run_session(config)
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_draws_for_another_round_count_rejected(self, rows):
+        config = SessionConfig(rounds=5, seed=17)
+        with pytest.raises(ValueError, match=f"draws for {rows} rounds, the session has 5"):
+            run_session(config, [(0, 0, 0, 0)] * rows)
+
+
 class TestStateCheckMessages:
     """Every round-start and reset check keeps its exception and message."""
 
@@ -391,12 +404,11 @@ class TestHotPath:
 
         A deterministic stand-in for a timing test: the count depends only
         on the code and the seed, not on the machine's speed. The bound is
-        the count on CPython 3.11 with both caches of `protocol` and the
-        round-pool cache of `rng` empty, so it does not depend on test order.
+        the count on CPython 3.11 with both caches of `protocol` empty, so
+        it does not depend on test order.
         """
         _closing_corrections.cache_clear()
         _agreed_schedule.cache_clear()
-        rng._round_pool.cache_clear()
         config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
         calls = 0
 
@@ -412,7 +424,7 @@ class TestHotPath:
         finally:
             sys.setprofile(None)
             gc.enable()
-        assert calls <= 17_925
+        assert calls <= 17_346
 
 
 class TestLedgerThroughRound:
