@@ -105,10 +105,6 @@ def test_session_draws_equal_numpy_stream(rounds):
     assert list(session_draws(seed, rounds)) == [numpy_row(seed, i) for i in range(rounds)]
 
 
-def test_session_draws_of_no_rounds():
-    assert list(session_draws(3, 0)) == []
-
-
 @pytest.mark.parametrize("rounds", [1, 3, 4, BLOCK, BLOCK + 1])
 def test_monte_carlo_chunks_equal_each_seeds_session_draws(rounds):
     # two full chunks and a short one
