@@ -19,10 +19,10 @@ building a SeedSequence, PCG64 and Generator for each would take more
 time than the round, although the seed words and the ROUNDS word mix into
 the same SeedSequence pool every round. So rounds are derived a block at a
 time. `session_draws` takes a seed's pool from numpy once; then, for up to
-`BLOCK` round indices in one numpy pass, it mixes in each index, runs the
-state generation, PCG64's two seeding steps and its first two outputs on
-32-bit limbs held in ``np.uint64`` arrays, and hands out each round's four
-draws. `sessions_draws` does the same for the short sessions of a Monte
+`BLOCK` round indices in one numpy pass, it mixes in each index and runs
+the state generation in ``np.uint32`` lanes, then PCG64's two seeding
+steps and its first two outputs on 32-bit limbs held in ``np.uint64``
+arrays, and hands out each round's four draws. `sessions_draws` does the same for the short sessions of a Monte
 Carlo sweep, one pass per chunk of at most `BLOCK` rows of its sessions.
 `round_stream` is one row of the same derivation, returned as a
 `RoundDraws` that can step on for any number of draws. All of them equal
