@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .protocol import TRANSFERS, SessionConfig, SessionTranscript, run_session
-from .rng import SESSIONS, RandomStream, child_seed, session_seeds, sessions_draws, sessions_per_pass
+from .rng import BLOCK, SESSIONS, RandomStream, child_seed, session_seeds, sessions_draws
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,9 @@ def estimate_detection(
     as a detection if any tested pair mismatches. Session seeds derive
     from `seed` by the documented split, so the estimate is identical for
     any `workers` value; extra workers only spread the sessions across
-    processes, at most one per CPU. Sessions run in the chunks whose
-    round draws one pass derives (`rng.sessions_per_pass`), and a worker
-    takes a whole chunk, or an equal share when there are fewer chunks
-    than workers.
+    processes, at most one per CPU. A worker takes the sessions whose
+    `rng.BLOCK` rounds one pass derives, or an equal share when there are
+    fewer such chunks than workers.
     """
     if pairs_tested < 1:
         raise ValueError("need at least one tested pair")
@@ -160,12 +159,14 @@ def estimate_detection(
         raise ValueError("need at least one session")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if workers < 1:
+        raise ValueError("need at least one worker")
     seeds = session_seeds(seed, sessions)
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and sessions >= 2 * workers:
         import multiprocessing
 
-        step = min(sessions_per_pass(pairs_tested), -(-sessions // workers))
+        step = min(max(1, BLOCK // pairs_tested), -(-sessions // workers))
         chunks = ((pairs_tested, seeds[i : i + step]) for i in range(0, sessions, step))
         with multiprocessing.Pool(workers) as pool:
             detections = sum(pool.starmap(_count_detections, chunks))

@@ -20,8 +20,9 @@ pair is a fourth agreed pair, checked and rotated back with the others.
 A round's only randomness is its swap outcomes, each one draw from the
 round's stream, in a fixed order: Eve's outbound swap, Alice's and Bob's
 secret measurements, Eve's detaching swap. A session hands each round its
-row of `rng.session_draws` as chosen draws; `replay_round` pins a branch
-the same way.
+row of `rng.session_draws` as chosen draws. `replay_round` pins a branch
+the same way and fills each unpinned outcome from round 0's row, which
+`rng.round_stream` derives by the same pass.
 
 The public announcement leaks only the XOR of the two secrets: four
 (alice, bob) combinations stay equally likely to an outside observer,
@@ -436,22 +437,19 @@ def run_session(config: SessionConfig, draws=None) -> SessionTranscript:
     return Session(config).run(draws)
 
 
-def replay_round(
-    config: SessionConfig, forced: ForcedOutcomes, randomness: RoundStream | None = None
-) -> tuple[RoundRecord, Session]:
+def replay_round(config: SessionConfig, forced: ForcedOutcomes) -> tuple[RoundRecord, Session]:
     """Run round 0 of a fresh session on the branch `forced` pins.
 
     The round draws each pinned outcome from a `ChosenDraws` stream; each
-    unpinned one takes, in the same order, the next draw of `randomness`
-    (by default round 0's stream under `config.seed`, derived only when an
-    outcome is unpinned).
+    unpinned one takes, in the same order, the next draw of round 0's
+    stream under `config.seed`, derived only when an outcome is unpinned.
     """
     outcomes = (forced.alice_secret, forced.bob_secret)
     if config.eve_enabled:
         outcomes = (forced.eve_outbound, *outcomes, forced.eve_detach)
-    if randomness is None and None in outcomes:
-        randomness = round_stream(config.seed, 0)
-    draws = [int(randomness.integers(0, 4)) if o is None else o.index for o in outcomes]
+    if None in outcomes:
+        unpinned = round_stream(config.seed, 0)
+    draws = [unpinned.integers(0, 4) if o is None else o.index for o in outcomes]
     session = Session(config)
     record = session.run_round(ChosenDraws(draws))
     return record, session

@@ -17,17 +17,16 @@ a PCG64 generator (O'Neill, "PCG", HMC-CS-2014-0905).
 Round draws are the hot path: a session derives one stream per round, and
 building a SeedSequence, PCG64 and Generator for each would take more
 time than the round, although the seed words and the ROUNDS word mix into
-the same SeedSequence pool every round. So rounds are derived a block at a
-time. `session_draws` takes a seed's pool from numpy once; then, for up to
-`BLOCK` round indices in one numpy pass, it mixes in each index and runs
-the state generation in ``np.uint32`` lanes, then PCG64's two seeding
-steps and its first two outputs on 32-bit limbs held in ``np.uint64``
-arrays, and hands out each round's four draws. `sessions_draws` does the same for the short sessions of a Monte
-Carlo sweep, one pass per chunk of at most `BLOCK` rows of its sessions.
-`round_stream` is one row of the same derivation, returned as a
-`RoundDraws` that can step on for any number of draws. All of them equal
-the draws of ``stream(seed, ROUNDS, i)`` bit for bit, which the test suite
-checks; every other stream is a numpy Generator.
+the same SeedSequence pool every round. So round draws have one
+derivation, a numpy pass over up to `BLOCK` rows. `sessions_draws` lays
+the sessions of a sweep end to end, takes each seed's pool from numpy
+once per pass, mixes in each round index and runs the state generation in
+``np.uint32`` lanes, then PCG64's two seeding steps and its first two
+outputs on 32-bit limbs held in ``np.uint64`` arrays, and hands out each
+round's four draws. `session_draws` is the same rows for one seed, and
+`round_stream` is one pass of one index, returned as `ChosenDraws`. All of
+them equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for
+bit, which the test suite checks; every other stream is a numpy Generator.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ _DRAWS_PER_ROUND = 4
 reads the first two."""
 
 _M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -66,9 +63,6 @@ _MIX_MULT_R = 0x4973F715
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 """PCG64's 128-bit LCG multiplier."""
-
-_SPAN_SHIFTS = {1 << k: 32 - k for k in range(1, 33)}
-"""Lemire's multiply-shift for a span of 2**k: a 32-bit word's top k bits."""
 
 # typed constants for the block code: each meets arrays of its own dtype
 _W1, _W16, _W31, _ML, _MR = map(np.uint32, (1, 16, 31, _MIX_MULT_L, _MIX_MULT_R))
@@ -123,9 +117,9 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _round_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """SeedSequence's pool, shaped (4, 1), and hash constant, shaped (1,),
-    for entropy `seed` and spawn key ``(ROUNDS, i)``, after every word
+def _round_pool(seed: int) -> tuple[int, ...]:
+    """SeedSequence's four pool lanes and its hash constant, five 32-bit
+    words, for entropy `seed` and spawn key ``(ROUNDS, i)``, after every word
     that precedes the index: numpy's pool for spawn key ``(ROUNDS,)``, and
     `_INIT_A` times `_MULT_A` per hashing step, 16 to fill and cross-mix
     the pool from the first four (zero-padded) entropy words and four per
@@ -133,7 +127,7 @@ def _round_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     steps = 16 + 4 * (max(len(_words(seed)), _POOL_SIZE) - 3)
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool
     h = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _M32
-    return pool[:, None], np.array([h], dtype=np.uint32)
+    return (*pool.tolist(), h)
 
 
 def _carry(cols: np.ndarray) -> np.ndarray:
@@ -163,13 +157,13 @@ def _mul_add(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _carry(cols)
 
 
-def _seeded(pool: np.ndarray, h: np.ndarray, indices: np.ndarray):
+def _seeded(pools: np.ndarray, indices: np.ndarray):
     """PCG64's state after seeding and its increment, each a (4, n) array
     of 32-bit limbs (lowest first), for every round in `indices`
     (``np.uint64``).
 
-    `pool` and `h` come from `_round_pool`: one seed's for every row, or
-    one per row (lanes (4, n), constants (n,)). This is the one
+    `pools` holds each row's `_round_pool` words in ``np.uint32``, shaped
+    (5, n), or (5, 1) for one seed's on every row. This is the one
     round-seeding derivation. SeedSequence absorbs the index's words into
     the pool lanes and `generate_state(4, uint64)` hashes them into eight
     words, all mod 2**32 in ``np.uint32``. Those words' 64-bit pairs are
@@ -179,10 +173,10 @@ def _seeded(pool: np.ndarray, h: np.ndarray, indices: np.ndarray):
     numpy 1.x casts an unsigned array mixed with a Python int by the int's
     value, numpy 2 by its type.
     """
-    hashes = h * _HASH_POWERS
+    hashes = pools[4] * _HASH_POWERS
     high = (indices >> _S32).astype(np.uint32)
     two_words = high.astype(bool)
-    lanes = pool
+    lanes = pools[:4]
     for k, word in enumerate(((indices & _L32).astype(np.uint32), high)):
         if k and not two_words.any():
             break
@@ -213,89 +207,44 @@ def _draw_codes(states: np.ndarray) -> np.ndarray:
     return ((out >> _S30) & _L3) | ((out >> _S60) & _L12)
 
 
-def _draws(pool: np.ndarray, h: np.ndarray, indices: np.ndarray) -> list:
+def _draws(pools: np.ndarray, indices: np.ndarray) -> list:
     """Each round's first four ``integers(0, 4)`` draws, as a tuple per
-    round: one pass."""
-    state, inc = _seeded(pool, h, indices)
+    round: one pass, with `pools` as in `_seeded`."""
+    state, inc = _seeded(pools, indices)
     second = _mul_add(state, inc)
     codes = _draw_codes(np.stack((second, _mul_add(second, inc)), axis=1))
     return _ROWS.take((codes[0] | codes[1] << _S4).astype(np.intp)).tolist()
 
 
+def _passes(seeds: np.ndarray, rounds: int):
+    """The rows of `seeds`' sessions of `rounds` rounds each, laid end to
+    end in order: one pass, a list, per `BLOCK` rows. Short sessions share
+    a pass and a long one spans several; the seed array is read one pass
+    at a time, so it is never turned into Python ints whole."""
+    total = len(seeds) * rounds
+    for start in range(0, total, BLOCK):
+        session, indices = np.divmod(np.arange(start, min(start + BLOCK, total)), rounds)
+        first = start // rounds
+        pools = np.array([*map(_round_pool, seeds[first:session[-1] + 1].tolist())],
+                         dtype=np.uint32)
+        session -= first
+        yield _draws(pools[session].T, indices.astype(np.uint64))
+
+
 def session_draws(seed: int, rounds: int):
     """An iterator over the draws of each round of a `rounds`-round session
     under `seed`: row i is the first four ``integers(0, 4)`` of
-    ``stream(seed, ROUNDS, i)``. One pass derives `BLOCK` rows, the next
-    when they are used up."""
-    pool, h = _round_pool(seed)
-    return itertools.chain.from_iterable(
-        _draws(pool, h, np.arange(start, min(start + BLOCK, rounds), dtype=np.uint64))
-        for start in range(0, rounds, BLOCK)
-    )
-
-
-def sessions_per_pass(rounds: int) -> int:
-    """Sessions of `rounds` rounds whose draws one pass derives."""
-    return max(1, BLOCK // max(rounds, 1))
+    ``stream(seed, ROUNDS, i)``. It is `sessions_draws`' rows for the one
+    seed, derived a pass at a time as they are used."""
+    return itertools.chain.from_iterable(_passes(np.array([seed], dtype=object), rounds))
 
 
 def sessions_draws(seeds: np.ndarray, rounds: int):
-    """(seed, draws) for each of `seeds` in order, where draws are the rows
-    ``session_draws(seed, rounds)`` yields.
-
-    Sessions of at most `BLOCK` rounds share passes, `sessions_per_pass`
-    of them at a time. The seed array is read one chunk at a time, so it
-    is never turned into Python ints whole.
-    """
-    step = sessions_per_pass(rounds)
-    indices = np.arange(rounds, dtype=np.uint64)
-    for start in range(0, len(seeds), step):
-        chunk = seeds[start:start + step].tolist()
-        if rounds > BLOCK:  # the session fills passes of its own
-            yield chunk[0], session_draws(chunk[0], rounds)
-            continue
-        pools, hs = zip(*map(_round_pool, chunk))
-        rows = _draws(np.repeat(np.hstack(pools), rounds, axis=1),
-                      np.repeat(np.concatenate(hs), rounds), np.tile(indices, len(chunk)))
-        for k, seed in enumerate(chunk):
-            yield seed, rows[k * rounds:(k + 1) * rounds]
-
-
-class RoundDraws:
-    """The draws of one round: a PCG64 state and its increment.
-
-    `integers` yields what ``Generator.integers`` yields on the same
-    state: the 32-bit halves of each 64-bit XSL-RR output, low half first,
-    scaled to the range by Lemire's multiply-shift.
-    """
-
-    __slots__ = ("_state", "_inc", "_high")
-
-    def __init__(self, state: int, inc: int):
-        self._state = state
-        self._inc = inc
-        self._high = None
-
-    def integers(self, low: int, high: int) -> int:
-        """One draw from [low, high), whose span must be a power of two
-        from 2 to 2**32: there Lemire's method never rejects a word."""
-        shift = _SPAN_SHIFTS.get(high - low)
-        if shift is None:
-            raise ValueError(
-                f"round draws take power-of-two spans from 2 to 2**32, not {high - low}"
-            )
-        word = self._high
-        if word is None:
-            state = (self._state * _PCG_MULT + self._inc) & _M128
-            self._state = state
-            rot = state >> 122
-            out = ((state >> 64) ^ state) & _M64
-            out = ((out >> rot) | (out << (64 - rot))) & _M64
-            self._high = out >> 32
-            word = out & _M32
-        else:
-            self._high = None
-        return low + (word >> shift)
+    """(seed, rows) for each of `seeds` in order, where rows is the list
+    ``session_draws(seed, rounds)`` yields; the sessions share passes."""
+    rows = itertools.chain.from_iterable(_passes(seeds, rounds))
+    for seed in map(int, seeds):
+        yield seed, list(itertools.islice(rows, rounds))
 
 
 class ChosenDraws:
@@ -323,21 +272,18 @@ class ChosenDraws:
         return draw
 
 
-RoundStream = np.random.Generator | RoundDraws | ChosenDraws
-"""What a round draws from: `round_stream`'s draws, chosen draws or any
-numpy Generator."""
+RoundStream = np.random.Generator | ChosenDraws
+"""What a round draws from: chosen draws, such as `round_stream`'s, or
+any numpy Generator."""
 
 
-def round_stream(seed: int, index: int) -> RoundDraws:
-    """The draws of round `index` of a session under `seed`: the same as
-    those of ``stream(seed, ROUNDS, index)``; one row of `session_draws`'
-    derivation."""
+def round_stream(seed: int, index: int) -> ChosenDraws:
+    """The draws of round `index` of a session under `seed`, the first four
+    of ``stream(seed, ROUNDS, index)``: one pass of one index."""
     if index < 0 or index >> 64:
         raise ValueError(f"round indices must be nonnegative and below 2**64, got {index}")
-    pool, h = _round_pool(seed)
-    state, inc = (sum(int(limb) << 32 * k for k, limb in enumerate(x[:, 0]))
-                  for x in _seeded(pool, h, np.array([index], dtype=np.uint64)))
-    return RoundDraws(state, inc)
+    pools = np.array([_round_pool(seed)], dtype=np.uint32).T
+    return ChosenDraws(_draws(pools, np.array([index], dtype=np.uint64))[0])
 
 
 def child_seed(seed: int, *path: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from swapqkd import analysis
 from swapqkd.protocol import SessionConfig, run_session
-from swapqkd.rng import COIN, session_seeds, sessions_per_pass, stream
+from swapqkd.rng import BLOCK, COIN, session_seeds, stream
 
 
 class TestClosedForms:
@@ -144,7 +144,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_equal_a_plain_session_loop(self, pairs_tested, workers):
         # more sessions than one pass derives, so the sweep spans chunks
-        sessions = sessions_per_pass(pairs_tested) + 7
+        sessions = BLOCK // pairs_tested + 7
         est = analysis.estimate_detection(pairs_tested, sessions, seed=65, workers=workers)
         detections = 0
         for seed in session_seeds(65, sessions).tolist():
@@ -187,6 +187,11 @@ class TestMonteCarlo:
             analysis.estimate_detection(1, 0, seed=1)
         with pytest.raises(ValueError, match="seed"):
             analysis.estimate_detection(1, 10, seed=-1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="at least one worker"):
+            analysis.estimate_detection(1, 10, seed=1, workers=workers)
 
     def test_sigma(self):
         assert analysis.binomial_sigma(0.5, 100) == pytest.approx(0.05)

@@ -15,7 +15,6 @@ from swapqkd.rng import (
     session_draws,
     session_seeds,
     sessions_draws,
-    sessions_per_pass,
     stream,
 )
 
@@ -26,30 +25,22 @@ differs."""
 
 INDICES = [0, 1, 2**32 - 1, 2**32, random.Random(3).randrange(2**31)]
 
-DRAWS = 8
-"""Four 64-bit outputs' worth of 2-bit draws."""
 
-
-def numpy_draws(seed, index, low=0, high=4):
+def numpy_row(seed, index):
+    """Round `index`'s first four ``integers(0, 4)`` from numpy's own stream."""
     gen = stream(seed, ROUNDS, index)
-    return [int(gen.integers(low, high)) for _ in range(DRAWS)]
+    return tuple(int(gen.integers(0, 4)) for _ in range(4))
 
 
-def draws(seed, index, low=0, high=4):
+def draws(seed, index):
     source = round_stream(seed, index)
-    return [source.integers(low, high) for _ in range(DRAWS)]
+    return tuple(source.integers(0, 4) for _ in range(4))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("index", INDICES)
 def test_equals_numpy_stream(seed, index):
-    assert draws(seed, index) == numpy_draws(seed, index)
-
-
-@pytest.mark.parametrize("low, high", [(0, 2), (3, 11), (0, 2**16), (-5, 2**32 - 5)])
-def test_other_power_of_two_spans(low, high):
-    for seed, index in ((7, 0), (2**64 - 1, 2**32)):
-        assert draws(seed, index, low, high) == numpy_draws(seed, index, low, high)
+    assert draws(seed, index) == numpy_row(seed, index)
 
 
 def test_interleaved_seeds():
@@ -58,13 +49,18 @@ def test_interleaved_seeds():
     seeds = [pick.randrange(2 ** pick.randrange(1, 200)) for _ in range(40)]
     for index in range(3):
         for seed in seeds:
-            assert draws(seed, index) == numpy_draws(seed, index)
+            assert draws(seed, index) == numpy_row(seed, index)
 
 
-@pytest.mark.parametrize("low, high", [(0, 3), (0, 1), (0, 0), (4, 0), (0, 2**33)])
-def test_unsupported_spans_rejected(low, high):
-    with pytest.raises(ValueError, match="power-of-two"):
-        round_stream(1, 0).integers(low, high)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**160 + 12345])
+@pytest.mark.parametrize("index", [0, 5, BLOCK, BLOCK + 3])
+def test_round_stream_is_a_row_of_session_draws(seed, index):
+    source = round_stream(seed, index)
+    assert isinstance(source, ChosenDraws)
+    row = [source.integers(0, 4) for _ in range(4)]
+    assert tuple(row) == list(session_draws(seed, index + 1))[index]
+    with pytest.raises(ValueError, match="none is left"):
+        source.integers(0, 4)
 
 
 def test_negative_seed_or_index_rejected():
@@ -81,15 +77,10 @@ def test_index_beyond_64_bits_rejected():
         round_stream(1, 2**64)
 
 
-def numpy_row(seed, index):
-    """Round `index`'s first four ``integers(0, 4)`` from numpy's own stream."""
-    gen = stream(seed, ROUNDS, index)
-    return tuple(int(gen.integers(0, 4)) for _ in range(4))
-
-
 def block_rows(seed, indices):
     """One pass of the block derivation over `indices` under `seed`."""
-    return rng._draws(*rng._round_pool(seed), np.array(indices, dtype=np.uint64))
+    pools = np.array([rng._round_pool(seed)], dtype=np.uint32).T
+    return rng._draws(pools, np.array(indices, dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -105,13 +96,15 @@ def test_session_draws_equal_numpy_stream(rounds):
     assert list(session_draws(seed, rounds)) == [numpy_row(seed, i) for i in range(rounds)]
 
 
-@pytest.mark.parametrize("rounds", [1, 3, 4, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("rounds", [0, 1, 3, 4, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_monte_carlo_chunks_equal_each_seeds_session_draws(rounds):
-    # two full chunks and a short one
-    seeds = session_seeds(5, 2 * sessions_per_pass(rounds) + 3)
+    # two passes' worth of sessions and three more, some straddling two
+    # passes; or two long sessions, each spanning three passes
+    sessions = 2 if rounds > 2 * BLOCK else 2 * BLOCK // max(rounds, 1) + 3
+    seeds = session_seeds(5, sessions)
     got = list(sessions_draws(seeds, rounds))
     assert [seed for seed, _ in got] == seeds.tolist()
-    assert [list(draws) for _, draws in got] == [
+    assert [draws for _, draws in got] == [
         list(session_draws(seed, rounds)) for seed in seeds.tolist()]
 
 
