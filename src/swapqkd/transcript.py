@@ -13,9 +13,11 @@ returns equal objects.
 Bell labels serialize as the two-character strings "00".."11". Round
 lines are written from a fixed template that yields exactly what
 `json.dumps` with separators (",", ":") yields; header and summary go
-through `json.dumps` itself. Malformed input to `parse_lines`, or a copy of
-a derived value that disagrees with the header and rounds, raises
-`TranscriptError`.
+through `json.dumps` itself. `parse_lines` reads a round's outcomes,
+checks that a session produces them, and derives the rest of its line
+with the functions a session uses; every derived copy in the file, round
+or summary, must equal what `emit_lines` writes. Malformed input, or a
+copy that disagrees, raises `TranscriptError`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from . import __version__
 from .adversary import EveRoundRecord, infer_alice_secret, infer_bob_secret
 from .analysis import RateReport, TestReport, eavesdropping_test, rate_report
-from .bell import ALL_LABELS, BellLabel, PauliOp
+from .bell import ALL_LABELS, PauliOp
 from .knowledge import Party
 from .protocol import (
     TRANSFERS,
@@ -35,6 +37,7 @@ from .protocol import (
     SessionConfig,
     SessionTranscript,
     closing_corrections,
+    infer_other_secret,
 )
 from .rng import COIN, stream
 
@@ -81,13 +84,13 @@ def _dump(obj: dict) -> str:
 _LABEL_TEXT = {lab: f'"{lab.text}"' for lab in ALL_LABELS}
 _PARTY_TEXT = {party: f'"{party.value}"' for party in Party}
 _PAULI_TEXT = {op: f'"{op.name}"' for op in PauliOp}
-# round i's "transfers" as json.loads gives them, and as text with "transmissions"
-_TRANSFERS_JSON = tuple([list(transit) for transit in t] for t in TRANSFERS)
-_TRANSFERS_TEXT = tuple(f'"transfers":{_dump(t)},"transmissions":{len(t)}' for t in _TRANSFERS_JSON)
+# round i's "transfers" and "transmissions" as text
+_TRANSFERS_TEXT = tuple(f'"transfers":{_dump([list(transit) for transit in t])},'
+                        f'"transmissions":{len(t)}' for t in TRANSFERS)
+# every round line starts with this, then its index
+_HEAD = '{"kind":"round","index":'
 
 _LABEL_OF = {lab.text: lab for lab in ALL_LABELS}
-_PARTY_OF = {party.value: party for party in Party}
-_PAULI_OF = {op.name: op for op in PauliOp}
 
 
 def _round_line(rec: RoundRecord) -> str:
@@ -108,7 +111,7 @@ def _round_line(rec: RoundRecord) -> str:
         [f"[{_PARTY_TEXT[c.party]},{c.qubit},{_PAULI_TEXT[c.op]}]" for c in rec.corrections]
     )
     return (
-        f'{{"kind":"round","index":{rec.index},'
+        f'{_HEAD}{rec.index},'
         f'"alice_secret":{_LABEL_TEXT[rec.alice_secret]},'
         f'"bob_secret":{_LABEL_TEXT[rec.bob_secret]},'
         f'"announcement":{_LABEL_TEXT[rec.announcement]},'
@@ -188,15 +191,6 @@ def _is_label(v) -> bool:
     return type(v) is str and v in _LABEL_OF
 
 
-def _is_correction(c) -> bool:
-    return (
-        type(c) is list and len(c) == 3
-        and type(c[0]) is str and c[0] in _PARTY_OF
-        and _is_int(c[1])
-        and type(c[2]) is str and c[2] in _PAULI_OF
-    )
-
-
 # Field checks: a predicate on the json.loads value, and what it expects.
 _INT = (_is_int, "an integer")
 _NUMBER = (_is_number, "a number")
@@ -207,10 +201,6 @@ _FORMAT = (lambda v: v == FORMAT, repr(FORMAT))
 _OBJECT_OR_NULL = (lambda v: v is None or type(v) is dict, "an object or null")
 _THREE_LABELS = (
     lambda v: type(v) is list and len(v) == 3 and all(map(_is_label, v)), "three labels"
-)
-_CORRECTIONS = (
-    lambda v: type(v) is list and all(map(_is_correction, v)),
-    "a list of [party, qubit, pauli] triples",
 )
 
 
@@ -238,21 +228,22 @@ _CONFIG = (
     ("initial_labels", _THREE_LABELS),
     ("eve_ancilla", _LABEL),
 )
-_ROUND = (
-    ("index", _INT),
-    ("alice_secret", _LABEL),
-    ("bob_secret", _LABEL),
-    ("announcement", _LABEL),
-    ("alice_inferred_bob", _LABEL),
-    ("bob_inferred_alice", _LABEL),
-    ("eve", _OBJECT_OR_NULL),
-    ("corrections", _CORRECTIONS),
+_OUTCOMES = (("alice_secret", _LABEL), ("bob_secret", _LABEL), ("announcement", _LABEL))
+_EVE_OUTCOMES = tuple(
+    (name, _LABEL) for name in ("outbound_outcome", "return_readout", "detach_outcome")
 )
-_EVE = tuple(
-    (name, _LABEL)
-    for name in ("outbound_outcome", "return_readout", "detach_outcome",
-                 "inferred_alice", "inferred_bob")
-)
+# What each derived field of a line is derived from; other fields are the summary's.
+_DERIVED_FROM = {
+    "index": "the round's position",
+    "alice_inferred_bob": "the initial labels, the announcement and the alice_secret",
+    "bob_inferred_alice": "the initial labels, the announcement and the bob_secret",
+    "transfers": "the role schedule",
+    "transmissions": "the transfers",
+    "key_bits": "the alice_secret",
+    "eve.inferred_bob": "the initial labels and Eve's outbound_outcome and return_readout",
+    "eve.inferred_alice": "the initial labels, Eve's ancilla, her outcomes and the announcement",
+    "corrections": "the outcomes, as the rotations back to the agreed labels",
+}
 
 
 def _config_from(row: dict, line: int) -> SessionConfig:
@@ -266,114 +257,75 @@ def _config_from(row: dict, line: int) -> SessionConfig:
         raise TranscriptError(str(err), line, "config") from None
 
 
-_INFERRED = "expected the XOR of the initial labels, the announcement and the %s"
-_EVE_INFERRED = "expected Eve's inference from the initial labels, her ancilla and her %s"
-_EVE_EXACT = "expected the %s, which Eve's inference recovers exactly"
+def _round_from(row: dict, text, line: int, index: int, config: SessionConfig,
+                branches: dict) -> RoundRecord:
+    """Round `index` of the file, from its line `text` and the line's
+    json.loads `row`.
 
-
-def _round_from(row: dict, line: int, index: int, config: SessionConfig,
-                agreed: BellLabel, closing: dict) -> RoundRecord:
-    """Round `index` of the file as its record.
-
-    Well-formed rows take plain lookups; a row that fails them, or holds a
-    value of a type json.loads gives but the record does not take, is
-    handed to `_round_error` to name the field. Its index, eve section and
-    derived fields must agree with round `index` of the header's session:
-    the inferences, Eve's among them, and the corrections follow from the
-    secrets, the announcement and her outcomes, and the inferences
-    recover the secrets: Bob's of Alice's without Eve, both of Eve's with
-    her. `agreed` is the three labels' XOR, as in
-    `protocol.infer_other_secret`; `closing` caches
-    `protocol.closing_corrections` and their JSON form for the file, so
-    its rounds share the correction tuples.
+    Only the round's outcomes are read; `branches` caches `_branch` of
+    them per file. A line equal to the derived one, trailing whitespace
+    aside, is accepted; `_check_derived` walks any other, so a line with
+    other JSON spacing or key order parses and a wrong copy is named.
     """
+    phase = index % len(TRANSFERS)
     try:
         eve = row["eve"]
+        key = (phase, row["alice_secret"], row["bob_secret"], row["announcement"])
         if eve is not None:
-            eve = EveRoundRecord(
-                _LABEL_OF[eve["outbound_outcome"]],
-                _LABEL_OF[eve["return_readout"]],
-                _LABEL_OF[eve["detach_outcome"]],
-                _LABEL_OF[eve["inferred_alice"]],
-                _LABEL_OF[eve["inferred_bob"]],
-            )
-        record = RoundRecord(
-            row["index"],
-            _LABEL_OF[row["alice_secret"]],
-            _LABEL_OF[row["bob_secret"]],
-            _LABEL_OF[row["announcement"]],
-            _LABEL_OF[row["alice_inferred_bob"]],
-            _LABEL_OF[row["bob_inferred_alice"]],
-            eve,
-        )
-    except (KeyError, TypeError, ValueError):
-        raise _round_error(row, line) from None
-    if type(record.index) is not int:
-        raise _round_error(row, line)
-    if record.index != index:
-        raise TranscriptError(f"expected {index}, the round's position", line, "index")
+            key += (eve["outbound_outcome"], eve["return_readout"], eve["detach_outcome"])
+        tail, labels, eve, corrections = branches[key]
+    except (KeyError, TypeError):
+        # outcomes not seen before, or malformed ones, on which _branch raises
+        tail, labels, eve, corrections = branches[key] = _branch(row, line, phase, config)
+    expected = f"{_HEAD}{index}{tail}"
+    if type(text) is bytes:
+        text = text.decode("utf-8", "replace")
+    if text.rstrip() != expected:
+        _check_derived(row, json.loads(expected), line)
+    return RoundRecord(index, *labels, None if eve is None else EveRoundRecord(*eve),
+                       corrections)
+
+
+def _branch(row: dict, line: int, phase: int, config: SessionConfig) -> tuple:
+    """(line after the index, record labels, Eve's labels or None,
+    corrections) of the round `row` at `phase` of the role schedule.
+
+    Its outcomes must be ones a session produces: labels, an eve section
+    exactly when the header enables her, and recovered by the inferences
+    (without Eve, Bob's of alice_secret; with her, hers of both secrets).
+    The rest is derived by the functions `Session` uses.
+    """
+    alice, bob, announcement = [_LABEL_OF[s] for s in _fields(row, _OUTCOMES, line).values()]
+    eve = _field(row, "eve", _OBJECT_OR_NULL, line)
+    if eve is not None:
+        eve = [_LABEL_OF[s] for s in _fields(eve, _EVE_OUTCOMES, line, "eve.").values()]
     if (eve is None) is config.eve_enabled:
         want = "an object" if config.eve_enabled else "null"
         raise TranscriptError(f"expected {want}, as eve_enabled is {config.eve_enabled}",
                               line, "eve")
-    public = agreed ^ record.announcement  # labels are canonical: `is` compares them
-    if record.alice_inferred_bob is not public ^ record.alice_secret:
-        raise TranscriptError(_INFERRED % "alice_secret", line, "alice_inferred_bob")
-    if record.bob_inferred_alice is not public ^ record.bob_secret:
-        raise TranscriptError(_INFERRED % "bob_secret", line, "bob_inferred_alice")
-    if row.get("key_bits") != row["alice_secret"]:
-        raise TranscriptError(f"expected {record.key_bits!r}, the alice_secret", line, "key_bits")
-    want, transfers = _TRANSFERS_JSON[index % len(_TRANSFERS_JSON)], row.get("transfers")
-    if transfers != want or type(transfers[0][0]) is not int or type(transfers[1][0]) is not int:
-        raise TranscriptError(f"expected {want!r}, from the role schedule", line, "transfers")
-    transmissions = row.get("transmissions")
-    if transmissions != len(want) or type(transmissions) is not int:
-        raise TranscriptError(f"expected {len(want)}, one per transfer", line, "transmissions")
+    link, anchor, agreed_bob = config.initial_labels
+    labels = (alice, bob, announcement,
+              infer_other_secret(link, anchor, agreed_bob, alice, announcement),
+              infer_other_secret(link, anchor, agreed_bob, bob, announcement))
     detach = None
     if eve is None:
-        if record.bob_inferred_alice is not record.alice_secret:
+        if labels[4] is not alice:  # labels are canonical: `is` compares them
             raise TranscriptError("expected the XOR of the initial labels and both secrets, "
                                   "as Bob infers Alice's secret without Eve", line, "announcement")
     else:
-        link, anchor, bob = config.initial_labels
-        outbound, readout, detach = eve.outbound_outcome, eve.return_readout, eve.detach_outcome
-        if eve.inferred_bob is not infer_bob_secret(bob, outbound, readout):
-            raise TranscriptError(_EVE_INFERRED % "outbound_outcome and return_readout",
-                                  line, "eve.inferred_bob")
-        inferred_alice = infer_alice_secret(link, anchor, config.eve_ancilla, outbound, readout,
-                                            detach, record.announcement)
-        if eve.inferred_alice is not inferred_alice:
-            raise TranscriptError(_EVE_INFERRED % "three outcomes and the announcement",
-                                  line, "eve.inferred_alice")
-        if eve.inferred_bob is not record.bob_secret:
-            raise TranscriptError(_EVE_EXACT % "bob_secret", line, "eve.inferred_bob")
-        if eve.inferred_alice is not record.alice_secret:
-            raise TranscriptError(_EVE_EXACT % "alice_secret", line, "eve.inferred_alice")
-    key = (index % len(_TRANSFERS_JSON), record.alice_secret, record.announcement,
-           record.bob_secret, detach)
-    if key not in closing:
-        corrections = closing_corrections(config, index, record.alice_secret,
-                                          record.announcement, record.bob_secret, detach)
-        closing[key] = corrections, [[c.party.value, c.qubit, c.op.name] for c in corrections]
-    record.corrections, want = closing[key]
-    found = row.get("corrections")
-    if found != want or not all([type(c[1]) is int for c in found]):
-        _field(row, "corrections", _CORRECTIONS, line)
-        raise TranscriptError("expected the rotations back to the agreed labels from the "
-                              "secrets, the announcement and Eve's detach_outcome",
-                              line, "corrections")
-    return record
-
-
-def _round_error(row: dict, line: int) -> TranscriptError:
-    """The first malformed field of a round row, as a TranscriptError."""
-    try:
-        _fields(row, _ROUND, line)
-        if row["eve"] is not None:
-            _fields(row["eve"], _EVE, line, "eve.")
-    except TranscriptError as err:
-        return err
-    return TranscriptError("malformed round", line)
+        outbound, readout, detach = eve
+        inferred_bob = infer_bob_secret(agreed_bob, outbound, readout)
+        inferred_alice = infer_alice_secret(link, anchor, config.eve_ancilla, *eve, announcement)
+        for party, secret, got in (("bob", bob, inferred_bob), ("alice", alice, inferred_alice)):
+            if got is not secret:
+                raise TranscriptError(f"expected Eve's inference from her outcomes to recover "
+                                      f"the {party}_secret, as in every session; it gives {got}",
+                                      line, f"eve.inferred_{party}")
+        eve = (*eve, inferred_alice, inferred_bob)
+    corrections = closing_corrections(config, phase, alice, announcement, bob, detach)
+    record = RoundRecord(phase, *labels, None if eve is None else EveRoundRecord(*eve),
+                         corrections)
+    return _round_line(record).removeprefix(f"{_HEAD}{phase}"), labels, eve, corrections
 
 
 def _check_derived(found, derived, line: int, field: str = "") -> None:
@@ -389,23 +341,26 @@ def _check_derived(found, derived, line: int, field: str = "") -> None:
         for found_item, derived_item in zip(found, derived):
             _check_derived(found_item, derived_item, line, field)
     elif type(found) is not type(derived) or found != derived:
+        source = _DERIVED_FROM.get(field, "the header and rounds")
         raise TranscriptError(
-            f"expected {reprlib.repr(derived)}, derived from the header and rounds; "
+            f"expected {reprlib.repr(derived)}, derived from {source}; "
             f"got {reprlib.repr(found)}", line, field)
 
 
 def parse_lines(lines) -> TranscriptFile:
     """Parse transcript lines back into the objects `emit_lines` wrote.
 
-    `lines` is any iterable of lines, an open file included; each round
-    line becomes its record as it is read, so no row outlives its line.
-    Blank lines are skipped. The summary line is checked against the file
-    `TranscriptFile.of` derives from the header and rounds, which is what
-    is returned. Malformed or inconsistent input raises `TranscriptError`.
+    `lines` is any iterable of lines, str or bytes, an open file included;
+    each round line becomes its record as it is read, so no row outlives
+    its line. Blank lines are skipped. Each round and the summary line are
+    checked against what `emit_lines` derives from the header and the
+    rounds' outcomes (see `_round_from`), and the file `TranscriptFile.of`
+    derives is what is returned. Malformed or inconsistent input raises
+    `TranscriptError`.
     """
     config = summary = None
     rounds: list[RoundRecord] = []
-    closing: dict = {}
+    branches: dict = {}
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -417,13 +372,11 @@ def parse_lines(lines) -> TranscriptFile:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, number, len(rounds), config, agreed, closing))
+            rounds.append(_round_from(row, line, number, len(rounds), config, branches))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")
             config, header_line = _config_from(row, number), number
-            link, anchor, bob = config.initial_labels
-            agreed = link ^ anchor ^ bob
         elif summary is not None:
             raise TranscriptError("line after the summary", number)
         elif kind == "summary":

@@ -2,9 +2,10 @@
 
 Each workload in ``perfbench/workload.py`` drives swapqkd through names
 it imports and checks its outputs, and its traced pass requires exact
-call counts per layer. A unit run here, untraced and then traced, fails
-when a workload's call no longer exists, its outputs no longer check, or
-a traced call moved.
+call counts per layer. A unit run here, untraced and then traced, and the
+workload's memory probe (its long session, 10,000 rounds where it has
+one), fail when a workload's call no longer exists, its outputs no longer
+check, or a traced call moved.
 """
 
 import sys
@@ -36,6 +37,7 @@ def test_workload_unit_checks_and_traced_counts(name, tmp_path):
     w.prepare()
     checks = workload.Checks()
     workload.run_units(w, 1, checks)
+    checks.add(w.memory_probe())
     assert checks.attempted > 0
     assert checks.failed == []
 

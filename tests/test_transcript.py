@@ -86,10 +86,33 @@ class TestParse:
         assert rec.alice_secret is BellLabel.from_string(str(rec.alice_secret))
         assert rec.eve.inferred_bob is BellLabel.from_string(str(rec.eve.inferred_bob))
 
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    def test_accepts_bytes_and_crlf_lines(self, eve, tmp_path):
+        lines = make_lines(eve=eve)
+        canonical = transcript.parse_lines(lines)
+        crlf = [line + "\r\n" for line in lines]
+        assert transcript.parse_lines(crlf) == canonical
+        assert transcript.parse_lines([line.encode() for line in crlf]) == canonical
+        path = tmp_path / "t.jsonl"
+        path.write_bytes("".join(crlf).encode())
+        with path.open("rb") as fh:
+            assert transcript.parse_lines(fh) == canonical
 
-def edit_round(change, at=2):
-    """Lines of a valid transcript whose round line `at` is changed by `change`."""
-    lines = make_lines()
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    def test_accepts_other_spacing_and_key_order(self, eve):
+        # a round line that differs from the derived one only in JSON
+        # spacing or key order is walked field by field, and accepted
+        lines = make_lines(eve=eve)
+        rows = [json.loads(line) for line in lines[1:-1]]
+        walked = [lines[0], *[json.dumps(dict(reversed(row.items()))) for row in rows], lines[-1]]
+        assert not set(walked[1:-1]) & set(lines)
+        assert transcript.parse_lines(walked) == transcript.parse_lines(lines)
+
+
+def edit_round(change, at=2, **cfg):
+    """Lines of a valid transcript, made by `make_lines(**cfg)`, whose
+    round line `at` is changed by `change`."""
+    lines = make_lines(**cfg)
     row = json.loads(lines[at])
     change(row)
     lines[at] = json.dumps(row)
@@ -287,6 +310,53 @@ class TestTranscriptError:
 
         err = parse_error(rederive_round(change, eve))
         assert (err.line, err.field) == (3, field)
+
+    @pytest.mark.parametrize(
+        "eve, edited, field",
+        [
+            (False, "alice_secret", "announcement"),
+            (False, "bob_secret", "announcement"),
+            (False, "announcement", "announcement"),
+            (True, "alice_secret", "eve.inferred_alice"),
+            (True, "bob_secret", "eve.inferred_bob"),
+            (True, "announcement", "eve.inferred_alice"),
+        ],
+    )
+    def test_outcomes_checked_before_their_copies(self, eve, edited, field):
+        # an edited secret or announcement leaves outcomes no session
+        # produces, which is reported before any copy derived from them
+        def change(row):
+            row[edited] = str(BellLabel.from_string(row[edited]) ^ BellLabel.from_string("01"))
+
+        err = parse_error(edit_round(change, eve=eve))
+        assert (err.line, err.field) == (3, field)
+
+    @pytest.mark.parametrize("field", ["key_bits", "corrections"])
+    def test_edit_of_a_repeated_branch(self, field):
+        # rounds with the same outcomes and i mod 4 share one derivation;
+        # each line is still compared with it on its own
+        lines = make_lines(rounds=200)
+        seen = set()
+        for at, line in enumerate(lines[1:-1], 1):
+            row = json.loads(line)
+            key = (row["index"] % 4, *[row[name] for name in ("alice_secret", "bob_secret",
+                                                               "announcement")],
+                   *[row["eve"][name] for name in ("outbound_outcome", "return_readout",
+                                                   "detach_outcome")])
+            if key in seen:
+                break
+            seen.add(key)
+        else:
+            pytest.fail("no branch repeats")
+
+        def change(row):
+            if field == "key_bits":
+                row["key_bits"] = "00" if row["key_bits"] != "00" else "01"
+            else:
+                row["corrections"][1][2] = "X" if row["corrections"][1][2] != "X" else "Z"
+
+        err = parse_error(edit_round(change, at=at, rounds=200))
+        assert (err.line, err.field) == (at + 1, field)
 
     def test_summary_field(self):
         lines = make_lines()
