@@ -368,6 +368,8 @@ def parse_lines(lines) -> TranscriptFile:
             row = json.loads(line)
         except json.JSONDecodeError as err:
             raise TranscriptError(f"not JSON: {err.msg} at column {err.colno}", number) from None
+        except UnicodeDecodeError as err:  # a bytes line
+            raise TranscriptError(f"not {err.encoding} text: {err.reason}", number) from None
         if type(row) is not dict:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")

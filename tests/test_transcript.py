@@ -148,6 +148,13 @@ class TestTranscriptError:
         assert err.line == 4
         assert "not JSON" in str(err)
 
+    def test_bytes_line_not_text(self):
+        lines = [line.encode() for line in make_lines()]
+        lines[3] = lines[3].replace(b'"round"', b'"r\xe9und"')
+        err = parse_error(lines)
+        assert (err.line, err.field) == (4, None)
+        assert "not utf-8 text" in str(err)
+
     def test_line_not_an_object(self):
         lines = make_lines()
         lines[2] = "[1, 2]"
