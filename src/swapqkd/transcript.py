@@ -260,12 +260,14 @@ def _config_from(row: dict, line: int) -> SessionConfig:
 def _round_from(row: dict, text, line: int, index: int, config: SessionConfig,
                 branches: dict) -> RoundRecord:
     """Round `index` of the file, from its line `text` and the line's
-    json.loads `row`.
+    json.loads `row`, in two steps.
 
-    Only the round's outcomes are read; `branches` caches `_branch` of
-    them per file. A line equal to the derived one, trailing whitespace
-    aside, is accepted; `_check_derived` walks any other, so a line with
-    other JSON spacing or key order parses and a wrong copy is named.
+    Only the round's outcomes are read: `_branch` checks that a session
+    produces them and derives the line `emit_lines` writes for them,
+    cached in `branches` per (index mod 4, outcomes). Then the line must
+    equal the derived one, byte for byte but for trailing whitespace, or
+    pass `_check_derived`, which names the first field that differs and
+    accepts other JSON spacing or key order.
     """
     phase = index % len(TRANSFERS)
     try:
