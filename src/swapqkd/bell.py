@@ -172,7 +172,10 @@ class PairTable:
         return f"PairTable({body})"
 
     def copy(self) -> "PairTable":
-        return PairTable(self.pairs())
+        table = PairTable()
+        table._partner = self._partner.copy()
+        table._label = self._label.copy()
+        return table
 
     def bsm(self, a: int, b: int, randomness: RoundStream | None = None) -> BellLabel:
         """Bell-operator measurement on qubits a and b.

@@ -79,6 +79,19 @@ class KnowledgeLedger:
             raise LedgerViolation(f"qubits {a},{b} are not a pair in the table")
         self._mask[a] = self._mask[b] = [_MASK_OF[visibility]]
 
+    def copy(self, table: PairTable) -> "KnowledgeLedger":
+        """This ledger's tags over `table`, a copy of its table: each cell is
+        copied once and shared by the same qubits, so the copy and this
+        ledger share no cell."""
+        ledger = KnowledgeLedger(table)
+        fresh: dict[int, list[int]] = {}
+        for q, cell in self._mask.items():
+            copied = fresh.get(id(cell))
+            if copied is None:
+                copied = fresh[id(cell)] = [cell[0]]
+            ledger._mask[q] = copied
+        return ledger
+
     def tag(self, a: int, b: int) -> Visibility:
         mask = self._pair(a, b)[0]
         try:

@@ -32,7 +32,7 @@ which `public_posterior` enumerates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
@@ -130,6 +130,20 @@ def _agreed_schedule(labels, ancilla) -> tuple[tuple[tuple[int, int, BellLabel, 
     return tuple(roles.agreed_pairs(labels, ancilla) for roles in ROLE_SCHEDULE)
 
 
+@functools.lru_cache(maxsize=512)
+def _session_start(labels, ancilla) -> tuple[PairTable, KnowledgeLedger, dict[int, Party]]:
+    """The table, ledger and custody every session under `labels` (and Eve's
+    `ancilla` label, if she is present) starts from, built through
+    `PairTable` and `KnowledgeLedger.declare` once per configuration; a
+    session takes copies."""
+    pairs = _agreed_schedule(labels, ancilla)[0]
+    table = PairTable([(a, b, label) for a, b, label, _ in pairs])
+    ledger = KnowledgeLedger(table)
+    for a, b, _, holder in pairs:
+        ledger.declare(a, b, Visibility.EVE_ONLY if holder is Party.EVE else Visibility.PUBLIC)
+    return table, ledger, {q: holder for a, b, _, holder in pairs for q in (a, b)}
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     rounds: int
@@ -137,7 +151,7 @@ class SessionConfig:
     eve_enabled: bool = False
     test_fraction: float = 0.0
     initial_labels: tuple[BellLabel, BellLabel, BellLabel] = DEFAULT_LABELS
-    eve_ancilla: BellLabel = field(default_factory=lambda: _label("00"))
+    eve_ancilla: BellLabel = _label("00")
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -301,13 +315,11 @@ class Session:
         self.roles = ROLE_SCHEDULE[0]
         ancilla = config.eve_ancilla if config.eve_enabled else None
         self._schedule = _agreed_schedule(config.initial_labels, ancilla)
-        self._pairs = pairs = self._schedule[0]
-        self.table = PairTable([(a, b, label) for a, b, label, _ in pairs])
-        self.ledger = KnowledgeLedger(self.table)
-        for a, b, _, holder in pairs:
-            tag = Visibility.EVE_ONLY if holder is Party.EVE else Visibility.PUBLIC
-            self.ledger.declare(a, b, tag)
-        self.custody: dict[int, Party] = {q: holder for a, b, _, holder in pairs for q in (a, b)}
+        self._pairs = self._schedule[0]
+        table, ledger, custody = _session_start(config.initial_labels, ancilla)
+        self.table = table.copy()
+        self.ledger = ledger.copy(self.table)
+        self.custody: dict[int, Party] = custody.copy()
         self.rounds_run = 0
 
     # -- round execution ---------------------------------------------------

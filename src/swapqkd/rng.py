@@ -10,23 +10,26 @@ convention:
     stream(seed, COIN)           public coin for test-round selection
     stream(seed, SESSIONS, k)    per-session stream inside a Monte Carlo sweep
 
-Derivation uses ``numpy.random.SeedSequence(entropy=seed, spawn_key=path)``,
-which is the documented way to build non-overlapping child streams, feeding
-a PCG64 generator (O'Neill, "PCG", HMC-CS-2014-0905).
+`stream` seeds numpy's PCG64 generator (O'Neill, "PCG",
+HMC-CS-2014-0905) from numpy's seed sequence at `path`, the documented way
+to build non-overlapping child streams; `child_seed` and `session_seeds`
+split seeds the same way.
 
 Round draws are the hot path: a session derives one stream per round, and
-building a SeedSequence, PCG64 and Generator for each would take more
-time than the round, although the seed words and the ROUNDS word mix into
-the same SeedSequence pool every round. So round draws have one
-derivation, a numpy pass over up to `BLOCK` rows. `sessions_draws` lays
-the sessions of a sweep end to end, takes each seed's pool from numpy
-once per pass, mixes in each round index and runs the state generation in
-``np.uint32`` lanes, then PCG64's two seeding steps and its first two
-outputs on 32-bit limbs held in ``np.uint64`` arrays, and hands out each
-round's four draws. `session_draws` is the same rows for one seed, and
-`round_stream` is one pass of one index, returned as `ChosenDraws`. All of
-them equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for
-bit, which the test suite checks; every other stream is a numpy Generator.
+building a seed sequence, PCG64 and Generator for each would take more
+time than the round. So round draws have one derivation, a numpy pass over
+up to `BLOCK` rows in typed ``np.uint32`` and ``np.uint64`` lanes:
+`_pools` hashes a whole array of seeds into the pool that every round of
+a seed shares (spawn key ``(ROUNDS,)``), `_seeded` mixes in each round
+index and generates the state, and PCG64's two seeding steps and its
+first two outputs run on 32-bit limbs. `sessions_draws` lays the sessions
+of a sweep end to end, reading their ``np.uint64`` seeds one pass at a
+time; `session_draws` is the same rows for one seed of any size, whose
+pool is derived once however many passes its session spans; and
+`round_stream` is one pass of one index, returned as `ChosenDraws`. All
+of them equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for
+bit, which the test suite checks against numpy's own seed sequence; every
+other stream is a numpy Generator.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ reads the first two."""
 
 _M32 = (1 << 32) - 1
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+# numpy's seed-sequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -68,6 +71,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _W1, _W16, _W31, _ML, _MR = map(np.uint32, (1, 16, 31, _MIX_MULT_L, _MIX_MULT_R))
 _L32, _L3, _L12 = map(np.uint64, (_M32, 3, 12))
 _S4, _S26, _S30, _S32, _S60, _S63, _S64 = map(np.uint64, (4, 26, 30, 32, 60, 63, 64))
+
+_CROSS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
+"""The lanes each pool lane mixes into, in order, in the pool's cross-mix."""
 
 _HASH_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(9)], dtype=np.uint32)[:, None]
 """`_MULT_A`**k mod 2**32 for k = 0..8: the hash constants of absorbing up
@@ -106,7 +112,8 @@ def stream(seed: int, *path: int) -> RandomStream:
 
 
 def _words(n: int) -> list[int]:
-    """`n` as SeedSequence splits an integer: little-endian 32-bit words."""
+    """`n` as numpy's seed sequence splits an integer: little-endian 32-bit
+    words."""
     if n < 0:
         raise ValueError(f"seeds and indices must be nonnegative, got {n}")
     words = [n & _M32]
@@ -117,17 +124,55 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _round_pool(seed: int) -> tuple[int, ...]:
-    """SeedSequence's four pool lanes and its hash constant, five 32-bit
-    words, for entropy `seed` and spawn key ``(ROUNDS, i)``, after every word
-    that precedes the index: numpy's pool for spawn key ``(ROUNDS,)``, and
-    `_INIT_A` times `_MULT_A` per hashing step, 16 to fill and cross-mix
-    the pool from the first four (zero-padded) entropy words and four per
-    later word, ROUNDS included."""
-    steps = 16 + 4 * (max(len(_words(seed)), _POOL_SIZE) - 3)
-    pool = np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool
-    h = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _M32
-    return (*pool.tolist(), h)
+def _pools(words: np.ndarray) -> np.ndarray:
+    """The four lanes of numpy's seed-sequence pool for spawn key
+    ``(ROUNDS,)`` and the hash constant after them, as a (5, n)
+    ``np.uint32`` array, for each column of `words`: a (w, n) ``np.uint32``
+    array of seeds' little-endian 32-bit words, zero above each seed's own
+    width.
+
+    It runs numpy's `mix_entropy` on every column at once, in the typed
+    lanes of `_seeded`: hash the first four words (zero-padded) into the
+    lanes, cross-mix the lanes in 12 steps, then absorb each word past the
+    fourth and the ROUNDS word (0), four hashing steps each. A column of
+    fewer than `w` words takes its ROUNDS word from the zero row after its
+    own and keeps its lanes and hash constant through the rows after that.
+    """
+    width, n = words.shape
+    rows = np.zeros((max(width, _POOL_SIZE) + 1, n), dtype=np.uint32)
+    rows[:width] = words
+    steps = 4 * len(rows)
+    consts = [_INIT_A]
+    for _ in range(steps):
+        consts.append(consts[-1] * _MULT_A & _M32)
+    h = np.array(consts, dtype=np.uint32)[:, None]
+    lanes = (rows[:_POOL_SIZE] ^ h[:4]) * h[1:5]
+    lanes ^= lanes >> _W16
+    k = _POOL_SIZE
+    for src, dst in enumerate(_CROSS):
+        value = (lanes[src] ^ h[k:k + 3]) * h[k + 1:k + 4]
+        value ^= value >> _W16
+        mixed = _ML * lanes[dst] - _MR * value
+        mixed ^= mixed >> _W16
+        lanes[dst] = mixed
+        k += 3
+    pools = np.empty((5, n), dtype=np.uint32)
+    for j, word in enumerate(rows[_POOL_SIZE:]):
+        value = (word ^ h[k:k + 4]) * h[k + 1:k + 5]
+        value ^= value >> _W16
+        mixed = _ML * lanes - _MR * value
+        mixed ^= mixed >> _W16
+        k += 4
+        if j:
+            # row 4 + j only where the column has a word at or above row 3 + j
+            live = rows[_POOL_SIZE - 1 + j:].any(axis=0)
+            lanes = np.where(live, mixed, lanes)
+            pools[4] = np.where(live, h[k], pools[4])
+        else:
+            lanes = mixed
+            pools[4] = h[k]
+    pools[:4] = lanes
+    return pools
 
 
 def _carry(cols: np.ndarray) -> np.ndarray:
@@ -162,11 +207,11 @@ def _seeded(pools: np.ndarray, indices: np.ndarray):
     of 32-bit limbs (lowest first), for every round in `indices`
     (``np.uint64``).
 
-    `pools` holds each row's `_round_pool` words in ``np.uint32``, shaped
-    (5, n), or (5, 1) for one seed's on every row. This is the one
-    round-seeding derivation. SeedSequence absorbs the index's words into
-    the pool lanes and `generate_state(4, uint64)` hashes them into eight
-    words, all mod 2**32 in ``np.uint32``. Those words' 64-bit pairs are
+    `pools` holds each row's `_pools` column, shaped (5, n), or (5, 1) for
+    one seed's on every row. This is the one round-seeding derivation. The
+    seed sequence absorbs the index's words into the pool lanes and
+    `generate_state(4, uint64)` hashes them into eight words, all mod
+    2**32 in ``np.uint32``. Those words' 64-bit pairs are
     the high and low halves of the initial state, then of the stream, and
     PCG64 seeds by stepping from state 0, adding the initial state and
     stepping again. Every constant is typed like the array it meets:
@@ -212,23 +257,40 @@ def _draws(pools: np.ndarray, indices: np.ndarray) -> list:
     round: one pass, with `pools` as in `_seeded`."""
     state, inc = _seeded(pools, indices)
     second = _mul_add(state, inc)
-    codes = _draw_codes(np.stack((second, _mul_add(second, inc)), axis=1))
-    return _ROWS.take((codes[0] | codes[1] << _S4).astype(np.intp)).tolist()
+    codes = _draw_codes(np.concatenate((second, _mul_add(second, inc)), axis=1))
+    n = len(indices)
+    return _ROWS.take((codes[:n] | codes[n:] << _S4).astype(np.intp)).tolist()
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """`seeds` as `_pools` takes them: (w, n) ``np.uint32`` little-endian
+    words, two per ``np.uint64`` seed, or for Python ints of any size as
+    many as the widest has, each zero above its width."""
+    if seeds.dtype == np.uint64:
+        return np.array(((seeds & _L32).astype(np.uint32), (seeds >> _S32).astype(np.uint32)))
+    words = [*map(_words, seeds.tolist())]
+    padded = np.zeros((max(map(len, words)), len(words)), dtype=np.uint32)
+    for column, seed_words in enumerate(words):
+        padded[:len(seed_words), column] = seed_words
+    return padded
 
 
 def _passes(seeds: np.ndarray, rounds: int):
     """The rows of `seeds`' sessions of `rounds` rounds each, laid end to
     end in order: one pass, a list, per `BLOCK` rows. Short sessions share
     a pass and a long one spans several; the seed array is read one pass
-    at a time, so it is never turned into Python ints whole."""
+    at a time, so it is never turned into Python ints whole, and a pass
+    over the same seeds as the one before it reuses their pools."""
     total = len(seeds) * rounds
+    span = None
     for start in range(0, total, BLOCK):
         session, indices = np.divmod(np.arange(start, min(start + BLOCK, total)), rounds)
-        first = start // rounds
-        pools = np.array([*map(_round_pool, seeds[first:session[-1] + 1].tolist())],
-                         dtype=np.uint32)
-        session -= first
-        yield _draws(pools[session].T, indices.astype(np.uint64))
+        first, last = start // rounds, int(session[-1]) + 1
+        if span != (first, last):
+            span = first, last
+            pools = _pools(_seed_words(seeds[first:last]))
+        yield _draws(pools[:, session - first] if last - first > 1 else pools,
+                     indices.astype(np.uint64))
 
 
 def session_draws(seed: int, rounds: int):
@@ -282,7 +344,7 @@ def round_stream(seed: int, index: int) -> ChosenDraws:
     of ``stream(seed, ROUNDS, index)``: one pass of one index."""
     if index < 0 or index >> 64:
         raise ValueError(f"round indices must be nonnegative and below 2**64, got {index}")
-    pools = np.array([_round_pool(seed)], dtype=np.uint32).T
+    pools = _pools(_seed_words(np.array([seed], dtype=object)))
     return ChosenDraws(_draws(pools, np.array([index], dtype=np.uint64))[0])
 
 

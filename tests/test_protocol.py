@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibilit
 from swapqkd.protocol import (
     _agreed_schedule,
     _closing_corrections,
+    _session_start,
     DEFAULT_LABELS,
     INITIAL_ROLES,
     Correction,
@@ -354,6 +356,52 @@ class TestSessionDraws:
             run_session(config, [(0, 0, 0, 0)] * rows)
 
 
+def start_by_hand(config):
+    """(table pairs, ledger tags, custody) a session under `config` starts
+    from, written out from INITIAL_ROLES: qubits 1-2 (link), 3-5 (anchor)
+    and 4-6 (bob), public, and Eve's 7-8 hers."""
+    link, anchor, bob = config.initial_labels
+    pairs = [(1, 2, link, Party.ALICE), (3, 5, anchor, Party.ALICE), (4, 6, bob, Party.BOB)]
+    if config.eve_enabled:
+        pairs.append((7, 8, config.eve_ancilla, Party.EVE))
+    tags = {(a, b): Visibility.EVE_ONLY if holder is Party.EVE else Visibility.PUBLIC
+            for a, b, _, holder in pairs}
+    custody = {q: holder for a, b, _, holder in pairs for q in (a, b)}
+    return sorted((a, b, label) for a, b, label, _ in pairs), tags, custody
+
+
+def start_of(session):
+    return session.table.pairs(), session.ledger.pairs(), session.custody
+
+
+class TestSessionStart:
+    @pytest.mark.parametrize("eve", [False, True])
+    @pytest.mark.parametrize("ancilla", ALL_LABELS, ids=str)
+    def test_start_equals_a_construction_by_hand(self, eve, ancilla):
+        pick = random.Random(f"{eve}{ancilla}")
+        for labels in [DEFAULT_LABELS] + [tuple(pick.choices(ALL_LABELS, k=3)) for _ in range(4)]:
+            config = SessionConfig(rounds=1, seed=0, eve_enabled=eve, initial_labels=labels,
+                                   eve_ancilla=ancilla)
+            assert start_of(Session(config)) == start_by_hand(config)
+
+    def test_sessions_share_no_state(self):
+        config = SessionConfig(rounds=3, seed=5, eve_enabled=True, eve_ancilla=lab("01"))
+        first, second = Session(config), Session(config)
+        for state in (lambda s: s.table._partner, lambda s: s.table._label,
+                      lambda s: s.ledger._mask, lambda s: s.custody):
+            assert state(first) is not state(second)
+        cells = {id(cell) for cell in first.ledger._mask.values()}
+        assert cells.isdisjoint(id(cell) for cell in second.ledger._mask.values())
+        # each pair's two qubits share one cell, as `declare` makes them
+        assert len(cells) == 4
+        first.table.apply_pauli(1, PauliOp.X)
+        first.ledger.record_announcement(7, 8)
+        first.custody[2] = Party.BOB
+        assert start_of(first) != start_by_hand(config)
+        assert start_of(second) == start_by_hand(config)
+        assert start_of(Session(config)) == start_by_hand(config)
+
+
 class TestStateCheckMessages:
     """Every round-start and reset check keeps its exception and message."""
 
@@ -409,6 +457,7 @@ class TestHotPath:
         """
         _closing_corrections.cache_clear()
         _agreed_schedule.cache_clear()
+        _session_start.cache_clear()
         config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
         calls = 0
 

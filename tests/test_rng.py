@@ -77,9 +77,45 @@ def test_index_beyond_64_bits_rejected():
         round_stream(1, 2**64)
 
 
+def numpy_pool(seed):
+    """numpy's pool for `seed` under spawn key (ROUNDS,), then the hash
+    constant after it: 16 hashing steps to fill and cross-mix the pool,
+    four per word past the fourth and four for the ROUNDS word."""
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool
+    words = max(len(rng._words(seed)), 4)
+    steps = 16 + 4 * (words - 3)
+    return [*pool.tolist(), rng._INIT_A * pow(rng._MULT_A, steps, 2**32) % 2**32]
+
+
+def pools_of(seeds):
+    return rng._pools(rng._seed_words(seeds))
+
+
+def test_pools_of_a_uint64_array_equal_numpy():
+    seeds = session_seeds(8, 2000)
+    pools = pools_of(seeds)
+    assert pools.dtype == np.uint32 and pools.shape == (5, 2000)
+    assert pools.T.tolist() == [numpy_pool(seed) for seed in seeds.tolist()]
+
+
+@pytest.mark.parametrize("seed", SEEDS + [2**64, 2**255 + 1, 3**200])
+def test_pools_of_one_seed_equal_numpy(seed):
+    pools = pools_of(np.array([seed], dtype=object))
+    assert pools.dtype == np.uint32
+    assert pools[:, 0].tolist() == numpy_pool(seed)
+
+
+def test_pools_of_seeds_of_every_width_equal_numpy():
+    # narrower columns stop absorbing where their words end
+    seeds = SEEDS[::-1] + [2**255 + 1, 3**200, 2**160, 0]
+    pools = pools_of(np.array(seeds, dtype=object))
+    assert pools.dtype == np.uint32
+    assert pools.T.tolist() == [numpy_pool(seed) for seed in seeds]
+
+
 def block_rows(seed, indices):
     """One pass of the block derivation over `indices` under `seed`."""
-    pools = np.array([rng._round_pool(seed)], dtype=np.uint32).T
+    pools = pools_of(np.array([seed], dtype=object))
     return rng._draws(pools, np.array(indices, dtype=np.uint64))
 
 
