@@ -16,8 +16,11 @@ lines are written from a fixed template that yields exactly what
 through `json.dumps` itself. `parse_lines` reads a round's outcomes,
 checks that a session produces them, and derives the rest of its line
 with the functions a session uses; every derived copy in the file, round
-or summary, must equal what `emit_lines` writes. Malformed input, or a
-copy that disagrees, raises `TranscriptError`.
+or summary, must equal what `emit_lines` writes. A round line that is
+byte for byte a line already derived in the file, at its own index, is
+taken from that derivation without json.loads. Bytes lines are read as
+UTF-8 only. Malformed input, or a copy that disagrees, raises
+`TranscriptError`.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ _TRANSFERS_TEXT = tuple(f'"transfers":{_dump([list(transit) for transit in t])},
                         f'"transmissions":{len(t)}' for t in TRANSFERS)
 # every round line starts with this, then its index
 _HEAD = '{"kind":"round","index":'
+# the whitespace JSON allows; str.rstrip() would also strip characters
+# such as "\x0b" and "\xa0", on which json.loads fails
+_JSON_SPACE = " \t\r\n"
 
 _LABEL_OF = {lab.text: lab for lab in ALL_LABELS}
 
@@ -257,14 +263,16 @@ def _config_from(row: dict, line: int) -> SessionConfig:
         raise TranscriptError(str(err), line, "config") from None
 
 
-def _round_from(row: dict, text, line: int, index: int, config: SessionConfig,
-                branches: dict) -> RoundRecord:
+def _round_from(row: dict, text: str, line: int, index: int, config: SessionConfig,
+                branches: dict, tails: dict) -> RoundRecord:
     """Round `index` of the file, from its line `text` and the line's
     json.loads `row`, in two steps.
 
     Only the round's outcomes are read: `_branch` checks that a session
     produces them and derives the line `emit_lines` writes for them,
-    cached in `branches` per (index mod 4, outcomes). Then the line must
+    cached in `branches` per (index mod 4, outcomes) and recorded in
+    `tails` per (index mod 4, line after the index), which `parse_lines`
+    looks later lines up in before it runs json.loads. Then the line must
     equal the derived one, byte for byte but for trailing whitespace, or
     pass `_check_derived`, which names the first field that differs and
     accepts other JSON spacing or key order.
@@ -279,11 +287,14 @@ def _round_from(row: dict, text, line: int, index: int, config: SessionConfig,
     except (KeyError, TypeError):
         # outcomes not seen before, or malformed ones, on which _branch raises
         tail, labels, eve, corrections = branches[key] = _branch(row, line, phase, config)
+        tails[phase, tail] = labels, eve, corrections
     expected = f"{_HEAD}{index}{tail}"
-    if type(text) is bytes:
-        text = text.decode("utf-8", "replace")
     if text.rstrip() != expected:
         _check_derived(row, json.loads(expected), line)
+    return _record(index, labels, eve, corrections)
+
+
+def _record(index: int, labels: tuple, eve: tuple | None, corrections) -> RoundRecord:
     return RoundRecord(index, *labels, None if eve is None else EveRoundRecord(*eve),
                        corrections)
 
@@ -325,9 +336,8 @@ def _branch(row: dict, line: int, phase: int, config: SessionConfig) -> tuple:
                                       line, f"eve.inferred_{party}")
         eve = (*eve, inferred_alice, inferred_bob)
     corrections = closing_corrections(config, phase, alice, announcement, bob, detach)
-    record = RoundRecord(phase, *labels, None if eve is None else EveRoundRecord(*eve),
-                         corrections)
-    return _round_line(record).removeprefix(f"{_HEAD}{phase}"), labels, eve, corrections
+    tail = _round_line(_record(phase, labels, eve, corrections)).removeprefix(f"{_HEAD}{phase}")
+    return tail, labels, eve, corrections
 
 
 def _check_derived(found, derived, line: int, field: str = "") -> None:
@@ -353,30 +363,50 @@ def parse_lines(lines) -> TranscriptFile:
     """Parse transcript lines back into the objects `emit_lines` wrote.
 
     `lines` is any iterable of lines, str or bytes, an open file included;
-    each round line becomes its record as it is read, so no row outlives
-    its line. Blank lines are skipped. Each round and the summary line are
-    checked against what `emit_lines` derives from the header and the
-    rounds' outcomes (see `_round_from`), and the file `TranscriptFile.of`
-    derives is what is returned. Malformed or inconsistent input raises
-    `TranscriptError`.
+    a bytes line must be UTF-8. Each round line becomes its record as it
+    is read, so no row outlives its line. Blank lines are skipped. Each
+    round and the summary line are checked against what `emit_lines`
+    derives from the header and the rounds' outcomes (see `_round_from`),
+    and the file `TranscriptFile.of` derives is what is returned.
+    Malformed or inconsistent input raises `TranscriptError`.
+
+    Round line i skips json.loads when it is `{"kind":"round","index":i`
+    followed, up to trailing JSON whitespace, by a tail that `_round_from`
+    has already derived in this file for i mod 4: the line is then byte
+    for byte one that was derived and checked, and it takes that round's
+    record. In a file `emit_lines` wrote, json.loads runs once for the
+    header, once for the summary and once per distinct branch.
     """
     config = summary = None
     rounds: list[RoundRecord] = []
     branches: dict = {}
+    tails: dict = {}
     for number, line in enumerate(lines, 1):
+        if isinstance(line, (bytes, bytearray)):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise TranscriptError(f"not utf-8 text: {err.reason}", number) from None
         if not line.strip():
             continue
+        if config is not None and summary is None:
+            index = len(rounds)
+            head = f"{_HEAD}{index}"
+            if line.startswith(head):
+                rest = line[len(head):].rstrip(_JSON_SPACE)
+                branch = tails.get((index % len(TRANSFERS), rest))
+                if branch is not None:
+                    rounds.append(_record(index, *branch))
+                    continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError as err:
             raise TranscriptError(f"not JSON: {err.msg} at column {err.colno}", number) from None
-        except UnicodeDecodeError as err:  # a bytes line
-            raise TranscriptError(f"not {err.encoding} text: {err.reason}", number) from None
         if type(row) is not dict:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, line, number, len(rounds), config, branches))
+            rounds.append(_round_from(row, line, number, len(rounds), config, branches, tails))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")

@@ -52,6 +52,31 @@ def labels(*texts):
     return tuple(BellLabel.from_string(t) for t in texts)
 
 
+OTHER_LABELS = dict(initial_labels=labels("01", "11", "00"),
+                    eve_ancilla=BellLabel.from_string("10"))
+
+
+def branch_key(row: dict) -> tuple:
+    """A round row's index mod 4 and outcomes, which fix its derivation."""
+    key = (row["index"] % 4, row["alice_secret"], row["bob_secret"], row["announcement"])
+    if row["eve"] is not None:
+        key += tuple(row["eve"][name] for name in ("outbound_outcome", "return_readout",
+                                                     "detach_outcome"))
+    return key
+
+
+def first_repeat(lines) -> int:
+    """Position in `lines` of the first round line whose branch an
+    earlier round line already had."""
+    seen = set()
+    for at, line in enumerate(lines[1:-1], 1):
+        key = branch_key(json.loads(line))
+        if key in seen:
+            return at
+        seen.add(key)
+    pytest.fail("no branch repeats")
+
+
 class TestRoundTemplate:
     @pytest.mark.parametrize(
         "cfg",
@@ -98,15 +123,42 @@ class TestParse:
         with path.open("rb") as fh:
             assert transcript.parse_lines(fh) == canonical
 
-    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
-    def test_accepts_other_spacing_and_key_order(self, eve):
+    @pytest.mark.parametrize(
+        "eve, rounds, cfg",
+        [(False, 6, {}), (True, 6, {}), (False, 2000, OTHER_LABELS), (True, 2000, OTHER_LABELS)],
+        ids=["honest", "eve", "honest_2000_rounds_labels", "eve_2000_rounds_labels"],
+    )
+    def test_accepts_other_spacing_and_key_order(self, eve, rounds, cfg):
         # a round line that differs from the derived one only in JSON
-        # spacing or key order is walked field by field, and accepted
-        lines = make_lines(eve=eve)
+        # spacing or key order is walked field by field, and accepted; the
+        # canonical file takes a repeated branch's lines without json.loads,
+        # the walked one parses and walks every line
+        lines = make_lines(rounds=rounds, eve=eve, **cfg)
         rows = [json.loads(line) for line in lines[1:-1]]
         walked = [lines[0], *[json.dumps(dict(reversed(row.items()))) for row in rows], lines[-1]]
         assert not set(walked[1:-1]) & set(lines)
         assert transcript.parse_lines(walked) == transcript.parse_lines(lines)
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes_json_space"])
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    def test_json_loads_once_per_branch(self, eve, as_bytes, monkeypatch):
+        # a round line equal to one derived earlier in the file, up to
+        # trailing JSON whitespace, takes that derivation: json.loads reads
+        # the header, the summary and the first line of each branch only
+        lines = make_lines(rounds=2000, eve=eve)
+        branches = {branch_key(json.loads(line)) for line in lines[1:-1]}
+        canonical = transcript.parse_lines(lines)
+        if as_bytes:
+            lines = [f"{line} \t\r\n".encode() for line in lines]
+        loads, calls = json.loads, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        assert transcript.parse_lines(lines) == canonical
+        assert len(calls) == 2 + len(branches) < len(lines) // 2
 
 
 def edit_round(change, at=2, **cfg):
@@ -154,6 +206,23 @@ class TestTranscriptError:
         err = parse_error(lines)
         assert (err.line, err.field) == (4, None)
         assert "not utf-8 text" in str(err)
+
+    @pytest.mark.parametrize("number", [1, 3, 8], ids=["header", "round", "summary"])
+    @pytest.mark.parametrize(
+        "encoding, message",
+        [("utf-16", "not utf-8 text"), ("utf-16-le", "not JSON"), ("utf-32", "not utf-8 text"),
+         ("utf-8-sig", "not JSON")],
+        ids=["utf-16", "utf-16-le", "utf-32", "utf-8-sig"],
+    )
+    def test_bytes_line_in_another_encoding(self, encoding, message, number):
+        # a bytes line is read as UTF-8 only; without a byte order mark an
+        # ASCII line in UTF-16-LE is UTF-8 text, of NULs that are not JSON
+        lines = [line.encode() for line in make_lines()]
+        assert len(lines) == 8
+        lines[number - 1] = lines[number - 1].decode().encode(encoding)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (number, None)
+        assert message in str(err)
 
     def test_line_not_an_object(self):
         lines = make_lines()
@@ -342,19 +411,7 @@ class TestTranscriptError:
     def test_edit_of_a_repeated_branch(self, field):
         # rounds with the same outcomes and i mod 4 share one derivation;
         # each line is still compared with it on its own
-        lines = make_lines(rounds=200)
-        seen = set()
-        for at, line in enumerate(lines[1:-1], 1):
-            row = json.loads(line)
-            key = (row["index"] % 4, *[row[name] for name in ("alice_secret", "bob_secret",
-                                                               "announcement")],
-                   *[row["eve"][name] for name in ("outbound_outcome", "return_readout",
-                                                   "detach_outcome")])
-            if key in seen:
-                break
-            seen.add(key)
-        else:
-            pytest.fail("no branch repeats")
+        at = first_repeat(make_lines(rounds=200))
 
         def change(row):
             if field == "key_bits":
@@ -364,6 +421,54 @@ class TestTranscriptError:
 
         err = parse_error(edit_round(change, at=at, rounds=200))
         assert (err.line, err.field) == (at + 1, field)
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    @pytest.mark.parametrize("end", ["\x0b", "\x0c", "\x1c", "\xa0"],
+                             ids=["x0b", "x0c", "x1c", "xa0"])
+    def test_repeated_branch_with_a_non_json_space(self, end, as_bytes):
+        # str.rstrip() strips these characters and JSON does not allow
+        # them: a line equal to a derived one but for such an end is not JSON
+        lines = make_lines(rounds=200)
+        at = first_repeat(lines)
+        lines[at] += end
+        if as_bytes:
+            lines = [line.encode() for line in lines]
+        err = parse_error(lines)
+        assert (err.line, err.field) == (at + 1, None)
+        assert "not JSON" in str(err)
+
+    def test_repeated_branch_after_the_summary(self):
+        # a line after the summary is rejected even when it is the next
+        # round's line of a branch the file already derived
+        longer = make_lines(rounds=200)
+        at = first_repeat(longer)
+        lines = make_lines(rounds=at - 1)
+        assert lines[1:-1] == longer[1:at]
+        lines.append(longer[at])
+        err = parse_error(lines)
+        assert (err.line, err.field) == (len(lines), None)
+        assert "after the summary" in str(err)
+
+    @pytest.mark.parametrize("at, moved", [(1, 13), (5, 53)])
+    def test_round_line_at_another_position(self, at, moved):
+        # round `moved`'s line starts as round `at`'s does and has its
+        # index mod 4, so only the index differs
+        lines = make_lines(rounds=60)
+        lines[at + 1] = lines[moved + 1]
+        err = parse_error(lines)
+        assert (err.line, err.field) == (at + 2, "index")
+        assert str(err).endswith(f"derived from the round's position; got {moved}")
+
+    def test_repeated_branch_at_another_index(self):
+        # a line whose branch and index mod 4 the file already derived is
+        # taken from that derivation only at its own index
+        lines = make_lines(rounds=200)
+        at = first_repeat(lines)
+        key = branch_key(json.loads(lines[at]))
+        earlier = next(i for i in range(1, at) if branch_key(json.loads(lines[i])) == key)
+        lines[at] = lines[earlier]
+        err = parse_error(lines)
+        assert (err.line, err.field) == (at + 1, "index")
 
     def test_summary_field(self):
         lines = make_lines()
