@@ -18,22 +18,27 @@ and rotates it back to her preparation label with the others
 
 Separation of knowledge is structural: Eve's quantum access goes through a
 `ChannelTap` that only reaches her ancillas and the qubit currently in
-transit. Her three steps fill the round's `EveRoundRecord`, which the
-session creates, each outcome written once; besides it they read only
-public values: the agreed labels, her ancilla label and the announcement.
+transit (`REACH` holds that set for each transit of the role schedule).
+Her three steps fill the round's `EveRoundRecord`, which the session
+creates, each outcome written once; besides it they read only public
+values: the agreed labels, her ancilla label and the announcement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bell import BellLabel
-from .knowledge import KnowledgeLedger, Party
+from .bell import ALL_LABELS, BellLabel
+from .knowledge import EVE, KnowledgeLedger
 from .rng import RoundStream
 
 
 ANCILLAS = (7, 8)
 """Eve's ancilla qubits A and B, which hold her pair."""
+
+
+REACH: dict[int, frozenset[int]] = {}
+"""Eve's reach per role-schedule transit, entered once by `protocol`; others build theirs."""
 
 
 class AccessViolation(RuntimeError):
@@ -51,7 +56,7 @@ class ChannelTap:
     def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream, transit: int):
         self._ledger = ledger
         self._rng = randomness
-        self._allowed = frozenset((*ANCILLAS, transit))
+        self._allowed = REACH.get(transit) or frozenset((*ANCILLAS, transit))
         self.transit = transit
 
     def bsm(self, a: int, b: int) -> BellLabel:
@@ -59,13 +64,13 @@ class ChannelTap:
             raise AccessViolation(
                 f"measurement on ({a},{b}) is outside Eve's reach {sorted(self._allowed)}"
             )
-        return self._ledger.measure(a, b, Party.EVE, self._rng)
+        return self._ledger.measure(a, b, EVE, self._rng)
 
     def are_partners(self, a: int, b: int) -> bool:
         """Pair structure is public; Eve may query it for reachable qubits."""
         if a not in self._allowed or b not in self._allowed:
             raise AccessViolation(f"({a},{b}) is outside Eve's reach")
-        return self._ledger.table.are_partners(a, b)
+        return self._ledger.table._partner.get(a) == b
 
 
 @dataclass(slots=True)
@@ -145,7 +150,7 @@ def infer_bob_secret(bob: BellLabel, outbound: BellLabel, readout: BellLabel) ->
     Bob's secret measurement consumed that pair and his agreed `bob` pair,
     leaving the returning qubit with ancilla B in `readout`.
     """
-    return readout ^ bob ^ outbound
+    return ALL_LABELS[readout.index ^ bob.index ^ outbound.index]
 
 
 def infer_alice_secret(
@@ -165,5 +170,5 @@ def infer_alice_secret(
     ancilla A in link ^ ancilla ^ outbound, and Alice's secret is what
     joined the two.
     """
-    anchor_tap = announcement ^ readout ^ detach
-    return anchor_tap ^ anchor ^ link ^ ancilla ^ outbound
+    anchor_tap = announcement.index ^ readout.index ^ detach.index
+    return ALL_LABELS[anchor_tap ^ anchor.index ^ link.index ^ ancilla.index ^ outbound.index]

@@ -64,20 +64,22 @@ def eavesdropping_test(
         raise ValueError("selecting a proper subset of rounds needs the public coin")
     else:
         chosen = sorted(int(i) for i in coin.choice(len(rounds), size=n_test, replace=False))
-    chosen_set = frozenset(chosen)
     mismatches = sum(
         1 for i in chosen if rounds[i].alice_secret != rounds[i].bob_inferred_alice
     )
-    kept = SessionTranscript(
-        transcript.config, [rec for i, rec in enumerate(rounds) if i not in chosen_set]
-    )
+    alice_key = bob_key = ""  # testing every round leaves no key
+    if n_test < len(rounds):
+        chosen_set = frozenset(chosen)
+        kept = SessionTranscript(
+            transcript.config, [rec for i, rec in enumerate(rounds) if i not in chosen_set])
+        alice_key, bob_key = kept.alice_key, kept.bob_key
     return TestReport(
         pairs_tested=n_test,
         bits_tested=2 * n_test,
         mismatches=mismatches,
         eve_detected=mismatches > 0,
-        remaining_key=kept.alice_key,
-        remaining_key_bob=kept.bob_key,
+        remaining_key=alice_key,
+        remaining_key_bob=bob_key,
         tested_rounds=tuple(chosen),
         degenerate=n_test == 0,
     )

@@ -5,13 +5,14 @@ notation of the protocol's bookkeeping: a label can be public, private to
 one party, shared by Alice and Bob, or unknown to everyone (a pair created
 by a swap whose inputs no single party fully knows).
 
-The ledger is built on the session's `PairTable` and keeps only each
-pair's knower set, a bitmask in a one-element list (the pair's cell) that
-both its qubits map to; the pair structure is read from the table. A pair
-is declared while its qubits share a cell and are partners, so one the
-table forms outside `measure` is refused until declared. Every Bell
-measurement is one `measure` call, which measures once on the table and
-derives the new tags set-algebraically from what the table did. Knowing a
+The ledger is built on the session's `PairTable` and keeps only each pair's
+knower set, a bitmask in a one-element list (the pair's cell) that both its
+qubits map to; the pair structure is read from the table. A pair is
+declared while its qubits share a cell and are partners, so one the table
+forms outside `measure` is refused until declared. Every Bell measurement
+is one `measure` call, which checks the two pairs it consumes, measures
+once on the table and derives the new tags set-algebraically from what the
+table did; `_pair` checks the pair any other update names. Knowing a
 swapped pair's label requires knowing both consumed labels and the outcome,
 so the induced tag is the intersection of those knower sets. Within the
 life of a pair the knower set only grows; `LedgerViolation` is raised on
@@ -52,8 +53,10 @@ class LedgerViolation(RuntimeError):
     """An update would shrink knowledge, or an actor lacks a needed label."""
 
 
+# the members by plain name: on CPython 3.11 `Party.EVE` goes through EnumType's __getattr__ slot
+ALICE, BOB, EVE = Party.ALICE, Party.BOB, Party.EVE
 # knower sets as bitmasks
-KNOWER_BIT = {Party.ALICE: 1, Party.BOB: 2, Party.EVE: 4}
+KNOWER_BIT = {ALICE: 1, BOB: 2, EVE: 4}
 """Each party's bit in a pair's knower mask."""
 _WORLD = 7
 
@@ -80,16 +83,16 @@ class KnowledgeLedger:
         self._mask[a] = self._mask[b] = [_MASK_OF[visibility]]
 
     def copy(self, table: PairTable) -> "KnowledgeLedger":
-        """This ledger's tags over `table`, a copy of its table: each cell is
-        copied once and shared by the same qubits, so the copy and this
-        ledger share no cell."""
+        """This ledger's tags over `table`, a copy of its table: a qubit
+        gets a copy of its cell, which its partner shares if it shares the
+        original, so the copy and this ledger share no cell."""
         ledger = KnowledgeLedger(table)
-        fresh: dict[int, list[int]] = {}
-        for q, cell in self._mask.items():
-            copied = fresh.get(id(cell))
-            if copied is None:
-                copied = fresh[id(cell)] = [cell[0]]
-            ledger._mask[q] = copied
+        cells, copied = self._mask, ledger._mask
+        for q, cell in cells.items():
+            if q not in copied:
+                copied[q] = [cell[0]]
+                if cells.get(partner := table._partner.get(q)) is cell:
+                    copied[partner] = copied[q]
         return ledger
 
     def tag(self, a: int, b: int) -> Visibility:
@@ -117,13 +120,17 @@ class KnowledgeLedger:
         both consumed labels and the outcome.
         """
         table, mask, bit = self.table, self._mask, KNOWER_BIT[party]
-        partner_of = table._partner.get
-        j, l = partner_of(a), partner_of(b)
-        if j is None or l is None:
-            unpaired = a if j is None else b
-            raise LedgerViolation(f"qubit {unpaired} is not paired; no ledgered pair holds it")
-        left, right = mask.get(a), mask.get(b)
-        if left is None or left is not mask.get(j) or right is None or right is not mask.get(l):
+        try:
+            j, l = table._partner[a], table._partner[b]
+        except KeyError as unpaired:
+            raise LedgerViolation(
+                f"qubit {unpaired.args[0]} is not paired; no ledgered pair holds it") from None
+        try:
+            left, right = mask[a], mask[b]
+            declared = left is mask[j] and right is mask[l]
+        except KeyError:
+            declared = False
+        if not declared:
             raise LedgerViolation(f"qubit {a} or {b} is in no ledgered pair")
         outcome = table.bsm(a, b, randomness)
         if j == b:
@@ -135,7 +142,8 @@ class KnowledgeLedger:
 
     def _pair(self, a: int, b: int) -> list[int]:
         """Cell of the declared pair (a, b); a LedgerViolation if a and b are
-        not partners in the table or do not share a declared cell."""
+        not partners in the table or do not share a declared cell; the one
+        check of a named pair, which `tag`, `knows` and `record_*` share."""
         cell = self._mask.get(a)
         if cell is None or cell is not self._mask.get(b) or self.table._partner.get(a) != b:
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
-from .knowledge import KNOWER_BIT, KnowledgeLedger, LedgerViolation, Party, Visibility
+from .knowledge import (_WORLD, ALICE, BOB, EVE, KNOWER_BIT, KnowledgeLedger, LedgerViolation,
+                        Party, Visibility)
 from .rng import ChosenDraws, RoundStream, round_stream, session_draws
 
 
@@ -83,13 +84,13 @@ class RoleMap:
         given Eve's `ancilla` label, her ancilla pair comes last."""
         link, anchor, bob = labels
         pairs = (
-            (self.alice_keep, self.alice_send, link, Party.ALICE),
-            (self.anchor_a, self.anchor_b, anchor, Party.ALICE),
-            (self.bob_keep, self.bob_send, bob, Party.BOB),
+            (self.alice_keep, self.alice_send, link, ALICE),
+            (self.anchor_a, self.anchor_b, anchor, ALICE),
+            (self.bob_keep, self.bob_send, bob, BOB),
         )
         if ancilla is None:
             return pairs
-        return (*pairs, (*adversary.ANCILLAS, ancilla, Party.EVE))
+        return (*pairs, (*adversary.ANCILLAS, ancilla, EVE))
 
     def rotated(self) -> "RoleMap":
         """Roles for the next round.
@@ -121,6 +122,8 @@ while ROLE_SCHEDULE[-1].rotated() != INITIAL_ROLES:
 TRANSFERS = tuple(((r.alice_send, "alice_to_bob"), (r.bob_send, "bob_to_alice"))
                   for r in ROLE_SCHEDULE)
 """(qubit, direction) of each channel transit of round i: TRANSFERS[i % len(TRANSFERS)]."""
+adversary.REACH.update((q, frozenset((*adversary.ANCILLAS, q)))
+                       for transits in TRANSFERS for q, _ in transits)
 
 
 @functools.lru_cache(maxsize=512)
@@ -140,7 +143,7 @@ def _session_start(labels, ancilla) -> tuple[PairTable, KnowledgeLedger, dict[in
     table = PairTable([(a, b, label) for a, b, label, _ in pairs])
     ledger = KnowledgeLedger(table)
     for a, b, _, holder in pairs:
-        ledger.declare(a, b, Visibility.EVE_ONLY if holder is Party.EVE else Visibility.PUBLIC)
+        ledger.declare(a, b, Visibility.EVE_ONLY if holder is EVE else Visibility.PUBLIC)
     return table, ledger, {q: holder for a, b, _, holder in pairs for q in (a, b)}
 
 
@@ -222,7 +225,7 @@ class SessionTranscript:
 
     @property
     def alice_key(self) -> str:
-        return "".join([rec.key_bits for rec in self.rounds])
+        return "".join([rec.alice_secret.text for rec in self.rounds])
 
     @property
     def bob_key(self) -> str:
@@ -248,7 +251,8 @@ def infer_other_secret(
     secrets, so one more XOR with either secret isolates the other: Alice
     passes hers to get Bob's, Bob passes his to get Alice's.
     """
-    return link ^ anchor ^ bob ^ own_secret ^ announcement
+    return ALL_LABELS[link.index ^ anchor.index ^ bob.index ^ own_secret.index
+                      ^ announcement.index]
 
 
 def closing_corrections(
@@ -268,26 +272,28 @@ def closing_corrections(
     ancilla pair is the fourth agreed pair, and she rotates it back to her
     preparation label last.
     """
+    held = (alice_secret, announcement, bob_secret)
     return _closing_corrections(
         config.initial_labels, config.eve_ancilla, (index + 1) % len(ROLE_SCHEDULE),
-        alice_secret, announcement, bob_secret, eve_detach,
+        *(held if eve_detach is None else (*held, eve_detach)),
     )
 
 
 @functools.lru_cache(maxsize=4096)
 def _closing_corrections(labels, ancilla, next_roles, alice_secret, announcement, bob_secret,
-                         eve_detach) -> tuple[Correction, ...]:
+                         eve_detach=None) -> tuple[Correction, ...]:
     """`closing_corrections` with the next roles as ROLE_SCHEDULE[next_roles].
 
     A session meets at most 4 * 4**4 distinct argument tuples, and a
-    lookup costs less than deriving the corrections each round.
+    lookup costs less than deriving the corrections each round. A run and
+    a parse share entries: without Eve both pass six arguments.
     """
     pairs = _agreed_schedule(labels, None if eve_detach is None else ancilla)[next_roles]
     held = (alice_secret, announcement, bob_secret, eve_detach)
-    return tuple(
+    return tuple([
         Correction(party, q, pauli_correction(label, target))
         for (q, _, target, party), label in zip(pairs, held)
-    )
+    ])
 
 
 def public_posterior(
@@ -324,7 +330,10 @@ class Session:
 
     # -- round execution ---------------------------------------------------
 
-    def _check_round_preconditions(self):
+    def run_round(self, randomness: RoundStream) -> RoundRecord:
+        cfg = self.config
+        r = self.roles
+        ledger = self.ledger
         partner, labels, custody = self.table._partner, self.table._label, self.custody
         for a, b, want, holder in self._pairs:
             if partner.get(a) != b:
@@ -336,12 +345,6 @@ class Session:
                 )
             if custody[a] is not holder or custody[b] is not holder:
                 raise ValueError(f"malformed state: {holder.value} does not hold {a},{b}")
-
-    def run_round(self, randomness: RoundStream) -> RoundRecord:
-        cfg = self.config
-        r = self.roles
-        ledger = self.ledger
-        self._check_round_preconditions()
         eve_record = adversary.EveRoundRecord() if cfg.eve_enabled else None
 
         link, anchor, bob = cfg.initial_labels
@@ -350,27 +353,27 @@ class Session:
         if eve_record is not None:
             tap = adversary.ChannelTap(ledger, randomness, r.alice_send)
             adversary.eve_intercept_outbound(eve_record, tap)
-        self.custody[r.alice_send] = Party.BOB
+        custody[r.alice_send] = BOB
 
         # step 2: Alice's secret measurement
-        alice_secret = ledger.measure(r.alice_keep, r.anchor_a, Party.ALICE, randomness)
+        alice_secret = ledger.measure(r.alice_keep, r.anchor_a, ALICE, randomness)
 
         # step 3: Bob's secret measurement
-        bob_secret = ledger.measure(r.alice_send, r.bob_keep, Party.BOB, randomness)
+        bob_secret = ledger.measure(r.alice_send, r.bob_keep, BOB, randomness)
 
         # step 4: return transit (tapped again), then the public readout
         if eve_record is not None:
             tap = adversary.ChannelTap(ledger, randomness, r.bob_send)
             adversary.eve_intercept_return(eve_record, tap, bob)
-        self.custody[r.bob_send] = Party.ALICE
-        announcement = ledger.measure(r.anchor_b, r.bob_send, Party.ALICE, randomness)
+        custody[r.bob_send] = ALICE
+        announcement = ledger.measure(r.anchor_b, r.bob_send, ALICE, randomness)
         ledger.record_announcement(r.anchor_b, r.bob_send)
 
         # step 5: inference from public data
         alice_inferred_bob = infer_other_secret(link, anchor, bob, alice_secret, announcement)
         bob_inferred_alice = infer_other_secret(link, anchor, bob, bob_secret, announcement)
-        ledger.record_inference(r.alice_keep, r.anchor_a, Party.BOB)
-        ledger.record_inference(r.alice_send, r.bob_keep, Party.ALICE)
+        ledger.record_inference(r.alice_keep, r.anchor_a, BOB)
+        ledger.record_inference(r.alice_send, r.bob_keep, ALICE)
 
         if eve_record is not None:
             adversary.eve_finalize(eve_record, cfg.initial_labels, cfg.eve_ancilla, announcement)
@@ -398,13 +401,14 @@ class Session:
         and the announced value, Bob knows his secret outcome, Eve her
         detaching outcome. Every op `closing_corrections` returns is
         applied; the honest pairs' targets are the public agreed labels,
-        so those pairs become public, while Eve's pair stays hers. The
-        checks read the table and the knower cell once per pair;
-        `require_knowledge` runs only to raise its `LedgerViolation`.
+        so those pairs become public, while Eve's pair stays hers. Each
+        pair is checked once, reading the table and its knower cell
+        (`require_knowledge` runs only to raise its `LedgerViolation`);
+        a rotation keeps partners, so that cell publishes an honest pair.
         """
         next_roles = self.rounds_run % len(ROLE_SCHEDULE)
         pairs = self._schedule[next_roles]
-        table, ledger, custody = self.table, self.ledger, self.custody
+        table, ledger, custody, cfg = self.table, self.ledger, self.custody, self.config
         partner_of, labels, cells = table._partner.get, table._label, ledger._mask
         held = []
         for q, partner, _, party in pairs:
@@ -416,11 +420,11 @@ class Session:
             if cell is None or cell is not cells.get(partner) or not cell[0] & KNOWER_BIT[party]:
                 ledger.require_knowledge(q, partner, party, "rotate")  # raises
             held.append(labels[q])
-        corrections = closing_corrections(self.config, self.rounds_run - 1, *held)
-        for (q, partner, _, party), correction in zip(pairs, corrections):
+        corrections = _closing_corrections(cfg.initial_labels, cfg.eve_ancilla, next_roles, *held)
+        for (q, _, _, party), correction in zip(pairs, corrections):
             table.apply_pauli(q, correction.op)
-            if party is not Party.EVE:
-                ledger.record_announcement(q, partner)
+            if party is not EVE:
+                cells[q][0] = _WORLD
         self.roles = ROLE_SCHEDULE[next_roles]
         self._pairs = pairs
         return corrections

@@ -3,6 +3,7 @@
 import pytest
 
 from swapqkd.adversary import (
+    REACH,
     AccessViolation,
     ChannelTap,
     EveRoundRecord,
@@ -14,6 +15,7 @@ from swapqkd.bell import ALL_LABELS, BellLabel, PairTable
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
     DEFAULT_LABELS,
+    TRANSFERS,
     ForcedOutcomes,
     Session,
     SessionConfig,
@@ -218,6 +220,27 @@ class TestAccessControl:
         session.ledger.declare(7, 8, Visibility.UNKNOWN)
         with pytest.raises(LedgerViolation, match="eve cannot rotate"):
             session.reset_round()
+
+    @pytest.mark.parametrize("transit", [2, 4], ids=["schedule_transit", "other_transit"])
+    def test_check_messages(self, transit):
+        """Each refused tap call keeps its exception and message, with a
+        transit of the role schedule, whose reach is built once, and with
+        any other, whose tap builds its own."""
+        assert set(REACH) == {q for transits in TRANSFERS for q, _ in transits}
+        _, ledger, _ = fresh_scene()
+        tap = ChannelTap(ledger, stream(0), transit=transit)
+        reach = f"outside Eve's reach [{transit}, 7, 8]"
+        cases = [
+            (lambda: tap.bsm(1, 8), f"measurement on (1,8) is {reach}"),
+            (lambda: tap.bsm(transit, 3), f"measurement on ({transit},3) is {reach}"),
+            (lambda: tap.are_partners(1, 8), "(1,8) is outside Eve's reach"),
+            (lambda: tap.are_partners(7, 3), "(7,3) is outside Eve's reach"),
+        ]
+        for call, message in cases:
+            with pytest.raises(AccessViolation) as caught:
+                call()
+            assert type(caught.value) is AccessViolation and str(caught.value) == message
+        assert (transit in REACH) is (transit == 2)
 
     def test_return_before_secret_measurements_rejected(self):
         table, ledger, eve = fresh_scene()

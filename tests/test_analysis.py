@@ -4,7 +4,7 @@
 import pytest
 
 from swapqkd import analysis
-from swapqkd.protocol import SessionConfig, run_session
+from swapqkd.protocol import SessionConfig, SessionTranscript, run_session
 from swapqkd.rng import BLOCK, COIN, session_seeds, stream
 
 
@@ -89,6 +89,28 @@ class TestEavesdroppingTest:
         report = analysis.eavesdropping_test(transcript, 1.0, None)
         assert report.pairs_tested == 10
         assert report.remaining_key == ""
+
+    @pytest.mark.parametrize("rounds,eve,fraction", [
+        (12, False, 1.0), (12, True, 1.0), (0, False, 1.0), (0, True, 1.0), (0, False, 0.0),
+    ])
+    def test_report_when_every_round_is_tested(self, rounds, eve, fraction):
+        """Testing every round (every Monte Carlo session does) leaves no
+        kept round; the report equals one built from the kept rounds'
+        transcript and its joined keys."""
+        transcript = run_session(SessionConfig(rounds=rounds, seed=49, eve_enabled=eve))
+        chosen = tuple(range(rounds))
+        mismatches = sum(rec.alice_secret != rec.bob_inferred_alice for rec in transcript.rounds)
+        kept = SessionTranscript(
+            transcript.config, [rec for i, rec in enumerate(transcript.rounds) if i not in chosen]
+        )
+        expected = analysis.TestReport(
+            pairs_tested=rounds, bits_tested=2 * rounds, mismatches=mismatches,
+            eve_detected=mismatches > 0, remaining_key=kept.alice_key,
+            remaining_key_bob=kept.bob_key, tested_rounds=chosen, degenerate=rounds == 0,
+        )
+        assert analysis.eavesdropping_test(transcript, fraction, None) == expected
+        # 12 attacked rounds all miss with probability 4**-12
+        assert expected.eve_detected is (eve and rounds > 0)
 
     def test_detects_the_attack(self):
         transcript = run_session(

@@ -1,6 +1,7 @@
 """Round execution, inference, reset/rotation, and ledger behavior."""
 
 import gc
+import hashlib
 import itertools
 import random
 import sys
@@ -447,18 +448,27 @@ class TestStateCheckMessages:
 
 
 class TestHotPath:
-    def test_python_calls_per_eve_round(self):
-        """Python-level calls of a 200-round Eve session, transcript included.
+    """Python-level calls of a 200-round session, transcript included.
 
-        A deterministic stand-in for a timing test: the count depends only
-        on the code and the seed, not on the machine's speed. The bound is
-        the count on CPython 3.11 with both caches of `protocol` empty, so
-        it does not depend on test order.
-        """
+    A deterministic stand-in for a timing test: the count depends only on
+    the code and the seed, not on the machine's speed. Each bound is the
+    count on CPython 3.11 with the caches of `protocol` empty, so it does
+    not depend on test order, plus 3.
+    """
+
+    def test_python_calls_per_eve_round(self):
+        config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
+        assert self.calls(config) <= 11_446
+
+    def test_python_calls_per_honest_round(self):
+        config = SessionConfig(rounds=200, seed=7, test_fraction=0.1,
+                               initial_labels=(lab("01"), lab("11"), lab("00")))
+        assert self.calls(config) <= 6_019
+
+    def calls(self, config: SessionConfig) -> int:
         _closing_corrections.cache_clear()
         _agreed_schedule.cache_clear()
         _session_start.cache_clear()
-        config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
         calls = 0
 
         def count(frame, event, arg):
@@ -473,7 +483,43 @@ class TestHotPath:
         finally:
             sys.setprofile(None)
             gc.enable()
-        assert calls <= 17_346
+        return calls
+
+
+class TestLedgerTrace:
+    """The ledger's tags, and the table's labels, after every round and
+    every reset of a session that runs each draw code at each of the four
+    role phases: row i is code i // 4, two bits a draw, the first lowest.
+    The digests were pinned before the ledger's checks were rewritten."""
+
+    @pytest.mark.parametrize("eve,labels,ancilla,digest", [
+        (True, "11 10 10", "00",
+         "00ca5d77d713036d21bd23166784aff20c1926b2a0ddf512e5e4ce29b4eb908b"),
+        (True, "01 11 00", "10",
+         "42e0b51c1b213ec7108765dc7182b37bf8001e6b309db53c2817a6d37f39ad70"),
+        (False, "11 10 10", "00",
+         "79637431a25347f8bb4fdf9bc5fd18e977991fd1236c37d75957a948d84ccd31"),
+        (False, "01 11 00", "10",
+         "d81796c00a0fda1b278ba4d293c8249c8080686b0d3bb8edf439350a2ea766b8"),
+    ])
+    def test_every_branch_at_every_phase(self, eve, labels, ancilla, digest):
+        draws = 4 if eve else 2
+        config = SessionConfig(rounds=4 * 4**draws, seed=0, eve_enabled=eve,
+                               initial_labels=tuple(map(lab, labels.split())),
+                               eve_ancilla=lab(ancilla))
+        session = Session(config)
+        trace = hashlib.sha256()
+        for i in range(config.rounds):
+            code = i // 4
+            session.run_round(ChosenDraws([code >> 2 * k & 3 for k in range(draws)]))
+            for step in ("round", "reset"):
+                if step == "reset":
+                    session.reset_round()
+                tags = ",".join(f"{a}-{b}:{tag.value}"
+                                for (a, b), tag in sorted(session.ledger.pairs().items()))
+                held = ",".join(f"{a}-{b}:{label}" for a, b, label in session.table.pairs())
+                trace.update(f"{i} {step} {tags} {held}\n".encode())
+        assert trace.hexdigest() == digest
 
 
 class TestLedgerThroughRound:
@@ -586,6 +632,37 @@ class TestKnowledgeLedger:
                 ledger.record_inference(a, b, Party.BOB)
             with pytest.raises(LedgerViolation, match=f"qubit {a} or {b} is in no ledgered pair"):
                 ledger.measure(a, b, Party.ALICE)
+
+    def test_check_messages(self):
+        """Each rejected ledger update keeps its exception and message."""
+        ledger = ledger_over((1, 2), (3, 4), (5, 6), (7, 8))
+        for a, b in ((1, 2), (5, 6), (7, 8)):
+            ledger.declare(a, b, Visibility.PUBLIC)
+        ledger.table.bsm(5, 7, ChosenDraws([0]))  # (5,7) and (6,8) keep their old cells
+        unpaired, alice, bob = "is not paired; no ledgered pair holds it", Party.ALICE, Party.BOB
+        cases = [
+            (lambda: ledger.measure(9, 1, alice), f"qubit 9 {unpaired}"),
+            (lambda: ledger.measure(1, 10, alice), f"qubit 10 {unpaired}"),
+            (lambda: ledger.measure(9, 10, alice), f"qubit 9 {unpaired}"),
+            (lambda: ledger.measure(1, 3, alice), "qubit 1 or 3 is in no ledgered pair"),
+            (lambda: ledger.measure(3, 1, alice), "qubit 3 or 1 is in no ledgered pair"),
+            (lambda: ledger.measure(3, 4, alice), "qubit 3 or 4 is in no ledgered pair"),
+            (lambda: ledger.measure(1, 5, alice), "qubit 1 or 5 is in no ledgered pair"),
+            (lambda: ledger.measure(5, 1, alice), "qubit 5 or 1 is in no ledgered pair"),
+            (lambda: ledger.record_announcement(1, 3), "qubits 1,3 are not a ledgered pair"),
+            (lambda: ledger.record_announcement(3, 4), "qubits 3,4 are not a ledgered pair"),
+            (lambda: ledger.record_inference(1, 9, bob), "qubits 1,9 are not a ledgered pair"),
+            (lambda: ledger.record_inference(2, 4, bob), "qubits 2,4 are not a ledgered pair"),
+        ]
+        def state():
+            return ledger.table.pairs(), {q: cell[0] for q, cell in ledger._mask.items()}
+
+        before = state()
+        for update, message in cases:
+            with pytest.raises(LedgerViolation) as caught:
+                update()
+            assert type(caught.value) is LedgerViolation and str(caught.value) == message
+            assert state() == before
 
     def test_require_knowledge(self):
         ledger = ledger_over((1, 2))
