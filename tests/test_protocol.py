@@ -490,7 +490,7 @@ class TestLedgerTrace:
     """The ledger's tags, and the table's labels, after every round and
     every reset of a session that runs each draw code at each of the four
     role phases: row i is code i // 4, two bits a draw, the first lowest.
-    The digests were pinned before the ledger's checks were rewritten."""
+    Each digest pins the sha256 of one configuration's records."""
 
     @pytest.mark.parametrize("eve,labels,ancilla,digest", [
         (True, "11 10 10", "00",
@@ -654,6 +654,7 @@ class TestKnowledgeLedger:
             (lambda: ledger.record_inference(1, 9, bob), "qubits 1,9 are not a ledgered pair"),
             (lambda: ledger.record_inference(2, 4, bob), "qubits 2,4 are not a ledgered pair"),
         ]
+
         def state():
             return ledger.table.pairs(), {q: cell[0] for q, cell in ledger._mask.items()}
 
