@@ -18,10 +18,9 @@ and rotates it back to her preparation label with the others
 
 Separation of knowledge is structural: Eve's quantum access goes through a
 `ChannelTap` that only reaches her ancillas and the qubit currently in
-transit (`REACH` holds that set for each transit of the role schedule).
-Her three steps fill the round's `EveRoundRecord`, which the session
-creates, each outcome written once; besides it they read only public
-values: the agreed labels, her ancilla label and the announcement.
+transit. Her three steps fill the round's `EveRoundRecord`, which the
+session creates, each outcome written once; besides it they read only
+public values: the agreed labels, her ancilla label and the announcement.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ from .rng import RoundStream
 
 ANCILLAS = (7, 8)
 """Eve's ancilla qubits A and B, which hold her pair."""
-
-
-REACH: dict[int, frozenset[int]] = {}
-"""Eve's reach per role-schedule transit, entered once by `protocol`; others build theirs."""
 
 
 class AccessViolation(RuntimeError):
@@ -56,19 +51,17 @@ class ChannelTap:
     def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream, transit: int):
         self._ledger = ledger
         self._rng = randomness
-        self._allowed = REACH.get(transit) or frozenset((*ANCILLAS, transit))
         self.transit = transit
 
     def bsm(self, a: int, b: int) -> BellLabel:
-        if a not in self._allowed or b not in self._allowed:
-            raise AccessViolation(
-                f"measurement on ({a},{b}) is outside Eve's reach {sorted(self._allowed)}"
-            )
+        if (a != self.transit and a not in ANCILLAS) or (b != self.transit and b not in ANCILLAS):
+            reach = sorted({*ANCILLAS, self.transit})
+            raise AccessViolation(f"measurement on ({a},{b}) is outside Eve's reach {reach}")
         return self._ledger.measure(a, b, EVE, self._rng)
 
     def are_partners(self, a: int, b: int) -> bool:
         """Pair structure is public; Eve may query it for reachable qubits."""
-        if a not in self._allowed or b not in self._allowed:
+        if (a != self.transit and a not in ANCILLAS) or (b != self.transit and b not in ANCILLAS):
             raise AccessViolation(f"({a},{b}) is outside Eve's reach")
         return self._ledger.table._partner.get(a) == b
 

@@ -122,8 +122,6 @@ while ROLE_SCHEDULE[-1].rotated() != INITIAL_ROLES:
 TRANSFERS = tuple(((r.alice_send, "alice_to_bob"), (r.bob_send, "bob_to_alice"))
                   for r in ROLE_SCHEDULE)
 """(qubit, direction) of each channel transit of round i: TRANSFERS[i % len(TRANSFERS)]."""
-adversary.REACH.update((q, frozenset((*adversary.ANCILLAS, q)))
-                       for transits in TRANSFERS for q, _ in transits)
 
 
 @functools.lru_cache(maxsize=512)

@@ -19,13 +19,14 @@ Round draws are the hot path: a session derives one stream per round, and
 building a seed sequence, PCG64 and Generator for each would take more
 time than the round. So round draws have one derivation, a numpy pass over
 up to `BLOCK` rows in typed ``np.uint32`` and ``np.uint64`` lanes:
-`_pools` hashes a whole array of seeds into the pool that every round of
-a seed shares (spawn key ``(ROUNDS,)``), `_seeded` mixes in each round
-index and generates the state, and PCG64's two seeding steps and its
-first two outputs run on 32-bit limbs. `sessions_draws` lays the sessions
-of a sweep end to end, reading their ``np.uint64`` seeds one pass at a
-time; `session_draws` is the same rows for one seed of any size, whose
-pool is derived once however many passes its session spans; and
+`_pools` hashes the seeds of a pass, padded to one width, into the pool
+that every round of a seed shares (spawn key ``(ROUNDS,)``), `_seeded`
+absorbs each round index into it with the same `_absorb` step and
+generates the state, and PCG64's two seeding steps and its first two
+outputs run on 32-bit limbs. `sessions_draws` lays the sessions of a
+sweep end to end, reading their ``np.uint64`` seeds one pass at a time;
+`session_draws` is the same rows for one seed of any size, whose pool is
+derived once however many passes its session spans; and
 `round_stream` is one pass of one index, returned as `ChosenDraws`. All
 of them equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for
 bit, which the test suite checks against numpy's own seed sequence; every
@@ -75,11 +76,6 @@ _S4, _S26, _S30, _S32, _S60, _S63, _S64 = map(np.uint64, (4, 26, 30, 32, 60, 63,
 _CROSS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
 """The lanes each pool lane mixes into, in order, in the pool's cross-mix."""
 
-_HASH_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(9)], dtype=np.uint32)[:, None]
-"""`_MULT_A`**k mod 2**32 for k = 0..8: the hash constants of absorbing up
-to two index words are the pool's hash constant times these."""
-
-
 def _state_hashes() -> tuple[np.ndarray, np.ndarray]:
     """The xors and multipliers of the 8 words `generate_state(4, uint64)`
     makes, shaped (2, 4, 1) to meet the pool lanes twice over; they
@@ -112,41 +108,46 @@ def stream(seed: int, *path: int) -> RandomStream:
 
 
 def _words(n: int) -> list[int]:
-    """`n` as numpy's seed sequence splits an integer: little-endian 32-bit
-    words."""
+    """`n` as numpy's seed sequence splits an integer under a spawn key:
+    little-endian 32-bit words, zero-padded to four."""
     if n < 0:
         raise ValueError(f"seeds and indices must be nonnegative, got {n}")
-    words = [n & _M32]
-    n >>= 32
+    words = [n & _M32, n >> 32 & _M32, n >> 64 & _M32, n >> 96 & _M32]
+    n >>= 128
     while n:
         words.append(n & _M32)
         n >>= 32
     return words
 
 
-def _pools(words: np.ndarray) -> np.ndarray:
-    """The four lanes of numpy's seed-sequence pool for spawn key
-    ``(ROUNDS,)`` and the hash constant after them, as a (5, n)
-    ``np.uint32`` array, for each column of `words`: a (w, n) ``np.uint32``
-    array of seeds' little-endian 32-bit words, zero above each seed's own
-    width.
+def _absorb(lanes: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """numpy's `mix_entropy` step that absorbs one entropy `word` into the
+    (4, n) pool `lanes`: hash the word once per lane, with the hash
+    constants `hashes[0]` to `hashes[4]` in turn, and mix each hash into
+    its lane."""
+    value = (word ^ hashes[:4]) * hashes[1:5]
+    value ^= value >> _W16
+    mixed = _ML * lanes - _MR * value
+    mixed ^= mixed >> _W16
+    return mixed
+
+
+def _pools(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's seed-sequence pool for spawn key ``(ROUNDS,)`` of each
+    column of `words`, `_seed_words`' array of w >= 4 rows: the (4, n)
+    ``np.uint32`` pool lanes, and the (9, 1) hash constants that a round
+    index's words take next, which every column shares.
 
     It runs numpy's `mix_entropy` on every column at once, in the typed
-    lanes of `_seeded`: hash the first four words (zero-padded) into the
-    lanes, cross-mix the lanes in 12 steps, then absorb each word past the
-    fourth and the ROUNDS word (0), four hashing steps each. A column of
-    fewer than `w` words takes its ROUNDS word from the zero row after its
-    own and keeps its lanes and hash constant through the rows after that.
+    lanes of `_seeded`: hash the first four words into the lanes,
+    cross-mix the lanes in 12 steps, then `_absorb` each word past the
+    fourth and the ROUNDS word.
     """
-    width, n = words.shape
-    rows = np.zeros((max(width, _POOL_SIZE) + 1, n), dtype=np.uint32)
-    rows[:width] = words
-    steps = 4 * len(rows)
     consts = [_INIT_A]
-    for _ in range(steps):
+    for _ in range(4 * len(words) + 12):
         consts.append(consts[-1] * _MULT_A & _M32)
     h = np.array(consts, dtype=np.uint32)[:, None]
-    lanes = (rows[:_POOL_SIZE] ^ h[:4]) * h[1:5]
+    lanes = (words[:_POOL_SIZE] ^ h[:4]) * h[1:5]
     lanes ^= lanes >> _W16
     k = _POOL_SIZE
     for src, dst in enumerate(_CROSS):
@@ -156,23 +157,10 @@ def _pools(words: np.ndarray) -> np.ndarray:
         mixed ^= mixed >> _W16
         lanes[dst] = mixed
         k += 3
-    pools = np.empty((5, n), dtype=np.uint32)
-    for j, word in enumerate(rows[_POOL_SIZE:]):
-        value = (word ^ h[k:k + 4]) * h[k + 1:k + 5]
-        value ^= value >> _W16
-        mixed = _ML * lanes - _MR * value
-        mixed ^= mixed >> _W16
+    for word in (*words[_POOL_SIZE:], np.uint32(ROUNDS)):
+        lanes = _absorb(lanes, word, h[k:])
         k += 4
-        if j:
-            # row 4 + j only where the column has a word at or above row 3 + j
-            live = rows[_POOL_SIZE - 1 + j:].any(axis=0)
-            lanes = np.where(live, mixed, lanes)
-            pools[4] = np.where(live, h[k], pools[4])
-        else:
-            lanes = mixed
-            pools[4] = h[k]
-    pools[:4] = lanes
-    return pools
+    return lanes, h[k:]
 
 
 def _carry(cols: np.ndarray) -> np.ndarray:
@@ -202,34 +190,27 @@ def _mul_add(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _carry(cols)
 
 
-def _seeded(pools: np.ndarray, indices: np.ndarray):
+def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray):
     """PCG64's state after seeding and its increment, each a (4, n) array
     of 32-bit limbs (lowest first), for every round in `indices`
     (``np.uint64``).
 
-    `pools` holds each row's `_pools` column, shaped (5, n), or (5, 1) for
-    one seed's on every row. This is the one round-seeding derivation. The
-    seed sequence absorbs the index's words into the pool lanes and
-    `generate_state(4, uint64)` hashes them into eight words, all mod
-    2**32 in ``np.uint32``. Those words' 64-bit pairs are
-    the high and low halves of the initial state, then of the stream, and
-    PCG64 seeds by stepping from state 0, adding the initial state and
-    stepping again. Every constant is typed like the array it meets:
-    numpy 1.x casts an unsigned array mixed with a Python int by the int's
-    value, numpy 2 by its type.
+    `lanes` and `hashes` are `_pools`' for each row's seed, the lanes
+    shaped (4, n), or (4, 1) for one seed's on every row. This is the one
+    round-seeding derivation. The seed sequence absorbs the index's one or
+    two words into the pool lanes and `generate_state(4, uint64)` hashes
+    them into eight words, all mod 2**32 in ``np.uint32``. Those words'
+    64-bit pairs are the high and low halves of the initial state, then of
+    the stream, and PCG64 seeds by stepping from state 0, adding the
+    initial state and stepping again. Every constant is typed like the
+    array it meets: numpy 1.x casts an unsigned array mixed with a Python
+    int by the int's value, numpy 2 by its type.
     """
-    hashes = pools[4] * _HASH_POWERS
     high = (indices >> _S32).astype(np.uint32)
+    lanes = _absorb(lanes, (indices & _L32).astype(np.uint32), hashes)
     two_words = high.astype(bool)
-    lanes = pools[:4]
-    for k, word in enumerate(((indices & _L32).astype(np.uint32), high)):
-        if k and not two_words.any():
-            break
-        value = (word ^ hashes[4 * k:4 * k + 4]) * hashes[4 * k + 1:4 * k + 5]
-        value ^= value >> _W16
-        mixed = _ML * lanes - _MR * value
-        mixed ^= mixed >> _W16
-        lanes = np.where(two_words, mixed, lanes) if k else mixed
+    if two_words.any():
+        lanes = np.where(two_words, _absorb(lanes, high, hashes[4:]), lanes)
     words = (lanes ^ _STATE_XOR) * _STATE_MULT
     words ^= words >> _W16
     words = words.reshape(8, -1)
@@ -252,10 +233,10 @@ def _draw_codes(states: np.ndarray) -> np.ndarray:
     return ((out >> _S30) & _L3) | ((out >> _S60) & _L12)
 
 
-def _draws(pools: np.ndarray, indices: np.ndarray) -> list:
+def _draws(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray) -> list:
     """Each round's first four ``integers(0, 4)`` draws, as a tuple per
-    round: one pass, with `pools` as in `_seeded`."""
-    state, inc = _seeded(pools, indices)
+    round: one pass, with `lanes` and `hashes` as in `_seeded`."""
+    state, inc = _seeded(lanes, hashes, indices)
     second = _mul_add(state, inc)
     codes = _draw_codes(np.concatenate((second, _mul_add(second, inc)), axis=1))
     n = len(indices)
@@ -264,15 +245,20 @@ def _draws(pools: np.ndarray, indices: np.ndarray) -> list:
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """`seeds` as `_pools` takes them: (w, n) ``np.uint32`` little-endian
-    words, two per ``np.uint64`` seed, or for Python ints of any size as
-    many as the widest has, each zero above its width."""
+    words, zero-padded to w = 4 as numpy pads a seed under a spawn key.
+    Seeds of more than four words are not padded, so they must all have
+    one width; any other mix raises ValueError."""
     if seeds.dtype == np.uint64:
-        return np.array(((seeds & _L32).astype(np.uint32), (seeds >> _S32).astype(np.uint32)))
-    words = [*map(_words, seeds.tolist())]
-    padded = np.zeros((max(map(len, words)), len(words)), dtype=np.uint32)
-    for column, seed_words in enumerate(words):
-        padded[:len(seed_words), column] = seed_words
-    return padded
+        words = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+        words[0] = seeds & _L32
+        words[1] = seeds >> _S32
+        return words
+    columns = [*map(_words, seeds.tolist())]
+    widths = {*map(len, columns)}
+    if len(widths) > 1:
+        raise ValueError(f"a pass takes seeds below 2**128 or seeds of one width, "
+                         f"got seeds padded to {sorted(widths)} 32-bit words")
+    return np.array(columns, dtype=np.uint32).T
 
 
 def _passes(seeds: np.ndarray, rounds: int):
@@ -288,8 +274,8 @@ def _passes(seeds: np.ndarray, rounds: int):
         first, last = start // rounds, int(session[-1]) + 1
         if span != (first, last):
             span = first, last
-            pools = _pools(_seed_words(seeds[first:last]))
-        yield _draws(pools[:, session - first] if last - first > 1 else pools,
+            lanes, hashes = _pools(_seed_words(seeds[first:last]))
+        yield _draws(lanes[:, session - first] if last - first > 1 else lanes, hashes,
                      indices.astype(np.uint64))
 
 
@@ -303,7 +289,8 @@ def session_draws(seed: int, rounds: int):
 
 def sessions_draws(seeds: np.ndarray, rounds: int):
     """(seed, rows) for each of `seeds` in order, where rows is the list
-    ``session_draws(seed, rounds)`` yields; the sessions share passes."""
+    ``session_draws(seed, rounds)`` yields; the sessions share passes,
+    which limits the seeds of 2**128 and up (see `_seed_words`)."""
     rows = itertools.chain.from_iterable(_passes(seeds, rounds))
     for seed in map(int, seeds):
         yield seed, list(itertools.islice(rows, rounds))
@@ -344,8 +331,8 @@ def round_stream(seed: int, index: int) -> ChosenDraws:
     of ``stream(seed, ROUNDS, index)``: one pass of one index."""
     if index < 0 or index >> 64:
         raise ValueError(f"round indices must be nonnegative and below 2**64, got {index}")
-    pools = _pools(_seed_words(np.array([seed], dtype=object)))
-    return ChosenDraws(_draws(pools, np.array([index], dtype=np.uint64))[0])
+    lanes, hashes = _pools(_seed_words(np.array([seed], dtype=object)))
+    return ChosenDraws(_draws(lanes, hashes, np.array([index], dtype=np.uint64))[0])
 
 
 def child_seed(seed: int, *path: int) -> int:

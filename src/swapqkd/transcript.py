@@ -264,30 +264,21 @@ def _config_from(row: dict, line: int) -> SessionConfig:
 
 
 def _round_from(row: dict, text: str, line: int, index: int, config: SessionConfig,
-                branches: dict, tails: dict) -> RoundRecord:
+                tails: dict) -> RoundRecord:
     """Round `index` of the file, from its line `text` and the line's
     json.loads `row`, in two steps.
 
     Only the round's outcomes are read: `_branch` checks that a session
     produces them and derives the line `emit_lines` writes for them,
-    cached in `branches` per (index mod 4, outcomes) and recorded in
-    `tails` per (index mod 4, line after the index), which `parse_lines`
-    looks later lines up in before it runs json.loads. Then the line must
-    equal the derived one, byte for byte but for trailing whitespace, or
-    pass `_check_derived`, which names the first field that differs and
-    accepts other JSON spacing or key order.
+    recorded in `tails` per (index mod 4, line after the index), which
+    `parse_lines` looks later lines up in before it runs json.loads. Then
+    the line must equal the derived one, byte for byte but for trailing
+    whitespace, or pass `_check_derived`, which names the first field that
+    differs and accepts other JSON spacing or key order.
     """
     phase = index % len(TRANSFERS)
-    try:
-        eve = row["eve"]
-        key = (phase, row["alice_secret"], row["bob_secret"], row["announcement"])
-        if eve is not None:
-            key += (eve["outbound_outcome"], eve["return_readout"], eve["detach_outcome"])
-        tail, labels, eve, corrections = branches[key]
-    except (KeyError, TypeError):
-        # outcomes not seen before, or malformed ones, on which _branch raises
-        tail, labels, eve, corrections = branches[key] = _branch(row, line, phase, config)
-        tails[phase, tail] = labels, eve, corrections
+    tail, labels, eve, corrections = _branch(row, line, phase, config)
+    tails[phase, tail] = labels, eve, corrections
     expected = f"{_HEAD}{index}{tail}"
     if text.rstrip() != expected:
         _check_derived(row, json.loads(expected), line)
@@ -379,7 +370,6 @@ def parse_lines(lines) -> TranscriptFile:
     """
     config = summary = None
     rounds: list[RoundRecord] = []
-    branches: dict = {}
     tails: dict = {}
     for number, line in enumerate(lines, 1):
         if isinstance(line, (bytes, bytearray)):
@@ -406,7 +396,7 @@ def parse_lines(lines) -> TranscriptFile:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, line, number, len(rounds), config, branches, tails))
+            rounds.append(_round_from(row, line, number, len(rounds), config, tails))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")

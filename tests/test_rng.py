@@ -78,45 +78,43 @@ def test_index_beyond_64_bits_rejected():
 
 
 def numpy_pool(seed):
-    """numpy's pool for `seed` under spawn key (ROUNDS,), then the hash
-    constant after it: 16 hashing steps to fill and cross-mix the pool,
-    four per word past the fourth and four for the ROUNDS word."""
-    pool = np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool
-    words = max(len(rng._words(seed)), 4)
-    steps = 16 + 4 * (words - 3)
-    return [*pool.tolist(), rng._INIT_A * pow(rng._MULT_A, steps, 2**32) % 2**32]
+    """numpy's pool lanes for `seed` under spawn key (ROUNDS,)."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(ROUNDS,)).pool.tolist()
 
 
 def pools_of(seeds):
     return rng._pools(rng._seed_words(seeds))
 
 
+def numpy_index_hashes(seed):
+    """The nine hash constants after `seed`'s pool: 16 hashing steps fill
+    and cross-mix it, then four per word past the fourth and four for the
+    ROUNDS word."""
+    steps = 16 + 4 * (max((seed.bit_length() + 31) // 32, 4) - 3)
+    return [rng._INIT_A * pow(rng._MULT_A, steps + k, 2**32) % 2**32 for k in range(9)]
+
+
 def test_pools_of_a_uint64_array_equal_numpy():
     seeds = session_seeds(8, 2000)
-    pools = pools_of(seeds)
-    assert pools.dtype == np.uint32 and pools.shape == (5, 2000)
-    assert pools.T.tolist() == [numpy_pool(seed) for seed in seeds.tolist()]
+    lanes, hashes = pools_of(seeds)
+    assert lanes.dtype == hashes.dtype == np.uint32
+    assert lanes.shape == (4, 2000) and hashes.shape == (9, 1)
+    assert lanes.T.tolist() == [numpy_pool(seed) for seed in seeds.tolist()]
+    assert hashes[:, 0].tolist() == numpy_index_hashes(0)
 
 
 @pytest.mark.parametrize("seed", SEEDS + [2**64, 2**255 + 1, 3**200])
 def test_pools_of_one_seed_equal_numpy(seed):
-    pools = pools_of(np.array([seed], dtype=object))
-    assert pools.dtype == np.uint32
-    assert pools[:, 0].tolist() == numpy_pool(seed)
-
-
-def test_pools_of_seeds_of_every_width_equal_numpy():
-    # narrower columns stop absorbing where their words end
-    seeds = SEEDS[::-1] + [2**255 + 1, 3**200, 2**160, 0]
-    pools = pools_of(np.array(seeds, dtype=object))
-    assert pools.dtype == np.uint32
-    assert pools.T.tolist() == [numpy_pool(seed) for seed in seeds]
+    lanes, hashes = pools_of(np.array([seed], dtype=object))
+    assert lanes.dtype == hashes.dtype == np.uint32
+    assert lanes[:, 0].tolist() == numpy_pool(seed)
+    assert hashes[:, 0].tolist() == numpy_index_hashes(seed)
 
 
 def block_rows(seed, indices):
     """One pass of the block derivation over `indices` under `seed`."""
-    pools = pools_of(np.array([seed], dtype=object))
-    return rng._draws(pools, np.array(indices, dtype=np.uint64))
+    lanes, hashes = pools_of(np.array([seed], dtype=object))
+    return rng._draws(lanes, hashes, np.array(indices, dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -144,11 +142,21 @@ def test_monte_carlo_chunks_equal_each_seeds_session_draws(rounds):
         list(session_draws(seed, rounds)) for seed in seeds.tolist()]
 
 
-def test_a_chunk_of_seeds_of_every_width():
-    # the hash constant differs by seed width, within one pass
-    got = list(sessions_draws(np.array(SEEDS, dtype=object), 3))
-    assert [seed for seed, _ in got] == SEEDS
-    assert [draws for _, draws in got] == [[numpy_row(seed, i) for i in range(3)] for seed in SEEDS]
+@pytest.mark.parametrize("seeds", [[seed for seed in SEEDS if seed < 2**128],
+                                   [2**128, 2**159 + 3, 2**160 - 1]],
+                         ids=["one_to_four_words", "five_words"])
+def test_a_chunk_of_seeds_that_share_a_pass(seeds):
+    # numpy pads each seed below 2**128 to four words
+    got = list(sessions_draws(np.array(seeds, dtype=object), 3))
+    assert [seed for seed, _ in got] == seeds
+    assert [draws for _, draws in got] == [[numpy_row(seed, i) for i in range(3)] for seed in seeds]
+
+
+@pytest.mark.parametrize("narrower", [0, 2**128 - 1])
+def test_a_chunk_mixing_a_wide_seed_with_another_width_rejected(narrower):
+    seeds = np.array([narrower, 2**128], dtype=object)
+    with pytest.raises(ValueError, match="below 2\\*\\*128 or seeds of one width"):
+        next(sessions_draws(seeds, 3))
 
 
 def test_session_seeds_are_a_uint64_array():
