@@ -274,15 +274,18 @@ def _round_from(row: dict, text: str, line: int, index: int, config: SessionConf
     `parse_lines` looks later lines up in before it runs json.loads. Then
     the line must equal the derived one, byte for byte but for trailing
     whitespace, or pass `_check_derived`, which names the first field that
-    differs and accepts other JSON spacing or key order.
+    differs and accepts other JSON spacing or key order. The derived line's
+    json.loads row is kept in `tails` too, so it is loaded once per key.
     """
     phase = index % len(TRANSFERS)
-    tail, labels, eve, corrections = _branch(row, line, phase, config)
-    tails[phase, tail] = labels, eve, corrections
-    expected = f"{_HEAD}{index}{tail}"
-    if text.rstrip() != expected:
-        _check_derived(row, json.loads(expected), line)
-    return _record(index, labels, eve, corrections)
+    tail, *branch = _branch(row, line, phase, config)
+    derived = tails.get((phase, tail), (None, None))[1]
+    if text.rstrip() != f"{_HEAD}{index}{tail}":
+        if derived is None:
+            derived = json.loads(f"{_HEAD}{phase}{tail}")
+        _check_derived(row, {**derived, "index": index}, line)
+    tails[phase, tail] = branch, derived
+    return _record(index, *branch)
 
 
 def _record(index: int, labels: tuple, eve: tuple | None, corrections) -> RoundRecord:
@@ -384,9 +387,9 @@ def parse_lines(lines) -> TranscriptFile:
             head = f"{_HEAD}{index}"
             if line.startswith(head):
                 rest = line[len(head):].rstrip(_JSON_SPACE)
-                branch = tails.get((index % len(TRANSFERS), rest))
-                if branch is not None:
-                    rounds.append(_record(index, *branch))
+                known = tails.get((index % len(TRANSFERS), rest))
+                if known is not None:
+                    rounds.append(_record(index, *known[0]))
                     continue
         try:
             row = json.loads(line)

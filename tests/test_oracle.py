@@ -1,5 +1,7 @@
 """State-vector oracle tests, including the symbolic-equivalence sweeps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,92 @@ class TestProjectors:
         ]
         _, _, weights = oracle.oracle_bsm(state, 1, 3, force=lab("00"))
         np.testing.assert_allclose(direct, weights, atol=1e-12)
+
+
+def big_endian_bits(n: int) -> np.ndarray:
+    """bits[i, p] is the bit of position p in basis index i; position 0 is
+    the most significant bit, as the oracle's convention states."""
+    return (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+
+
+def reduced_density(state: oracle.StateVector, a: int, b: int) -> np.ndarray:
+    """The 4 x 4 reduced density matrix of (a, b), row 2 * bit(a) + bit(b),
+    tracing out the other qubits index by index."""
+    n = state.n_qubits
+    pa, pb = state.position(a), state.position(b)
+    bits = big_endian_bits(n)
+    rest = [p for p in range(n) if p not in (pa, pb)]
+    m = np.zeros((4, 2 ** (n - 2)), dtype=complex)
+    m[2 * bits[:, pa] + bits[:, pb], bits[:, rest] @ 2 ** np.arange(n - 2)] = state.amplitudes
+    return m @ m.conj().T
+
+
+def pauli_operator(n: int, position: int, op: PauliOp) -> np.ndarray:
+    """The 2^n x 2^n operator of `op` on `position`, identity elsewhere."""
+    left = np.eye(2**position, dtype=complex)
+    right = np.eye(2 ** (n - 1 - position), dtype=complex)
+    return np.kron(np.kron(left, oracle.PAULI_MATRICES[op]), right)
+
+
+class TestIndexConvention:
+    """Every oracle call against dense matrices built the plain way, on
+    tables of 1-4 pairs whose qubit ids are permuted and not adjacent, and
+    on a generic state over the same qubit order."""
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_oracle_calls_equal_dense_matrices(self, data):
+        n = data.draw(st.integers(1, 4), label="pairs")
+        ids = data.draw(st.permutations(range(1, 9)), label="ids")[: 2 * n]
+        table = PairTable([(ids[i], ids[i + 1], data.draw(labels)) for i in range(0, 2 * n, 2)])
+        state = oracle.prepare(table)
+        a, b = data.draw(st.permutations(ids), label="measured")[:2]
+        op = data.draw(st.sampled_from(list(PauliOp)), label="op")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = rng.normal(size=2 ** (2 * n)) + 1j * rng.normal(size=2 ** (2 * n))
+        generic = oracle.StateVector(amps / np.linalg.norm(amps), state.qubit_order)
+        for psi in (state, generic):
+            vec = psi.amplitudes
+            for label, projector in zip(ALL_LABELS, bell_projector_set(psi, a, b)):
+                p = float(np.real(np.vdot(vec, projector @ vec)))
+                if p < 1e-12:
+                    with pytest.raises(oracle.ZeroProbabilityBranch):
+                        oracle.oracle_bsm(psi, a, b, force=label)
+                    continue
+                _, post, weights = oracle.oracle_bsm(psi, a, b, force=label)
+                assert weights[label.index] == pytest.approx(p, abs=1e-12)
+                np.testing.assert_allclose(post.amplitudes, projector @ vec / np.sqrt(p),
+                                           atol=1e-12)
+                pairs = itertools.permutations(ids, 2) if psi is state else [(a, b), (b, a)]
+                for x, y in pairs:
+                    assert oracle.bell_label_of(post, x, y) == label_by_fidelity(post, x, y)
+            for position, q in enumerate(psi.qubit_order):
+                moved = oracle.oracle_apply_pauli(psi, q, op)
+                np.testing.assert_allclose(
+                    moved.amplitudes, pauli_operator(2 * n, position, op) @ vec, atol=1e-12)
+        for x, y in itertools.permutations(ids, 2):
+            assert oracle.bell_label_of(state, x, y) == label_by_fidelity(state, x, y)
+
+
+def label_by_fidelity(state: oracle.StateVector, a: int, b: int, tol: float = 1e-9):
+    """The first label whose fidelity against the reduced density matrix of
+    (a, b) is at least 1 - tol, or None."""
+    rho = reduced_density(state, a, b)
+    for label in ALL_LABELS:
+        v = oracle.BELL_VECTORS[label]
+        if float(np.real(v.conj() @ rho @ v)) >= 1.0 - tol:
+            return label
+    return None
+
+
+class TestReadOnly:
+    def test_returned_states_are_read_only(self):
+        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        _, post, _ = oracle.oracle_bsm(state, 1, 3, force=lab("00"))
+        moved = oracle.oracle_apply_pauli(post, 4, PauliOp.Y)
+        for s in (state, post, moved):
+            with pytest.raises(ValueError, match="read-only"):
+                s.amplitudes[0] = 0
 
 
 class TestSymbolicEquivalence:

@@ -128,16 +128,27 @@ class TestParse:
         [(False, 6, {}), (True, 6, {}), (False, 2000, OTHER_LABELS), (True, 2000, OTHER_LABELS)],
         ids=["honest", "eve", "honest_2000_rounds_labels", "eve_2000_rounds_labels"],
     )
-    def test_accepts_other_spacing_and_key_order(self, eve, rounds, cfg):
+    def test_accepts_other_spacing_and_key_order(self, eve, rounds, cfg, monkeypatch):
         # a round line that differs from the derived one only in JSON
         # spacing or key order is walked field by field, and accepted; the
         # canonical file takes a repeated branch's lines without json.loads,
-        # the walked one parses and walks every line
+        # the walked one parses and walks every line, and loads each
+        # branch's derived line once
         lines = make_lines(rounds=rounds, eve=eve, **cfg)
         rows = [json.loads(line) for line in lines[1:-1]]
+        branches = {branch_key(row) for row in rows}
         walked = [lines[0], *[json.dumps(dict(reversed(row.items()))) for row in rows], lines[-1]]
         assert not set(walked[1:-1]) & set(lines)
-        assert transcript.parse_lines(walked) == transcript.parse_lines(lines)
+        canonical = transcript.parse_lines(lines)
+        loads, calls = json.loads, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        assert transcript.parse_lines(walked) == canonical
+        assert len(calls) == 2 + rounds + len(branches)
 
     @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes_json_space"])
     @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
