@@ -99,7 +99,7 @@ def _gather(n_qubits: int, *positions: int) -> tuple[np.ndarray, np.ndarray]:
     return front, back
 
 
-def _bell_branches(state: StateVector, a: int, b: int):
+def _bell_branches(state: StateVector, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(branches, weights, back): row i of the (4, rest) `branches` is
     <v_i| on (a, b) applied to the state, for v_i = ALL_LABELS[i]; `weights`
     are the squared row norms; `back` is `_gather`'s inverse for (a, b)."""

@@ -206,6 +206,17 @@ def reduced_density(state: oracle.StateVector, a: int, b: int) -> np.ndarray:
     return m @ m.conj().T
 
 
+def label_by_fidelity(state: oracle.StateVector, a: int, b: int, tol: float = 1e-9):
+    """The first label whose fidelity against the reduced density matrix of
+    (a, b) is at least 1 - tol, or None."""
+    rho = reduced_density(state, a, b)
+    for label in ALL_LABELS:
+        v = oracle.BELL_VECTORS[label]
+        if float(np.real(v.conj() @ rho @ v)) >= 1.0 - tol:
+            return label
+    return None
+
+
 def pauli_operator(n: int, position: int, op: PauliOp) -> np.ndarray:
     """The 2^n x 2^n operator of `op` on `position`, identity elsewhere."""
     left = np.eye(2**position, dtype=complex)
@@ -251,17 +262,6 @@ class TestIndexConvention:
                     moved.amplitudes, pauli_operator(2 * n, position, op) @ vec, atol=1e-12)
         for x, y in itertools.permutations(ids, 2):
             assert oracle.bell_label_of(state, x, y) == label_by_fidelity(state, x, y)
-
-
-def label_by_fidelity(state: oracle.StateVector, a: int, b: int, tol: float = 1e-9):
-    """The first label whose fidelity against the reduced density matrix of
-    (a, b) is at least 1 - tol, or None."""
-    rho = reduced_density(state, a, b)
-    for label in ALL_LABELS:
-        v = oracle.BELL_VECTORS[label]
-        if float(np.real(v.conj() @ rho @ v)) >= 1.0 - tol:
-            return label
-    return None
 
 
 class TestReadOnly:

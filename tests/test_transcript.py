@@ -65,6 +65,18 @@ def branch_key(row: dict) -> tuple:
     return key
 
 
+def count_json_loads(monkeypatch) -> list:
+    """The arguments of each json.loads call from now on, in call order."""
+    loads, calls = json.loads, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
 def first_repeat(lines) -> int:
     """Position in `lines` of the first round line whose branch an
     earlier round line already had."""
@@ -140,13 +152,7 @@ class TestParse:
         walked = [lines[0], *[json.dumps(dict(reversed(row.items()))) for row in rows], lines[-1]]
         assert not set(walked[1:-1]) & set(lines)
         canonical = transcript.parse_lines(lines)
-        loads, calls = json.loads, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return loads(*args, **kwargs)
-
-        monkeypatch.setattr(json, "loads", counted)
+        calls = count_json_loads(monkeypatch)
         assert transcript.parse_lines(walked) == canonical
         assert len(calls) == 2 + rounds + len(branches)
 
@@ -161,13 +167,7 @@ class TestParse:
         canonical = transcript.parse_lines(lines)
         if as_bytes:
             lines = [f"{line} \t\r\n".encode() for line in lines]
-        loads, calls = json.loads, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return loads(*args, **kwargs)
-
-        monkeypatch.setattr(json, "loads", counted)
+        calls = count_json_loads(monkeypatch)
         assert transcript.parse_lines(lines) == canonical
         assert len(calls) == 2 + len(branches) < len(lines) // 2
 
