@@ -119,16 +119,18 @@ class PairTable:
     """Partition of live qubits into disjoint labelled Bell pairs.
 
     Single-owner mutable: measurements and rotations update the table in
-    place. `_partner` and `_label` map each qubit to its partner and to its
-    pair's label, which both qubits hold: every Bell label is symmetric
-    under qubit exchange up to global phase, so only `pairs` orders them.
-    The knowledge ledger and the session check pairs on the round's hot
-    path by reading both dicts directly; only the table's methods write them.
+    place. `_partner` maps each qubit to its partner and `_cell` to its
+    pair's [label, knowers] list, which both qubits share: every Bell label
+    is symmetric under qubit exchange up to global phase, so only `pairs`
+    orders them. The table owns the partner map and the label; the knower
+    set, None in each new cell, is `knowledge.KnowledgeLedger`'s. The ledger
+    and the session read both dicts directly on the round's hot path; only
+    the table writes partners and labels.
     """
 
     def __init__(self, pairs=()):
         self._partner: dict[int, int] = {}
-        self._label: dict[int, BellLabel] = {}
+        self._cell: dict[int, list] = {}
         for a, b, label in pairs:
             self.add_pair(a, b, label)
 
@@ -140,7 +142,7 @@ class PairTable:
                 raise ValueError(f"qubit {q} is already paired")
         self._partner[a] = b
         self._partner[b] = a
-        self._label[a] = self._label[b] = label
+        self._cell[a] = self._cell[b] = [label, None]
 
     def partner(self, q: int) -> int:
         try:
@@ -149,7 +151,7 @@ class PairTable:
             raise ValueError(f"qubit {q} is not paired") from None
 
     def label(self, q: int) -> BellLabel:
-        return self._label[self.partner(q)]
+        return self._cell[self.partner(q)][0]
 
     def are_partners(self, a: int, b: int) -> bool:
         return self._partner.get(a) == b
@@ -159,7 +161,7 @@ class PairTable:
 
     def pairs(self) -> list[tuple[int, int, BellLabel]]:
         """All pairs as (low qubit, high qubit, label), sorted by low qubit."""
-        return [(a, b, self._label[a]) for a, b in sorted(self._partner.items()) if a < b]
+        return [(a, b, self._cell[a][0]) for a, b in sorted(self._partner.items()) if a < b]
 
     def __len__(self) -> int:
         return len(self._partner) // 2
@@ -172,9 +174,12 @@ class PairTable:
         return f"PairTable({body})"
 
     def copy(self) -> "PairTable":
+        """Each pair, knower set included, in a new cell of its own."""
         table = PairTable()
         table._partner = self._partner.copy()
-        table._label = self._label.copy()
+        for a, b in self._partner.items():
+            if a < b:
+                table._cell[a] = table._cell[b] = self._cell[a].copy()
         return table
 
     def bsm(self, a: int, b: int, randomness: RoundStream | None = None) -> BellLabel:
@@ -185,16 +190,16 @@ class PairTable:
         pairs containing a and b are consumed, the outcome is one draw from
         `randomness` over the four labels (a `rng.ChosenDraws` pins it),
         and the leftover partners of a and b form a new pair per
-        `swap_rule`.
+        `swap_rule`; each new pair gets a new cell.
         """
         partner = self._partner
-        labels = self._label
+        cells = self._cell
         try:
             j = partner[a]
         except KeyError:
             raise ValueError(f"qubit {a} is not paired") from None
         if j == b:
-            return labels[a]
+            return cells[a][0]
         try:
             l = partner[b]
         except KeyError:
@@ -202,20 +207,19 @@ class PairTable:
         if randomness is None:
             raise ValueError("swap measurement needs a random stream")
         outcome = _LABELS[int(randomness.integers(0, 4))]
-        induced = swap_rule(labels[a], labels[b], outcome)
+        induced = swap_rule(cells[a][0], cells[b][0], outcome)
         partner[a] = b
         partner[b] = a
         partner[j] = l
         partner[l] = j
-        labels[a] = labels[b] = outcome
-        labels[j] = labels[l] = induced
+        cells[a] = cells[b] = [outcome, None]
+        cells[j] = cells[l] = [induced, None]
         return outcome
 
     def apply_pauli(self, q: int, op: PauliOp) -> None:
         """Toggle the label of q's pair by op; other pairs untouched."""
         try:
-            p = self._partner[q]
+            cell = self._cell[q]
         except KeyError:
             raise ValueError(f"qubit {q} is not paired") from None
-        labels = self._label
-        labels[q] = labels[p] = _LABELS[labels[q].index ^ op.toggle]
+        cell[0] = _LABELS[cell[0].index ^ op.toggle]

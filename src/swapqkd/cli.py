@@ -15,6 +15,7 @@ Relative --out paths resolve under $SWAPQKD_OUTDIR when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -85,6 +86,7 @@ class _IOFailure(Exception):
     pass
 
 
+@functools.cache  # parsing leaves the parser as built, so a process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapqkd",

@@ -5,19 +5,19 @@ notation of the protocol's bookkeeping: a label can be public, private to
 one party, shared by Alice and Bob, or unknown to everyone (a pair created
 by a swap whose inputs no single party fully knows).
 
-The ledger is built on the session's `PairTable` and keeps only each pair's
-knower set, a bitmask in a one-element list (the pair's cell) that both its
-qubits map to; the pair structure is read from the table. A pair is
-declared while its qubits share a cell and are partners, so one the table
-forms outside `measure` is refused until declared. Every Bell measurement
-is one `measure` call, which checks the two pairs it consumes, measures
-once on the table and derives the new tags set-algebraically from what the
-table did; `_pair` checks the pair any other update names. Knowing a
-swapped pair's label requires knowing both consumed labels and the outcome,
-so the induced tag is the intersection of those knower sets. Within the
-life of a pair the knower set only grows; `LedgerViolation` is raised on
-anything that would shrink it, on qubits that are not a declared pair, and
-by reset actions whose acting party does not know the label being rotated.
+The ledger keeps no state of its own: it is the rules that update each
+pair's knower set, a bitmask in the pair's `PairTable` cell, whose partner
+map and label the table owns. A pair is declared while its knower slot is
+not None, so one the table forms outside `measure` is refused until
+declared. Every Bell measurement is one `measure` call, which checks the
+two pairs it consumes, measures once on the table and writes the knower
+sets of the cells the table just made; `_pair` checks the pair any other
+update names. Knowing a swapped pair's label requires knowing both
+consumed labels and the outcome, so the induced tag is the intersection
+of those knower sets. Within the life of a pair the knower set only
+grows; `LedgerViolation` is raised on anything that would shrink it, on
+qubits that are not a declared pair, and by reset actions whose acting
+party does not know the label being rotated.
 
 Eve's *stolen* knowledge of the secret-pair labels is intentionally not
 representable here (there is no Alice-and-Eve tag); it lives in her own
@@ -74,40 +74,27 @@ _TAG_OF = {mask: tag for tag, mask in _MASK_OF.items()}
 class KnowledgeLedger:
     def __init__(self, table: PairTable):
         self.table = table
-        self._mask: dict[int, list[int]] = {}
 
     def declare(self, a: int, b: int, visibility: Visibility) -> None:
         """Tag a pair the table holds with an explicitly known visibility."""
         if not self.table.are_partners(a, b):
             raise LedgerViolation(f"qubits {a},{b} are not a pair in the table")
-        self._mask[a] = self._mask[b] = [_MASK_OF[visibility]]
-
-    def copy(self, table: PairTable) -> "KnowledgeLedger":
-        """This ledger's tags over `table`, a copy of its table: a qubit
-        gets a copy of its cell, which its partner shares if it shares the
-        original, so the copy and this ledger share no cell."""
-        ledger = KnowledgeLedger(table)
-        cells, copied = self._mask, ledger._mask
-        for q, cell in cells.items():
-            if q not in copied:
-                copied[q] = [cell[0]]
-                if cells.get(partner := table._partner.get(q)) is cell:
-                    copied[partner] = copied[q]
-        return ledger
+        self.table._cell[a][1] = _MASK_OF[visibility]
 
     def tag(self, a: int, b: int) -> Visibility:
-        mask = self._pair(a, b)[0]
+        mask = self._pair(a, b)[1]
         try:
             return _TAG_OF[mask]
         except KeyError:
             raise LedgerViolation(f"pair ({a},{b}) reached untaggable knower set {mask}")
 
     def knows(self, a: int, b: int, party: Party) -> bool:
-        return bool(self._pair(a, b)[0] & KNOWER_BIT[party])
+        return bool(self._pair(a, b)[1] & KNOWER_BIT[party])
 
     def pairs(self) -> dict[tuple[int, int], Visibility]:
-        mask = self._mask
-        return {(a, b): self.tag(a, b) for a, b, _ in self.table.pairs() if a in mask or b in mask}
+        """The tag of every declared pair."""
+        cells = self.table._cell
+        return {(a, b): self.tag(a, b) for a, b, _ in self.table.pairs() if cells[a][1] is not None}
 
     def measure(
         self, a: int, b: int, party: Party, randomness: RoundStream | None = None
@@ -119,43 +106,38 @@ class KnowledgeLedger:
         the party, and the induced pair's label is known to whoever knew
         both consumed labels and the outcome.
         """
-        table, mask, bit = self.table, self._mask, KNOWER_BIT[party]
+        table, cells, bit = self.table, self.table._cell, KNOWER_BIT[party]
         try:
-            j, l = table._partner[a], table._partner[b]
+            j = table._partner[a]
+            left, right = cells[a], cells[b]
         except KeyError as unpaired:
             raise LedgerViolation(
                 f"qubit {unpaired.args[0]} is not paired; no ledgered pair holds it") from None
-        try:
-            left, right = mask[a], mask[b]
-            declared = left is mask[j] and right is mask[l]
-        except KeyError:
-            declared = False
-        if not declared:
+        if left[1] is None or right[1] is None:
             raise LedgerViolation(f"qubit {a} or {b} is in no ledgered pair")
         outcome = table.bsm(a, b, randomness)
         if j == b:
-            left[0] |= bit
+            left[1] |= bit
             return outcome
-        mask[a] = mask[b] = [bit]
-        mask[j] = mask[l] = [left[0] & right[0] & bit]
+        cells[a][1] = bit
+        cells[j][1] = left[1] & right[1] & bit
         return outcome
 
-    def _pair(self, a: int, b: int) -> list[int]:
+    def _pair(self, a: int, b: int) -> list:
         """Cell of the declared pair (a, b); a LedgerViolation if a and b are
-        not partners in the table or do not share a declared cell; the one
-        check of a named pair, which `tag`, `knows` and `record_*` share."""
-        cell = self._mask.get(a)
-        if cell is None or cell is not self._mask.get(b) or self.table._partner.get(a) != b:
+        not partners in the table or the pair is undeclared; the one check
+        of a named pair, which `tag`, `knows` and `record_*` share."""
+        if self.table._partner.get(a) != b or (cell := self.table._cell[a])[1] is None:
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
         return cell
 
     def record_announcement(self, a: int, b: int) -> None:
         """The pair's label is published; everyone, Eve included, knows it."""
-        self._pair(a, b)[0] = _WORLD
+        self._pair(a, b)[1] = _WORLD
 
     def record_inference(self, a: int, b: int, party: Party) -> None:
         """`party` derives the label from announcements plus what it holds."""
-        self._pair(a, b)[0] |= KNOWER_BIT[party]
+        self._pair(a, b)[1] |= KNOWER_BIT[party]
 
     def require_knowledge(self, a: int, b: int, party: Party, action: str) -> None:
         if not self.knows(a, b, party):

@@ -132,17 +132,17 @@ def _agreed_schedule(labels, ancilla) -> tuple[tuple[tuple[int, int, BellLabel, 
 
 
 @functools.lru_cache(maxsize=512)
-def _session_start(labels, ancilla) -> tuple[PairTable, KnowledgeLedger, dict[int, Party]]:
-    """The table, ledger and custody every session under `labels` (and Eve's
-    `ancilla` label, if she is present) starts from, built through
-    `PairTable` and `KnowledgeLedger.declare` once per configuration; a
-    session takes copies."""
+def _session_start(labels, ancilla) -> tuple[PairTable, dict[int, Party]]:
+    """The table, its cells' knower sets declared, and the custody every
+    session under `labels` (and Eve's `ancilla` label, if she is present)
+    starts from, built through `PairTable` and `KnowledgeLedger.declare`
+    once per configuration; a session takes copies."""
     pairs = _agreed_schedule(labels, ancilla)[0]
     table = PairTable([(a, b, label) for a, b, label, _ in pairs])
     ledger = KnowledgeLedger(table)
     for a, b, _, holder in pairs:
         ledger.declare(a, b, Visibility.EVE_ONLY if holder is EVE else Visibility.PUBLIC)
-    return table, ledger, {q: holder for a, b, _, holder in pairs for q in (a, b)}
+    return table, {q: holder for a, b, _, holder in pairs for q in (a, b)}
 
 
 @dataclass(frozen=True)
@@ -320,9 +320,9 @@ class Session:
         ancilla = config.eve_ancilla if config.eve_enabled else None
         self._schedule = _agreed_schedule(config.initial_labels, ancilla)
         self._pairs = self._schedule[0]
-        table, ledger, custody = _session_start(config.initial_labels, ancilla)
+        table, custody = _session_start(config.initial_labels, ancilla)
         self.table = table.copy()
-        self.ledger = ledger.copy(self.table)
+        self.ledger = KnowledgeLedger(self.table)
         self.custody: dict[int, Party] = custody.copy()
         self.rounds_run = 0
 
@@ -332,11 +332,11 @@ class Session:
         cfg = self.config
         r = self.roles
         ledger = self.ledger
-        partner, labels, custody = self.table._partner, self.table._label, self.custody
+        partner, cells, custody = self.table._partner, self.table._cell, self.custody
         for a, b, want, holder in self._pairs:
             if partner.get(a) != b:
                 raise ValueError(f"malformed state: qubits {a},{b} are not paired")
-            held = labels[a]
+            held = cells[a][0]
             if held is not want:
                 raise ValueError(
                     f"malformed state: pair ({a},{b}) holds {held}, agreed label is {want}"
@@ -400,29 +400,29 @@ class Session:
         detaching outcome. Every op `closing_corrections` returns is
         applied; the honest pairs' targets are the public agreed labels,
         so those pairs become public, while Eve's pair stays hers. Each
-        pair is checked once, reading the table and its knower cell
+        pair is checked once, reading the partner map and the pair's cell
         (`require_knowledge` runs only to raise its `LedgerViolation`);
-        a rotation keeps partners, so that cell publishes an honest pair.
+        a rotation keeps the cell, whose knower slot publishes an honest pair.
         """
         next_roles = self.rounds_run % len(ROLE_SCHEDULE)
         pairs = self._schedule[next_roles]
-        table, ledger, custody, cfg = self.table, self.ledger, self.custody, self.config
-        partner_of, labels, cells = table._partner.get, table._label, ledger._mask
+        table, custody, cfg = self.table, self.custody, self.config
+        partner_of, cells = table._partner.get, table._cell
         held = []
         for q, partner, _, party in pairs:
             if partner_of(q) != partner:
                 raise ValueError(f"malformed state: qubits {q},{partner} are not paired")
             if custody[q] is not party:
                 raise LedgerViolation(f"{party.value} does not hold qubit {q}")
-            cell = cells.get(q)
-            if cell is None or cell is not cells.get(partner) or not cell[0] & KNOWER_BIT[party]:
-                ledger.require_knowledge(q, partner, party, "rotate")  # raises
-            held.append(labels[q])
+            label, knowers = cells[q]
+            if knowers is None or not knowers & KNOWER_BIT[party]:
+                self.ledger.require_knowledge(q, partner, party, "rotate")  # raises
+            held.append(label)
         corrections = _closing_corrections(cfg.initial_labels, cfg.eve_ancilla, next_roles, *held)
         for (q, _, _, party), correction in zip(pairs, corrections):
             table.apply_pauli(q, correction.op)
             if party is not EVE:
-                cells[q][0] = _WORLD
+                cells[q][1] = _WORLD
         self.roles = ROLE_SCHEDULE[next_roles]
         self._pairs = pairs
         return corrections

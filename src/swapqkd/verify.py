@@ -79,9 +79,9 @@ def check_pauli_semantics() -> list[str]:
     """Label toggles match dense single-qubit action, on either qubit."""
     problems = []
     for label in ALL_LABELS:
+        state = oracle.prepare(PairTable([(1, 2, label)]))  # read-only, so shared
         for op in PauliOp:
             for q in (1, 2):
-                state = oracle.prepare(PairTable([(1, 2, label)]))
                 moved = oracle.oracle_apply_pauli(state, q, op)
                 got = oracle.bell_label_of(moved, 1, 2)
                 want = op.apply(label)

@@ -199,6 +199,20 @@ class TestAccessControl:
         with pytest.raises(RuntimeError, match="already intercepted"):
             eve_intercept_outbound(eve, tap)
 
+    def test_double_return_intercept_rejected(self):
+        table, ledger, eve = fresh_scene()
+        rng = draws("00", "11", "00", "01")
+        eve_intercept_outbound(eve, ChannelTap(ledger, rng, transit=2))
+        ledger.measure(1, 3, Party.ALICE, rng)
+        ledger.measure(2, 4, Party.BOB, rng)
+        tap = ChannelTap(ledger, rng, transit=6)
+        eve_intercept_return(eve, tap, DEFAULT_LABELS[2])
+        before = table.pairs(), ledger.pairs(), repr(eve)
+        with pytest.raises(RuntimeError) as caught:
+            eve_intercept_return(eve, tap, DEFAULT_LABELS[2])
+        assert str(caught.value) == "return transmission already intercepted this round"
+        assert (table.pairs(), ledger.pairs(), repr(eve)) == before
+
     def test_return_before_outbound_rejected(self):
         table, ledger, eve = fresh_scene()
         tap = ChannelTap(ledger, stream(0), transit=6)

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import swapqkd
-from swapqkd import analysis, transcript
+from swapqkd import analysis, cli, transcript
 from swapqkd.bell import BellLabel
 from swapqkd.cli import main
+from swapqkd.knowledge import LedgerViolation
 from swapqkd.protocol import SessionConfig, run_session
 from swapqkd.rng import session_seeds
 
@@ -99,6 +100,20 @@ class TestRunCommand:
         assert parsed.test is not None
         assert parsed.test.eve_detected
         assert "EVE DETECTED" in err
+
+    def test_one_round_test_is_degenerate(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--rounds", "1", "--seed", "7",
+                               "--test-fraction", "0.1")
+        assert code == 0
+        assert err.splitlines()[-1] == "eavesdropping test: degenerate (no rounds selected)"
+
+    def test_ledger_violation_is_verification_failure(self, capsys, monkeypatch):
+        def refuse(config):
+            raise LedgerViolation("qubits 1,3 are not a ledgered pair")
+
+        monkeypatch.setattr(cli, "run_session", refuse)
+        code, out, err = run_cli(capsys, "run", "--rounds", "1", "--seed", "7")
+        assert (code, out, err) == (1, "", "error: qubits 1,3 are not a ledgered pair\n")
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [
@@ -351,6 +366,19 @@ class TestEntryPoints:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 302
+
+    def test_parser_reused_after_a_usage_error(self, capsys):
+        # the parser is built once per process; a failed parse must not change
+        # what the next call parses
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--rounds", "2", "--seed", "1", "--eve", "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["run", "--rounds", "2", "--seed", "1", "--test-fraction", "0.5"]
+        in_process = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "swapqkd", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr)
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -117,6 +117,12 @@ class TestOracleBsm:
         for label, count in counts.items():
             assert abs(count / trials - 0.25) <= tol
 
+    def test_needs_a_stream_or_a_forced_outcome(self):
+        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        with pytest.raises(ValueError) as caught:
+            oracle.oracle_bsm(state, 1, 3)
+        assert str(caught.value) == "measurement needs a random stream or a forced outcome"
+
     def test_unknown_qubit_rejected(self):
         state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
         with pytest.raises(ValueError, match="not in this state"):
@@ -288,6 +294,46 @@ class TestSymbolicEquivalence:
         cases, problems = verify.run_all()
         assert cases == 64
         assert problems == []
+
+    def test_weight_discrepancy_reported(self, monkeypatch):
+        bsm, calls = oracle.oracle_bsm, []
+
+        def skewed(state, a, b, **kwargs):
+            outcome, post, probs = bsm(state, a, b, **kwargs)
+            calls.append(outcome)
+            return outcome, post, np.array([0.5, 0.5, 0.0, 0.0]) if len(calls) == 1 else probs
+
+        monkeypatch.setattr(oracle, "oracle_bsm", skewed)
+        assert verify.check_swap_against_oracle() == ["(00,00,00): weights [0.5, 0.5, 0.0, 0.0]"]
+
+    def test_pauli_discrepancy_reported(self, monkeypatch):
+        apply = oracle.oracle_apply_pauli
+
+        def skipping_x(state, q, op):
+            return apply(state, q, PauliOp.I if op is PauliOp.X else op)
+
+        monkeypatch.setattr(oracle, "oracle_apply_pauli", skipping_x)
+        assert verify.check_pauli_semantics() == [
+            f"X on qubit {q} of {label}: {label} != {PauliOp.X.apply(label)}"
+            for label in ALL_LABELS for q in (1, 2)
+        ]
+
+    def test_norm_discrepancy_reported(self, monkeypatch):
+        apply, norms = oracle.oracle_apply_pauli, []
+
+        def stretched(state, q, op):
+            moved = apply(state, q, op)
+            if op is PauliOp.Y:
+                moved = oracle.StateVector(moved.amplitudes * 1.5, moved.qubit_order)
+                norms.append(moved.norm())
+            return moved
+
+        monkeypatch.setattr(oracle, "oracle_apply_pauli", stretched)
+        problems = verify.check_pauli_semantics()
+        assert len(norms) == 8 and all(abs(norm - 1.5) < 1e-12 for norm in norms)
+        labels_twice = [label for label in ALL_LABELS for _ in (1, 2)]
+        assert problems == [f"Y on {label}: norm {norm!r}"
+                            for label, norm in zip(labels_twice, norms)]
 
     @given(
         st.lists(labels, min_size=2, max_size=4),

@@ -324,6 +324,11 @@ class TestSessionProperties:
         with pytest.raises(ValueError, match="seed"):
             SessionConfig(rounds=1, seed=-1)
 
+    def test_two_initial_labels_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            SessionConfig(rounds=1, seed=1, initial_labels=DEFAULT_LABELS[:2])
+        assert str(caught.value) == "exactly three initial labels: link, anchor, bob"
+
     def test_malformed_state_rejected(self):
         cfg = SessionConfig(rounds=1, seed=3)
         session = Session(cfg)
@@ -388,12 +393,11 @@ class TestSessionStart:
     def test_sessions_share_no_state(self):
         config = SessionConfig(rounds=3, seed=5, eve_enabled=True, eve_ancilla=lab("01"))
         first, second = Session(config), Session(config)
-        for state in (lambda s: s.table._partner, lambda s: s.table._label,
-                      lambda s: s.ledger._mask, lambda s: s.custody):
+        for state in (lambda s: s.table._partner, lambda s: s.table._cell, lambda s: s.custody):
             assert state(first) is not state(second)
-        cells = {id(cell) for cell in first.ledger._mask.values()}
-        assert cells.isdisjoint(id(cell) for cell in second.ledger._mask.values())
-        # each pair's two qubits share one cell, as `declare` makes them
+        cells = {id(cell) for cell in first.table._cell.values()}
+        assert cells.isdisjoint(id(cell) for cell in second.table._cell.values())
+        # each pair's two qubits share one cell, as `add_pair` makes them
         assert len(cells) == 4
         first.table.apply_pauli(1, PauliOp.X)
         first.ledger.record_announcement(7, 8)
@@ -633,12 +637,26 @@ class TestKnowledgeLedger:
             with pytest.raises(LedgerViolation, match=f"qubit {a} or {b} is in no ledgered pair"):
                 ledger.measure(a, b, Party.ALICE)
 
+    def test_pairs_after_a_swap_behind_the_ledger(self):
+        """The swap leaves two undeclared pairs, which `pairs` leaves out
+        and `measure` refuses, until one is declared."""
+        ledger = ledger_over((1, 2), (3, 4), (5, 6))
+        for a, b in ((1, 2), (3, 4), (5, 6)):
+            ledger.declare(a, b, Visibility.PUBLIC)
+        ledger.table.bsm(1, 3, ChosenDraws([0]))
+        assert ledger.pairs() == {(5, 6): Visibility.PUBLIC}
+        with pytest.raises(LedgerViolation) as caught:
+            ledger.measure(1, 3, Party.ALICE)
+        assert str(caught.value) == "qubit 1 or 3 is in no ledgered pair"
+        ledger.declare(2, 4, Visibility.ALICE_ONLY)
+        assert ledger.pairs() == {(2, 4): Visibility.ALICE_ONLY, (5, 6): Visibility.PUBLIC}
+
     def test_check_messages(self):
         """Each rejected ledger update keeps its exception and message."""
         ledger = ledger_over((1, 2), (3, 4), (5, 6), (7, 8))
         for a, b in ((1, 2), (5, 6), (7, 8)):
             ledger.declare(a, b, Visibility.PUBLIC)
-        ledger.table.bsm(5, 7, ChosenDraws([0]))  # (5,7) and (6,8) keep their old cells
+        ledger.table.bsm(5, 7, ChosenDraws([0]))  # (5,7) and (6,8) get undeclared cells
         unpaired, alice, bob = "is not paired; no ledgered pair holds it", Party.ALICE, Party.BOB
         cases = [
             (lambda: ledger.measure(9, 1, alice), f"qubit 9 {unpaired}"),
@@ -656,7 +674,7 @@ class TestKnowledgeLedger:
         ]
 
         def state():
-            return ledger.table.pairs(), {q: cell[0] for q, cell in ledger._mask.items()}
+            return ledger.table.pairs(), {q: cell[1] for q, cell in ledger.table._cell.items()}
 
         before = state()
         for update, message in cases:
