@@ -176,8 +176,8 @@ def _cmd_verify_oracle(args) -> int:
                 return honest ^ flip
             return honest
 
-    cases, problems = verify.run_all(rule)
-    tally = f"{cases - len(problems)}/{cases} cases verified"
+    verified, cases, problems = verify.run_all(rule)
+    tally = f"{verified}/{cases} cases verified"
     if problems:
         tally += f"; {len(problems)} discrepancies"
     _write_lines([*(f"DISCREPANCY {line}" for line in problems), tally], None)

@@ -10,12 +10,18 @@ pinned here and in the tests): amplitudes are indexed big-endian by
 position in `qubit_order`. For qubit_order (1, 2, 3) the basis index
 0b011 means qubit 1 in |0>, qubits 2 and 3 in |1>. `_gather` is the one
 place that turns positions into flat indices.
+
+Stacks: amplitudes of shape (k, 2**n) are k states on one shared
+`qubit_order`, and every function acts on each along the leading axis.
+Per-state results come back per state: weights (k, 4), `bell_label_of` a
+tuple, `norm` an array. Sampling (`randomness`) takes a single state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +53,8 @@ PAULI_MATRICES: dict[PauliOp, np.ndarray] = {
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over the computational basis of `qubit_order`;
-    the amplitude array is made read-only."""
+    """Normalized amplitudes over the computational basis of `qubit_order`,
+    shape (2**n,) or a stack (k, 2**n); the amplitude array is made read-only."""
 
     amplitudes: np.ndarray
     qubit_order: tuple[int, ...]
@@ -66,47 +72,53 @@ class StateVector:
         except ValueError:
             raise ValueError(f"qubit {q} is not in this state") from None
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        norms = np.linalg.norm(self.amplitudes, axis=-1)
+        return norms if norms.ndim else float(norms)
 
 
-def prepare(pairs: PairTable) -> StateVector:
-    """Tensor product of the table's Bell states, pairs ordered by low qubit."""
-    entries = pairs.pairs()
-    if len(entries) > MAX_QUBITS // 2:
+def prepare(tables: PairTable | Sequence[PairTable]) -> StateVector:
+    """Tensor product of the table's Bell states, pairs ordered by low qubit;
+    several tables with one pair layout give a stack, one state per table."""
+    stacked = not isinstance(tables, PairTable)
+    entries = [table.pairs() for table in (tables if stacked else [tables])]
+    layout = [(a, b) for a, b, _ in entries[0]] if entries else []
+    if len(layout) > MAX_QUBITS // 2:
         raise ValueError(f"at most {MAX_QUBITS // 2} pairs ({MAX_QUBITS} qubits) supported")
-    if not entries:
+    if not layout:
         raise ValueError("cannot prepare an empty table")
-    order: list[int] = []
-    amps = np.ones(1, dtype=complex)
-    for a, b, label in entries:
-        order.extend((a, b))
-        amps = np.outer(amps, BELL_VECTORS[label]).reshape(-1)  # kron of two vectors
-    return StateVector(amps, tuple(order))
+    if any([(a, b) for a, b, _ in pairs] != layout for pairs in entries):
+        raise ValueError("stacked tables must pair the same qubits")
+    codes = [[label.index for *_, label in pairs] for pairs in entries]
+    amps = np.ones((len(entries), 1), dtype=complex)
+    for kets in _BELL_BRAS.conj()[codes].swapaxes(0, 1):  # each pair's (k, 4) kets
+        amps = (amps[:, :, None] * kets[:, None, :]).reshape(len(entries), -1)  # kron per state
+    return StateVector(amps if stacked else amps[0], tuple(q for pair in layout for q in pair))
 
 
 @lru_cache(maxsize=None)
 def _gather(n_qubits: int, *positions: int) -> tuple[np.ndarray, np.ndarray]:
-    """(front, back): flat indices such that `amplitudes[front]` has the
-    bits of `positions` leading, in that order, and `reordered[back]` undoes
+    """(take, back): flat indices such that `amplitudes[..., take]` has the
+    bits of `positions` last, in that order, and `reordered[..., back]` undoes
     it. Both are shared by every caller, so they are read-only."""
     t = np.arange(2**n_qubits).reshape([2] * n_qubits)
-    lead = range(len(positions))
-    front = np.moveaxis(t, positions, lead).reshape(-1)
-    back = np.moveaxis(t, lead, positions).reshape(-1)
-    front.setflags(write=False)
+    last = range(n_qubits - len(positions), n_qubits)
+    take = np.moveaxis(t, positions, last).reshape(-1)
+    back = np.moveaxis(t, last, positions).reshape(-1)
+    take.setflags(write=False)
     back.setflags(write=False)
-    return front, back
+    return take, back
 
 
 def _bell_branches(state: StateVector, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(branches, weights, back): row i of the (4, rest) `branches` is
-    <v_i| on (a, b) applied to the state, for v_i = ALL_LABELS[i]; `weights`
-    are the squared row norms; `back` is `_gather`'s inverse for (a, b)."""
-    front, back = _gather(state.n_qubits, state.position(a), state.position(b))
-    branches = _BELL_BRAS @ state.amplitudes[front].reshape(4, -1)
-    parts = branches.view(float)  # real and imaginary parts side by side
-    return branches, np.add.reduce(parts * parts, axis=1), back
+    """(branches, weights, back): column i of each (rest, 4) state in
+    `branches` is <v_i| on (a, b) applied to it, for v_i = ALL_LABELS[i];
+    `weights` are the squared column norms; `back` is `_gather`'s inverse."""
+    take, back = _gather(state.n_qubits, state.position(a), state.position(b))
+    amps = state.amplitudes
+    branches = amps.take(take, axis=-1).reshape(-1, 4) @ _BELL_BRAS.T
+    branches = branches.reshape(*amps.shape[:-1], -1, 4)
+    return branches, np.add.reduce((branches * branches.conj()).real, axis=-2), back
 
 
 def oracle_bsm(state: StateVector, a: int, b: int, randomness: RandomStream | None = None,
@@ -124,18 +136,20 @@ def oracle_bsm(state: StateVector, a: int, b: int, randomness: RandomStream | No
         raise ValueError("measurement needs a random stream or a forced outcome")
     else:
         outcome = ALL_LABELS[int(randomness.choice(4, p=probs / probs.sum()))]
-    p = probs[outcome.index]
-    if p < 1e-12:
-        raise ZeroProbabilityBranch(f"branch {outcome} on ({a},{b}) has probability {p:.3e}")
-    post = np.outer(BELL_VECTORS[outcome], branches[outcome.index] / np.sqrt(p))
-    return outcome, StateVector(post.reshape(-1)[back], state.qubit_order), probs
+    p = probs[..., outcome.index]
+    if (low := p.min()) < 1e-12:
+        raise ZeroProbabilityBranch(f"branch {outcome} on ({a},{b}) has probability {low:.3e}")
+    post = branches[..., outcome.index, None] / np.sqrt(p)[..., None, None] * BELL_VECTORS[outcome]
+    post = post.reshape(state.amplitudes.shape).take(back, axis=-1)
+    return outcome, StateVector(post, state.qubit_order), probs
 
 
 class ZeroProbabilityBranch(RuntimeError):
     """Forced measurement branch has no amplitude; indicates a logic bug."""
 
 
-def bell_label_of(state: StateVector, a: int, b: int, tol: float = 1e-9) -> BellLabel | None:
+def bell_label_of(state: StateVector, a: int, b: int,
+                  tol: float = 1e-9) -> BellLabel | None | tuple[BellLabel | None, ...]:
     """Read back which Bell state (a, b) are in, or None if they are not.
 
     The reduced density matrix rho of (a, b) is compared against each Bell
@@ -143,15 +157,15 @@ def bell_label_of(state: StateVector, a: int, b: int, tol: float = 1e-9) -> Bell
     fidelity within `tol` of 1 identifies the label. Collapsed or
     cross-pair qubit choices give a mixed reduced state and return None.
     """
-    _, fidelities, _ = _bell_branches(state, a, b)
-    for label, fidelity in zip(ALL_LABELS, fidelities.tolist()):
-        if fidelity >= 1.0 - tol:
-            return label
-    return None
+    hits = _bell_branches(state, a, b)[1] >= 1.0 - tol
+    labels = tuple(ALL_LABELS[row.index(True)] if True in row else None
+                   for row in hits.reshape(-1, 4).tolist())
+    return labels if hits.ndim > 1 else labels[0]
 
 
 def oracle_apply_pauli(state: StateVector, q: int, op: PauliOp) -> StateVector:
     """Apply a single-qubit Pauli matrix to q."""
-    front, back = _gather(state.n_qubits, state.position(q))
-    moved = PAULI_MATRICES[op] @ state.amplitudes[front].reshape(2, -1)
-    return StateVector(moved.reshape(-1)[back], state.qubit_order)
+    take, back = _gather(state.n_qubits, state.position(q))
+    amps = state.amplitudes
+    moved = amps.take(take, axis=-1).reshape(-1, 2) @ PAULI_MATRICES[op].T
+    return StateVector(moved.reshape(amps.shape).take(back, axis=-1), state.qubit_order)

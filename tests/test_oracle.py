@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapqkd import oracle, verify
-from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp
+from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, swap_rule
 from swapqkd.rng import ChosenDraws, stream
 
 labels = st.sampled_from(ALL_LABELS)
@@ -270,6 +270,97 @@ class TestIndexConvention:
             assert oracle.bell_label_of(state, x, y) == label_by_fidelity(state, x, y)
 
 
+def single_or_zero(call, *args, **kwargs):
+    """`call`'s result, or None where it raises ZeroProbabilityBranch."""
+    try:
+        return call(*args, **kwargs)
+    except oracle.ZeroProbabilityBranch:
+        return None
+
+
+class TestStacks:
+    """A stack of k states on one qubit order against k single-state calls,
+    on tables of 1-4 pairs with permuted qubit ids. The stack mixes prepared
+    Bell states, whose zero-weight branches must raise, with generic states."""
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_calls_equal_single_state_calls(self, data):
+        n = data.draw(st.integers(1, 4), label="pairs")
+        k = data.draw(st.integers(1, 5), label="states")
+        ids = data.draw(st.permutations(range(1, 9)), label="ids")[: 2 * n]
+        tables = [PairTable([(ids[i], ids[i + 1], data.draw(labels)) for i in range(0, 2 * n, 2)])
+                  for _ in range(k)]
+        prepared = oracle.prepare(tables)
+        assert prepared.amplitudes.shape == (k, 2 ** (2 * n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = []
+        for table, row in zip(tables, prepared.amplitudes):
+            single = oracle.prepare(table)
+            assert single.qubit_order == prepared.qubit_order
+            np.testing.assert_allclose(row, single.amplitudes, atol=1e-12)
+            if data.draw(st.booleans(), label="generic"):
+                amps = rng.normal(size=row.size) + 1j * rng.normal(size=row.size)
+                row = amps / np.linalg.norm(amps)
+            rows.append(row)
+        stack = oracle.StateVector(np.array(rows), prepared.qubit_order)
+        states = [oracle.StateVector(row.copy(), stack.qubit_order) for row in rows]
+        a, b = data.draw(st.permutations(ids), label="measured")[:2]
+        op = data.draw(st.sampled_from(list(PauliOp)), label="op")
+        returned = [prepared]
+        for label in ALL_LABELS:
+            singles = [single_or_zero(oracle.oracle_bsm, s, a, b, force=label) for s in states]
+            if None in singles:
+                with pytest.raises(oracle.ZeroProbabilityBranch,
+                                   match=rf"^branch {label} on \({a},{b}\) has probability"):
+                    oracle.oracle_bsm(stack, a, b, force=label)
+                continue
+            outcome, post, weights = oracle.oracle_bsm(stack, a, b, force=label)
+            assert outcome is label
+            np.testing.assert_allclose(weights, [w for *_, w in singles], atol=1e-12)
+            np.testing.assert_allclose(post.amplitudes, [p.amplitudes for _, p, _ in singles],
+                                       atol=1e-12)
+            for x, y in itertools.permutations(ids, 2):
+                got = oracle.bell_label_of(post, x, y)
+                assert got == tuple(oracle.bell_label_of(p, x, y) for _, p, _ in singles)
+            returned.append(post)
+        for x, y in itertools.permutations(ids, 2):
+            got = oracle.bell_label_of(stack, x, y)
+            assert got == tuple(oracle.bell_label_of(s, x, y) for s in states)
+        for q in ids:
+            moved = oracle.oracle_apply_pauli(stack, q, op)
+            singles = [oracle.oracle_apply_pauli(s, q, op) for s in states]
+            np.testing.assert_allclose(moved.amplitudes, [m.amplitudes for m in singles],
+                                       atol=1e-12)
+            norms = moved.norm()
+            assert isinstance(norms, np.ndarray) and norms.shape == (k,)
+            assert all(type(m.norm()) is float for m in singles)
+            np.testing.assert_allclose(norms, [m.norm() for m in singles], atol=1e-12)
+            returned.append(moved)
+        for s in returned:
+            with pytest.raises(ValueError, match="read-only"):
+                s.amplitudes[0, 0] = 0
+
+    def test_tables_of_other_layouts_rejected(self):
+        one = PairTable([(1, 2, lab("00")), (3, 4, lab("11"))])
+        for other in (PairTable([(1, 3, lab("00")), (2, 4, lab("11"))]),
+                      PairTable([(1, 2, lab("00"))]),
+                      PairTable([(1, 2, lab("00")), (3, 4, lab("11")), (5, 6, lab("01"))])):
+            with pytest.raises(ValueError) as caught:
+                oracle.prepare([one, other])
+            assert str(caught.value) == "stacked tables must pair the same qubits"
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            oracle.prepare([])
+        assert str(caught.value) == "cannot prepare an empty table"
+
+    def test_sampling_takes_a_single_state(self):
+        stack = oracle.prepare([PairTable([(1, 2, label)]) for label in ALL_LABELS])
+        with pytest.raises(ValueError):
+            oracle.oracle_bsm(stack, 1, 2, randomness=stream(0))
+
+
 class TestReadOnly:
     def test_returned_states_are_read_only(self):
         state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
@@ -278,6 +369,56 @@ class TestReadOnly:
         for s in (state, post, moved):
             with pytest.raises(ValueError, match="read-only"):
                 s.amplitudes[0] = 0
+
+
+def per_state_swap_sweep(rule) -> list[str]:
+    """The reference for `verify.check_swap_against_oracle`: one state per
+    initial label pair, each measured and read back on its own."""
+    problems = []
+    for left, right in itertools.product(ALL_LABELS, repeat=2):
+        state = oracle.prepare(PairTable([(1, 2, left), (3, 4, right)]))
+        for outcome in ALL_LABELS:
+            _, post, probs = oracle.oracle_bsm(state, 1, 3, force=outcome)
+            if np.max(np.abs(probs - 0.25)) > 1e-12:
+                problems.append(f"({left},{right},{outcome}): weights {probs.tolist()}")
+            induced = oracle.bell_label_of(post, 2, 4)
+            predicted = rule(left, right, outcome)
+            if induced != predicted:
+                problems.append(
+                    f"({left},{right},{outcome}): oracle label "
+                    f"{induced}, rule says {predicted}"
+                )
+    return problems
+
+
+def per_state_pauli_sweep() -> list[str]:
+    """The reference for `verify.check_pauli_semantics`: one state per label."""
+    problems = []
+    for label in ALL_LABELS:
+        state = oracle.prepare(PairTable([(1, 2, label)]))
+        for op in PauliOp:
+            for q in (1, 2):
+                moved = oracle.oracle_apply_pauli(state, q, op)
+                got = oracle.bell_label_of(moved, 1, 2)
+                want = op.apply(label)
+                if got != want:
+                    problems.append(f"{op.name} on qubit {q} of {label}: {got} != {want}")
+                if abs(moved.norm() - 1.0) > 1e-12:
+                    problems.append(f"{op.name} on {label}: norm {moved.norm()!r}")
+    return problems
+
+
+def corrupted_rule(case):
+    """`swap_rule` with the outcome's x bit flipped on one (left, right,
+    outcome) case, or on every case when `case` is None."""
+    def rule(left, right, outcome):
+        honest = swap_rule(left, right, outcome)
+        wrong = case is None or (left, right, outcome) == case
+        return honest ^ lab("10") if wrong else honest
+    return rule
+
+
+CASES = list(itertools.product(ALL_LABELS, repeat=3))
 
 
 class TestSymbolicEquivalence:
@@ -289,11 +430,55 @@ class TestSymbolicEquivalence:
 
     def test_pauli_toggles_match_oracle(self):
         assert verify.check_pauli_semantics() == []
+        assert per_state_pauli_sweep() == []
 
     def test_run_all_counts(self):
-        cases, problems = verify.run_all()
-        assert cases == 64
-        assert problems == []
+        assert verify.run_all() == (64, 64, [])
+
+    @pytest.mark.parametrize("case", [*CASES, None],
+                             ids=[*("".join(map(str, c)) for c in CASES), "everywhere"])
+    def test_stacked_sweep_equals_per_state_sweep(self, case):
+        rule = corrupted_rule(case)
+        problems = verify.check_swap_against_oracle(rule)
+        assert problems == per_state_swap_sweep(rule)
+        assert len(problems) == (64 if case is None else 1)
+
+    def test_run_all_counts_cases_not_lines(self, monkeypatch):
+        verified, cases, problems = verify.run_all(corrupted_rule(None))
+        assert (verified, cases, len(problems)) == (0, 64, 80)
+        verified, cases, problems = verify.run_all(corrupted_rule(CASES[37]))
+        assert (verified, cases) == (63, 64)
+        assert problems == verify.check_swap_table(corrupted_rule(CASES[37])) + [
+            "(10,01,01): oracle label 10, rule says 00"]
+        bsm = oracle.oracle_bsm
+
+        def skewed(state, a, b, force):  # weights of (10,01) skewed under outcome 01
+            outcome, post, probs = bsm(state, a, b, force=force)
+            if force is lab("01"):
+                probs = probs.copy()
+                probs[9] = [0.5, 0.5, 0.0, 0.0]
+            return outcome, post, probs
+
+        monkeypatch.setattr(oracle, "oracle_bsm", skewed)
+        verified, cases, problems = verify.run_all(corrupted_rule(CASES[37]))
+        assert (verified, cases) == (63, 64)
+        assert problems[-2:] == ["(10,01,01): weights [0.5, 0.5, 0.0, 0.0]",
+                                 "(10,01,01): oracle label 10, rule says 00"]
+
+    def test_stacked_pauli_sweep_equals_per_state_sweep(self, monkeypatch):
+        apply = oracle.oracle_apply_pauli
+        rotated = {PauliOp.I: PauliOp.I, PauliOp.X: PauliOp.Z, PauliOp.Z: PauliOp.Y,
+                   PauliOp.Y: PauliOp.X}
+
+        def rotating(state, q, op):  # a wrong Pauli for three ops, a norm off for one qubit
+            moved = apply(state, q, rotated[op])
+            scale = 1.5 if (q, op) == (2, PauliOp.Z) else 1.0
+            return oracle.StateVector(moved.amplitudes * scale, moved.qubit_order)
+
+        monkeypatch.setattr(oracle, "oracle_apply_pauli", rotating)
+        problems = verify.check_pauli_semantics()
+        assert len(problems) == 4 * (6 + 1)
+        assert problems == per_state_pauli_sweep()
 
     def test_weight_discrepancy_reported(self, monkeypatch):
         bsm, calls = oracle.oracle_bsm, []
@@ -301,39 +486,52 @@ class TestSymbolicEquivalence:
         def skewed(state, a, b, **kwargs):
             outcome, post, probs = bsm(state, a, b, **kwargs)
             calls.append(outcome)
-            return outcome, post, np.array([0.5, 0.5, 0.0, 0.0]) if len(calls) == 1 else probs
+            if len(calls) == 1:  # state 0 of the stack, (00,00), under outcome 00
+                probs = probs.copy()
+                probs[0] = [0.5, 0.5, 0.0, 0.0]
+            return outcome, post, probs
 
         monkeypatch.setattr(oracle, "oracle_bsm", skewed)
         assert verify.check_swap_against_oracle() == ["(00,00,00): weights [0.5, 0.5, 0.0, 0.0]"]
 
     def test_pauli_discrepancy_reported(self, monkeypatch):
-        apply = oracle.oracle_apply_pauli
+        apply, skipped = oracle.oracle_apply_pauli, []
 
         def skipping_x(state, q, op):
-            return apply(state, q, PauliOp.I if op is PauliOp.X else op)
+            moved = apply(state, q, op)
+            if op is PauliOp.X:  # one state of the stack keeps its amplitudes
+                amps = moved.amplitudes.copy()
+                amps[skipped[-1].index] = state.amplitudes[skipped[-1].index]
+                moved = oracle.StateVector(amps, moved.qubit_order)
+            return moved
 
         monkeypatch.setattr(oracle, "oracle_apply_pauli", skipping_x)
-        assert verify.check_pauli_semantics() == [
-            f"X on qubit {q} of {label}: {label} != {PauliOp.X.apply(label)}"
-            for label in ALL_LABELS for q in (1, 2)
-        ]
+        for label in ALL_LABELS:
+            skipped.append(label)
+            assert verify.check_pauli_semantics() == [
+                f"X on qubit {q} of {label}: {label} != {PauliOp.X.apply(label)}" for q in (1, 2)
+            ]
 
     def test_norm_discrepancy_reported(self, monkeypatch):
-        apply, norms = oracle.oracle_apply_pauli, []
+        apply, stretched_label, norms = oracle.oracle_apply_pauli, [], []
 
         def stretched(state, q, op):
             moved = apply(state, q, op)
-            if op is PauliOp.Y:
-                moved = oracle.StateVector(moved.amplitudes * 1.5, moved.qubit_order)
-                norms.append(moved.norm())
+            if op is PauliOp.Y:  # one state of the stack is stretched
+                i = stretched_label[-1].index
+                amps = moved.amplitudes.copy()
+                amps[i] *= 1.5
+                moved = oracle.StateVector(amps, moved.qubit_order)
+                norms.append(moved.norm().tolist()[i])
             return moved
 
         monkeypatch.setattr(oracle, "oracle_apply_pauli", stretched)
-        problems = verify.check_pauli_semantics()
-        assert len(norms) == 8 and all(abs(norm - 1.5) < 1e-12 for norm in norms)
-        labels_twice = [label for label in ALL_LABELS for _ in (1, 2)]
-        assert problems == [f"Y on {label}: norm {norm!r}"
-                            for label, norm in zip(labels_twice, norms)]
+        for label in ALL_LABELS:
+            stretched_label.append(label)
+            norms.clear()
+            problems = verify.check_pauli_semantics()
+            assert len(norms) == 2 and all(abs(norm - 1.5) < 1e-12 for norm in norms)
+            assert problems == [f"Y on {label}: norm {norm!r}" for norm in norms]
 
     @given(
         st.lists(labels, min_size=2, max_size=4),
