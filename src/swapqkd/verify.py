@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-import numpy as np
-
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, swap_rule
 from . import oracle
 
