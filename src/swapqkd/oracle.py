@@ -14,7 +14,9 @@ place that turns positions into flat indices.
 Stacks: amplitudes of shape (k, 2**n) are k states on one shared
 `qubit_order`, and every function acts on each along the leading axis.
 Per-state results come back per state: weights (k, 4), `bell_label_of` a
-tuple, `norm` an array. Sampling (`randomness`) takes a single state.
+tuple, `norm` an array. On a stack, `oracle_bsm`'s `force` and
+`oracle_apply_pauli`'s `op` may be one value for every state or a sequence
+of k values, one per state. Sampling (`randomness`) takes a single state.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ BELL_VECTORS: dict[BellLabel, np.ndarray] = {
 
 # Row i is the bra <v| of ALL_LABELS[i].
 _BELL_BRAS = np.array([BELL_VECTORS[label].conj() for label in ALL_LABELS])
+_BELL_KETS = _BELL_BRAS.conj()
 
 PAULI_MATRICES: dict[PauliOp, np.ndarray] = {
     PauliOp.I: np.eye(2, dtype=complex),
@@ -50,6 +53,8 @@ PAULI_MATRICES: dict[PauliOp, np.ndarray] = {
     PauliOp.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
 }
 
+# Row op.toggle is the transpose of op's matrix.
+_PAULIS_T = np.array([PAULI_MATRICES[op].T for op in sorted(PauliOp, key=lambda op: op.toggle)])
 
 @dataclass(frozen=True)
 class StateVector:
@@ -91,7 +96,7 @@ def prepare(tables: PairTable | Sequence[PairTable]) -> StateVector:
         raise ValueError("stacked tables must pair the same qubits")
     codes = [[label.index for *_, label in pairs] for pairs in entries]
     amps = np.ones((len(entries), 1), dtype=complex)
-    for kets in _BELL_BRAS.conj()[codes].swapaxes(0, 1):  # each pair's (k, 4) kets
+    for kets in _BELL_KETS[codes].swapaxes(0, 1):  # each pair's (k, 4) kets
         amps = (amps[:, :, None] * kets[:, None, :]).reshape(len(entries), -1)  # kron per state
     return StateVector(amps if stacked else amps[0], tuple(q for pair in layout for q in pair))
 
@@ -122,26 +127,34 @@ def _bell_branches(state: StateVector, a: int, b: int) -> tuple[np.ndarray, np.n
 
 
 def oracle_bsm(state: StateVector, a: int, b: int, randomness: RandomStream | None = None,
-               force: BellLabel | None = None) -> tuple[BellLabel, StateVector, np.ndarray]:
+               force: BellLabel | Sequence[BellLabel] | None = None
+               ) -> tuple[BellLabel | Sequence[BellLabel], StateVector, np.ndarray]:
     """Bell-operator measurement on (a, b) by explicit projection.
 
     Returns (outcome, post-measurement state, the four Born weights). The
     outcome is sampled from the weights unless `force` replays a specific
-    branch; forcing a zero-probability branch is an internal error.
+    branch (on a stack, one for all or one per state); forcing a
+    zero-probability branch is an internal error.
     """
     branches, probs, back = _bell_branches(state, a, b)
-    if force is not None:
-        outcome = force
-    elif randomness is None:
-        raise ValueError("measurement needs a random stream or a forced outcome")
+    if force is None:
+        if randomness is None:
+            raise ValueError("measurement needs a random stream or a forced outcome")
+        force = ALL_LABELS[int(randomness.choice(4, p=probs / probs.sum()))]
+    if isinstance(force, BellLabel):
+        rows, codes, kets = ..., force.index, BELL_VECTORS[force]
+    elif (len(force),) != probs.shape[:-1]:
+        raise ValueError(f"{len(force)} forced outcomes for amplitudes {state.amplitudes.shape}")
     else:
-        outcome = ALL_LABELS[int(randomness.choice(4, p=probs / probs.sum()))]
-    p = probs[..., outcome.index]
+        codes = np.array([label.index for label in force])
+        rows, kets = np.arange(len(codes)), _BELL_KETS[codes][:, None]
+    p = probs[rows, codes]
     if (low := p.min()) < 1e-12:
+        outcome = force if isinstance(force, BellLabel) else force[int(p.argmin())]
         raise ZeroProbabilityBranch(f"branch {outcome} on ({a},{b}) has probability {low:.3e}")
-    post = branches[..., outcome.index, None] / np.sqrt(p)[..., None, None] * BELL_VECTORS[outcome]
+    post = branches[rows, :, codes][..., None] * (kets / np.sqrt(p)[..., None, None])
     post = post.reshape(state.amplitudes.shape).take(back, axis=-1)
-    return outcome, StateVector(post, state.qubit_order), probs
+    return force, StateVector(post, state.qubit_order), probs
 
 
 class ZeroProbabilityBranch(RuntimeError):
@@ -163,9 +176,15 @@ def bell_label_of(state: StateVector, a: int, b: int,
     return labels if hits.ndim > 1 else labels[0]
 
 
-def oracle_apply_pauli(state: StateVector, q: int, op: PauliOp) -> StateVector:
-    """Apply a single-qubit Pauli matrix to q."""
+def oracle_apply_pauli(state: StateVector, q: int, op: PauliOp | Sequence[PauliOp]) -> StateVector:
+    """Apply a single-qubit Pauli matrix to q; on a stack, one op per state or one for all."""
     take, back = _gather(state.n_qubits, state.position(q))
     amps = state.amplitudes
-    moved = amps.take(take, axis=-1).reshape(-1, 2) @ PAULI_MATRICES[op].T
+    if isinstance(op, PauliOp):
+        matrices = _PAULIS_T[op.toggle]
+    elif (len(op),) != amps.shape[:-1]:
+        raise ValueError(f"{len(op)} Pauli ops for amplitudes {amps.shape}")
+    else:
+        matrices = _PAULIS_T[[each.toggle for each in op]]
+    moved = amps.take(take, axis=-1).reshape(*amps.shape[:-1], -1, 2) @ matrices
     return StateVector(moved.reshape(amps.shape).take(back, axis=-1), state.qubit_order)

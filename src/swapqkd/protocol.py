@@ -365,13 +365,15 @@ class Session:
             adversary.eve_intercept_return(eve_record, tap, bob)
         custody[r.bob_send] = ALICE
         announcement = ledger.measure(r.anchor_b, r.bob_send, ALICE, randomness)
-        ledger.record_announcement(r.anchor_b, r.bob_send)
+        # `measure` leaves each pair it measures declared, and no later step
+        # of the round touches these three, so their knower slots are set here
+        cells[r.anchor_b][1] = _WORLD
 
         # step 5: inference from public data
         alice_inferred_bob = infer_other_secret(link, anchor, bob, alice_secret, announcement)
         bob_inferred_alice = infer_other_secret(link, anchor, bob, bob_secret, announcement)
-        ledger.record_inference(r.alice_keep, r.anchor_a, BOB)
-        ledger.record_inference(r.alice_send, r.bob_keep, ALICE)
+        cells[r.alice_keep][1] |= KNOWER_BIT[BOB]
+        cells[r.alice_send][1] |= KNOWER_BIT[ALICE]
 
         if eve_record is not None:
             adversary.eve_finalize(eve_record, cfg.initial_labels, cfg.eve_ancilla, announcement)

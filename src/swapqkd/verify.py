@@ -27,20 +27,17 @@ SWAP_TABLE_ROWS: tuple[frozenset[str], ...] = (
 )
 
 
-def _row_of(entry: str) -> frozenset[str]:
-    for row in SWAP_TABLE_ROWS:
-        if entry in row:
-            return row
-    raise AssertionError(f"{entry} missing from the swap table")
+_ROW_OF = {entry: row for row in SWAP_TABLE_ROWS for entry in row}
 
 
 def check_swap_table(rule: SwapRule = swap_rule) -> list[str]:
-    """All 16 initial label pairs reproduce their own table row, as sets."""
+    """All 16 initial label pairs reproduce their own table row, as sets: the
+    four produced entries have distinct outcomes, so all in the row is the row."""
     problems = []
     for left, right in itertools.product(ALL_LABELS, repeat=2):
-        expected = _row_of(f"{left}{right}")
-        produced = frozenset(f"{o}{rule(left, right, o)}" for o in ALL_LABELS)
-        if produced != expected:
+        expected = _ROW_OF[left.text + right.text]
+        produced = [o.text + rule(left, right, o).text for o in ALL_LABELS]
+        if not expected.issuperset(produced):
             problems.append(
                 f"initial {left}{right}: produced {sorted(produced)}, "
                 f"expected {sorted(expected)}"
@@ -53,42 +50,46 @@ def check_swap_against_oracle(rule: SwapRule = swap_rule) -> list[str]:
 
     For every initial label pair the four Born weights must be exactly 1/4
     (within 1e-12) and the post-measurement label of the leftover partners
-    must equal the rule's prediction. The 16 initial states form one stack;
-    each line starts with its case, "(left,right,outcome)".
+    must equal the rule's prediction. The 64 cases (left, right, outcome)
+    form one stack, each state forced to its own outcome; each line starts
+    with its case, "(left,right,outcome)".
     """
-    initial = list(itertools.product(ALL_LABELS, repeat=2))
-    state = oracle.prepare([PairTable([(1, 2, left), (3, 4, right)]) for left, right in initial])
-    found: list[list[str]] = [[] for _ in initial]
-    for outcome in ALL_LABELS:
-        _, post, probs = oracle.oracle_bsm(state, 1, 3, force=outcome)
-        skewed = (abs(probs - 0.25).max(axis=-1) > 1e-12).tolist()
-        induced = oracle.bell_label_of(post, 2, 4)
-        for i, (left, right) in enumerate(initial):
-            if skewed[i]:
-                found[i].append(f"({left},{right},{outcome}): weights {probs[i].tolist()}")
-            predicted = rule(left, right, outcome)
-            if induced[i] != predicted:
-                found[i].append(
-                    f"({left},{right},{outcome}): oracle label "
-                    f"{induced[i]}, rule says {predicted}"
-                )
-    return list(itertools.chain.from_iterable(found))
+    cases = list(itertools.product(ALL_LABELS, repeat=3))
+    tables = [PairTable([(1, 2, left), (3, 4, right)]) for left, right, _ in cases[::4]]
+    state = oracle.prepare(tables)
+    state = oracle.StateVector(state.amplitudes.repeat(4, axis=0), state.qubit_order)
+    _, post, probs = oracle.oracle_bsm(state, 1, 3, force=ALL_LABELS * 16)
+    skewed = (abs(probs - 0.25).max(axis=-1) > 1e-12).tolist()
+    problems = []
+    for (left, right, outcome), skew, induced, weights in zip(
+            cases, skewed, oracle.bell_label_of(post, 2, 4), probs):
+        if skew:
+            problems.append(f"({left},{right},{outcome}): weights {weights.tolist()}")
+        predicted = rule(left, right, outcome)
+        if induced != predicted:
+            problems.append(
+                f"({left},{right},{outcome}): oracle label {induced}, rule says {predicted}")
+    return problems
 
 
 def check_pauli_semantics() -> list[str]:
-    """Label toggles match dense single-qubit action, on either qubit."""
+    """Label toggles match dense single-qubit action, on either qubit; the 16
+    cases (label, op) form one stack, each state moved by its own op."""
+    ops = list(PauliOp) * len(ALL_LABELS)
     state = oracle.prepare([PairTable([(1, 2, label)]) for label in ALL_LABELS])
-    found: list[list[str]] = [[] for _ in ALL_LABELS]
-    for op in PauliOp:
-        for q in (1, 2):
-            moved = oracle.oracle_apply_pauli(state, q, op)
-            each = zip(found, ALL_LABELS, oracle.bell_label_of(moved, 1, 2), moved.norm().tolist())
-            for lines, label, got, norm in each:
-                if got != op.apply(label):
-                    lines.append(f"{op.name} on qubit {q} of {label}: {got} != {op.apply(label)}")
-                if abs(norm - 1.0) > 1e-12:
-                    lines.append(f"{op.name} on {label}: norm {norm!r}")
-    return list(itertools.chain.from_iterable(found))
+    state = oracle.StateVector(state.amplitudes.repeat(4, axis=0), state.qubit_order)
+    per_qubit = []
+    for q in (1, 2):
+        moved = oracle.oracle_apply_pauli(state, q, ops)
+        per_qubit.append((q, oracle.bell_label_of(moved, 1, 2), moved.norm().tolist()))
+    problems = []
+    for i, (label, op) in enumerate(itertools.product(ALL_LABELS, PauliOp)):
+        for q, got, norms in per_qubit:
+            if got[i] != op.apply(label):
+                problems.append(f"{op.name} on qubit {q} of {label}: {got[i]} != {op.apply(label)}")
+            if abs(norms[i] - 1.0) > 1e-12:
+                problems.append(f"{op.name} on {label}: norm {norms[i]!r}")
+    return problems
 
 
 def run_all(rule: SwapRule = swap_rule) -> tuple[int, int, list[str]]:

@@ -1,6 +1,7 @@
 """State-vector oracle tests, including the symbolic-equivalence sweeps."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -307,16 +308,23 @@ class TestStacks:
         states = [oracle.StateVector(row.copy(), stack.qubit_order) for row in rows]
         a, b = data.draw(st.permutations(ids), label="measured")[:2]
         op = data.draw(st.sampled_from(list(PauliOp)), label="op")
+        forced = data.draw(st.lists(labels, min_size=k, max_size=k), label="forced")
+        ops = data.draw(st.lists(st.sampled_from(list(PauliOp)), min_size=k, max_size=k),
+                        label="ops")
         returned = [prepared]
-        for label in ALL_LABELS:
-            singles = [single_or_zero(oracle.oracle_bsm, s, a, b, force=label) for s in states]
+        for force in [*ALL_LABELS, forced]:  # one label for every state, then one per state
+            each = force if isinstance(force, list) else [force] * k
+            singles = [single_or_zero(oracle.oracle_bsm, s, a, b, force=f)
+                       for s, f in zip(states, each)]
             if None in singles:
-                with pytest.raises(oracle.ZeroProbabilityBranch,
-                                   match=rf"^branch {label} on \({a},{b}\) has probability"):
-                    oracle.oracle_bsm(stack, a, b, force=label)
+                with pytest.raises(oracle.ZeroProbabilityBranch) as caught:
+                    oracle.oracle_bsm(stack, a, b, force=force)
+                named = re.fullmatch(rf"branch (\d\d) on \({a},{b}\) has probability \S+",
+                                     str(caught.value))
+                assert named and named[1] in {f.text for f, s in zip(each, singles) if s is None}
                 continue
-            outcome, post, weights = oracle.oracle_bsm(stack, a, b, force=label)
-            assert outcome is label
+            outcome, post, weights = oracle.oracle_bsm(stack, a, b, force=force)
+            assert outcome is force
             np.testing.assert_allclose(weights, [w for *_, w in singles], atol=1e-12)
             np.testing.assert_allclose(post.amplitudes, [p.amplitudes for _, p, _ in singles],
                                        atol=1e-12)
@@ -327,19 +335,33 @@ class TestStacks:
         for x, y in itertools.permutations(ids, 2):
             got = oracle.bell_label_of(stack, x, y)
             assert got == tuple(oracle.bell_label_of(s, x, y) for s in states)
-        for q in ids:
-            moved = oracle.oracle_apply_pauli(stack, q, op)
-            singles = [oracle.oracle_apply_pauli(s, q, op) for s in states]
+        for q, pauli in itertools.product(ids, (op, ops)):
+            moved = oracle.oracle_apply_pauli(stack, q, pauli)
+            each = pauli if isinstance(pauli, list) else [pauli] * k
+            singles = [oracle.oracle_apply_pauli(s, q, o) for s, o in zip(states, each)]
             np.testing.assert_allclose(moved.amplitudes, [m.amplitudes for m in singles],
                                        atol=1e-12)
             norms = moved.norm()
             assert isinstance(norms, np.ndarray) and norms.shape == (k,)
             assert all(type(m.norm()) is float for m in singles)
             np.testing.assert_allclose(norms, [m.norm() for m in singles], atol=1e-12)
+            for x, y in zip(ids[::2], ids[1::2]):
+                got = oracle.bell_label_of(moved, x, y)
+                assert got == tuple(oracle.bell_label_of(m, x, y) for m in singles)
             returned.append(moved)
         for s in returned:
             with pytest.raises(ValueError, match="read-only"):
                 s.amplitudes[0, 0] = 0
+
+    def test_per_state_sequence_of_another_length_rejected(self):
+        stack = oracle.prepare([PairTable([(1, 2, label)]) for label in ALL_LABELS])
+        single = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        for state, n in ((stack, 3), (stack, 5), (single, 1)):
+            shape = re.escape(str(state.amplitudes.shape))
+            with pytest.raises(ValueError, match=rf"^{n} forced outcomes for amplitudes {shape}$"):
+                oracle.oracle_bsm(state, 1, 2, force=[lab("00")] * n)
+            with pytest.raises(ValueError, match=rf"^{n} Pauli ops for amplitudes {shape}$"):
+                oracle.oracle_apply_pauli(state, 1, [PauliOp.X] * n)
 
     def test_tables_of_other_layouts_rejected(self):
         one = PairTable([(1, 2, lab("00")), (3, 4, lab("11"))])
@@ -419,6 +441,7 @@ def corrupted_rule(case):
 
 
 CASES = list(itertools.product(ALL_LABELS, repeat=3))
+PAULI_CASES = list(itertools.product(ALL_LABELS, PauliOp))
 
 
 class TestSymbolicEquivalence:
@@ -452,11 +475,10 @@ class TestSymbolicEquivalence:
             "(10,01,01): oracle label 10, rule says 00"]
         bsm = oracle.oracle_bsm
 
-        def skewed(state, a, b, force):  # weights of (10,01) skewed under outcome 01
+        def skewed(state, a, b, force):  # state 37 of the stack, case (10,01,01), skewed
             outcome, post, probs = bsm(state, a, b, force=force)
-            if force is lab("01"):
-                probs = probs.copy()
-                probs[9] = [0.5, 0.5, 0.0, 0.0]
+            probs = probs.copy()
+            probs[37] = [0.5, 0.5, 0.0, 0.0]
             return outcome, post, probs
 
         monkeypatch.setattr(oracle, "oracle_bsm", skewed)
@@ -471,9 +493,15 @@ class TestSymbolicEquivalence:
                    PauliOp.Y: PauliOp.X}
 
         def rotating(state, q, op):  # a wrong Pauli for three ops, a norm off for one qubit
-            moved = apply(state, q, rotated[op])
-            scale = 1.5 if (q, op) == (2, PauliOp.Z) else 1.0
+            if isinstance(op, PauliOp):  # a single call of the per-state reference
+                moved = apply(state, q, rotated[op])
+                return oracle.StateVector(moved.amplitudes * stretch(q, op), moved.qubit_order)
+            moved = apply(state, q, [rotated[each] for each in op])  # one state per op
+            scale = np.array([[stretch(q, each)] for each in op])
             return oracle.StateVector(moved.amplitudes * scale, moved.qubit_order)
+
+        def stretch(q, op):
+            return 1.5 if (q, op) == (2, PauliOp.Z) else 1.0
 
         monkeypatch.setattr(oracle, "oracle_apply_pauli", rotating)
         problems = verify.check_pauli_semantics()
@@ -497,13 +525,13 @@ class TestSymbolicEquivalence:
     def test_pauli_discrepancy_reported(self, monkeypatch):
         apply, skipped = oracle.oracle_apply_pauli, []
 
-        def skipping_x(state, q, op):
-            moved = apply(state, q, op)
-            if op is PauliOp.X:  # one state of the stack keeps its amplitudes
-                amps = moved.amplitudes.copy()
-                amps[skipped[-1].index] = state.amplitudes[skipped[-1].index]
-                moved = oracle.StateVector(amps, moved.qubit_order)
-            return moved
+        def skipping_x(state, q, ops):  # the stack's (label, X) state keeps its amplitudes
+            moved = apply(state, q, ops)
+            i = PAULI_CASES.index((skipped[-1], PauliOp.X))
+            assert ops[i] is PauliOp.X
+            amps = moved.amplitudes.copy()
+            amps[i] = state.amplitudes[i]
+            return oracle.StateVector(amps, moved.qubit_order)
 
         monkeypatch.setattr(oracle, "oracle_apply_pauli", skipping_x)
         for label in ALL_LABELS:
@@ -515,14 +543,14 @@ class TestSymbolicEquivalence:
     def test_norm_discrepancy_reported(self, monkeypatch):
         apply, stretched_label, norms = oracle.oracle_apply_pauli, [], []
 
-        def stretched(state, q, op):
-            moved = apply(state, q, op)
-            if op is PauliOp.Y:  # one state of the stack is stretched
-                i = stretched_label[-1].index
-                amps = moved.amplitudes.copy()
-                amps[i] *= 1.5
-                moved = oracle.StateVector(amps, moved.qubit_order)
-                norms.append(moved.norm().tolist()[i])
+        def stretched(state, q, ops):  # the stack's (label, Y) state is stretched
+            moved = apply(state, q, ops)
+            i = PAULI_CASES.index((stretched_label[-1], PauliOp.Y))
+            assert ops[i] is PauliOp.Y
+            amps = moved.amplitudes.copy()
+            amps[i] *= 1.5
+            moved = oracle.StateVector(amps, moved.qubit_order)
+            norms.append(moved.norm().tolist()[i])
             return moved
 
         monkeypatch.setattr(oracle, "oracle_apply_pauli", stretched)

@@ -462,12 +462,12 @@ class TestHotPath:
 
     def test_python_calls_per_eve_round(self):
         config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
-        assert self.calls(config) <= 11_446
+        assert self.calls(config) <= 10_247
 
     def test_python_calls_per_honest_round(self):
         config = SessionConfig(rounds=200, seed=7, test_fraction=0.1,
                                initial_labels=(lab("01"), lab("11"), lab("00")))
-        assert self.calls(config) <= 6_019
+        assert self.calls(config) <= 4_820
 
     def calls(self, config: SessionConfig) -> int:
         _closing_corrections.cache_clear()
