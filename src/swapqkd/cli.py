@@ -7,8 +7,9 @@ Subcommands:
   curves        closed-form (optionally empirical) detection curves as CSV
   montecarlo    detection-frequency estimates against the closed forms
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or a size too
-large to allocate, 3 I/O error, a failed write to stdout included.
+Exit codes: 0 success, 1 verification failure, 2 usage error, a size too
+large to allocate or a --rounds above 2**64 (round indices are 64-bit),
+3 I/O error, a failed write to stdout included.
 Relative --out paths resolve under $SWAPQKD_OUTDIR when it is set.
 """
 

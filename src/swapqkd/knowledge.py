@@ -11,13 +11,15 @@ map and label the table owns. A pair is declared while its knower slot is
 not None, so one the table forms outside `measure` is refused until
 declared. Every Bell measurement is one `measure` call, which checks the
 two pairs it consumes, measures once on the table and writes the knower
-sets of the cells the table just made; `_pair` checks the pair any other
-update names. Knowing a swapped pair's label requires knowing both
-consumed labels and the outcome, so the induced tag is the intersection
-of those knower sets. Within the life of a pair the knower set only
-grows; `LedgerViolation` is raised on anything that would shrink it, on
-qubits that are not a declared pair, and by reset actions whose acting
-party does not know the label being rotated.
+sets of the cells the table just made; `_pair` checks the pair a query
+names. Knowing a swapped pair's label requires knowing both consumed
+labels and the outcome, so the induced tag is the intersection of those
+knower sets. What a round's announcement and inferences add, the
+protocol writes into the slots of the pairs `measure` just left
+declared. Within the life of a pair the knower set only grows;
+`LedgerViolation` is raised on qubits that are not a declared pair, and
+by reset actions whose acting party does not know the label being
+rotated.
 
 Eve's *stolen* knowledge of the secret-pair labels is intentionally not
 representable here (there is no Alice-and-Eve tag); it lives in her own
@@ -50,7 +52,7 @@ class Visibility(enum.Enum):
 
 
 class LedgerViolation(RuntimeError):
-    """An update would shrink knowledge, or an actor lacks a needed label."""
+    """Qubits are not a declared pair, or an actor lacks a needed label."""
 
 
 # the members by plain name: on CPython 3.11 `Party.EVE` goes through EnumType's __getattr__ slot
@@ -126,18 +128,10 @@ class KnowledgeLedger:
     def _pair(self, a: int, b: int) -> list:
         """Cell of the declared pair (a, b); a LedgerViolation if a and b are
         not partners in the table or the pair is undeclared; the one check
-        of a named pair, which `tag`, `knows` and `record_*` share."""
+        of a named pair, which `tag` and `knows` share."""
         if self.table._partner.get(a) != b or (cell := self.table._cell[a])[1] is None:
             raise LedgerViolation(f"qubits {a},{b} are not a ledgered pair")
         return cell
-
-    def record_announcement(self, a: int, b: int) -> None:
-        """The pair's label is published; everyone, Eve included, knows it."""
-        self._pair(a, b)[1] = _WORLD
-
-    def record_inference(self, a: int, b: int, party: Party) -> None:
-        """`party` derives the label from announcements plus what it holds."""
-        self._pair(a, b)[1] |= KNOWER_BIT[party]
 
     def require_knowledge(self, a: int, b: int, party: Party, action: str) -> None:
         if not self.knows(a, b, party):

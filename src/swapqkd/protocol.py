@@ -157,6 +157,9 @@ class SessionConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
+        if self.rounds > 1 << 64:
+            raise ValueError(f"rounds must be at most 2**64, as round indices are 64-bit; "
+                             f"got {self.rounds}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.test_fraction <= 1.0:

@@ -19,22 +19,28 @@ Round draws are the hot path: a session derives one stream per round, and
 building a seed sequence, PCG64 and Generator for each would take more
 time than the round. So round draws have one derivation, a numpy pass over
 up to `BLOCK` rows in typed ``np.uint32`` and ``np.uint64`` lanes:
-`_pools` hashes the seeds of a pass, padded to one width, into the pool
-that every round of a seed shares (spawn key ``(ROUNDS,)``), `_seeded`
-absorbs each round index into it with the same `_absorb` step and
-generates the state, and PCG64's two seeding steps and its first two
-outputs run on 32-bit limbs. `sessions_draws` lays the sessions of a
-sweep end to end, reading their ``np.uint64`` seeds one pass at a time;
-`session_draws` is the same rows for one seed of any size, whose pool is
-derived once however many passes its session spans; and
-`round_stream` is one pass of one index, returned as `ChosenDraws`. All
-of them equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for
-bit, which the test suite checks against numpy's own seed sequence; every
-other stream is a numpy Generator.
+`_seeded` absorbs each round index into its seed's pool under spawn key
+``(ROUNDS,)`` with the `_absorb` step and generates the state, and
+PCG64's two seeding steps and its first two outputs run on 32-bit limbs.
+The pool has two derivations, one per kind of input. A session is one
+seed of any size and an unbounded run of rounds, so `session_draws` and
+`round_stream` read its pool once from numpy's own seed sequence and
+take the hash constants that follow it from the seed's width (`_pool`).
+A Monte Carlo sweep's seeds are one ``np.uint64`` array of many short
+sessions, where a seed sequence per seed would cost more than its
+rounds, so `_pools` runs numpy's mixing on a pass's seeds at once; numpy
+pads each to four words, so its hash constants are fixed.
+`sessions_draws` lays those sessions end to end, reading their seeds one
+pass at a time. `round_stream` is one pass of one index, returned as
+`ChosenDraws`. All of them equal the first four draws of
+``stream(seed, ROUNDS, i)`` bit for bit, which the test suite checks
+against numpy's own seed sequence; every other stream is a numpy
+Generator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -76,24 +82,33 @@ _S4, _S26, _S30, _S32, _S60, _S63, _S64 = map(np.uint64, (4, 26, 30, 32, 60, 63,
 _CROSS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
 """The lanes each pool lane mixes into, in order, in the pool's cross-mix."""
 
-def _state_hashes() -> tuple[np.ndarray, np.ndarray]:
-    """The xors and multipliers of the 8 words `generate_state(4, uint64)`
-    makes, shaped (2, 4, 1) to meet the pool lanes twice over; they
-    depend only on the word's position."""
-    pairs, h = [], _INIT_B
-    for _ in range(8):
-        nxt = (h * _MULT_B) & _M32
-        pairs.append((h, nxt))
-        h = nxt
-    return tuple(np.array(col, dtype=np.uint32).reshape(2, 4, 1) for col in zip(*pairs))
+
+@functools.cache
+def _hashes(init: int, mult: int, n: int) -> np.ndarray:
+    """The first `n` hash constants of one of numpy's two sequences,
+    ``init * mult**k mod 2**32``, as an (n, 1) ``np.uint32`` column: hashing
+    step k xors its value with constant k and multiplies it by constant
+    k + 1."""
+    return np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(n)],
+                    dtype=np.uint32)[:, None]
 
 
-_STATE_XOR, _STATE_MULT = _state_hashes()
+_STATE_XOR, _STATE_MULT = (_hashes(_INIT_B, _MULT_B, 9)[k:k + 8].reshape(2, 4, 1) for k in (0, 1))
+"""The xors and multipliers of the 8 words `generate_state(4, uint64)`
+makes, shaped (2, 4, 1) to meet the pool lanes twice over."""
+
+_POOL_HASHES = _hashes(_INIT_A, _MULT_A, 29)
+"""The hash constants of `_pools`' seeds: 4 fill the pool and 12 cross-mix
+it, 4 absorb the ROUNDS word and 9 follow for a round index. numpy pads a
+seed below 2**128 to four words, so every ``np.uint64`` seed uses these."""
 
 _PCG_LIMBS = np.array([_PCG_MULT >> 32 * j & _M32 for j in range(4)],
                       dtype=np.uint64).reshape(4, 1, 1)
 """PCG64's multiplier as 32-bit limbs, lowest first, shaped to multiply
 every limb of a state at once."""
+
+_OFFSETS = np.arange(BLOCK, dtype=np.uint64)
+"""The round indices of a session's first pass; a later pass adds its start."""
 
 _ROWS = np.empty(4**_DRAWS_PER_ROUND, dtype=object)
 _ROWS[:] = [tuple(code >> 2 * k & 3 for k in range(_DRAWS_PER_ROUND))
@@ -105,19 +120,6 @@ def stream(seed: int, *path: int) -> RandomStream:
     """Return the deterministic Generator at `path` under `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def _words(n: int) -> list[int]:
-    """`n` as numpy's seed sequence splits an integer under a spawn key:
-    little-endian 32-bit words, zero-padded to four."""
-    if n < 0:
-        raise ValueError(f"seeds and indices must be nonnegative, got {n}")
-    words = [n & _M32, n >> 32 & _M32, n >> 64 & _M32, n >> 96 & _M32]
-    n >>= 128
-    while n:
-        words.append(n & _M32)
-        n >>= 32
-    return words
 
 
 def _absorb(lanes: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndarray:
@@ -132,35 +134,43 @@ def _absorb(lanes: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndarr
     return mixed
 
 
-def _pools(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's seed-sequence pool for spawn key ``(ROUNDS,)`` of each
-    column of `words`, `_seed_words`' array of w >= 4 rows: the (4, n)
-    ``np.uint32`` pool lanes, and the (9, 1) hash constants that a round
-    index's words take next, which every column shares.
+def _pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's seed-sequence pool for spawn key ``(ROUNDS,)`` of one seed,
+    read from numpy's own seed sequence: the (4, 1) ``np.uint32`` lanes,
+    and the (9, 1) hash constants that a round index's words take next.
+    Those depend only on the seed's width, w >= 4 words as numpy pads it:
+    one hashing step for each of the first four words, 12 to cross-mix the
+    pool, then four for each word past the fourth and four for the ROUNDS
+    word, so they are constants 4w + 4 to 4w + 12."""
+    if seed < 0:
+        raise ValueError(f"seeds must be nonnegative, got {seed}")
+    words = max(-(-seed.bit_length() // 32), _POOL_SIZE)
+    lanes = np.random.SeedSequence(seed, spawn_key=(ROUNDS,)).pool[:, None]
+    return lanes, _hashes(_INIT_A, _MULT_A, 4 * words + 13)[-9:]
 
-    It runs numpy's `mix_entropy` on every column at once, in the typed
-    lanes of `_seeded`: hash the first four words into the lanes,
-    cross-mix the lanes in 12 steps, then `_absorb` each word past the
-    fourth and the ROUNDS word.
+
+def _pools(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_pool` for each seed of the ``np.uint64`` array `seeds`: the (4, n)
+    pool lanes, and the (9, 1) hash constants every seed shares.
+
+    It runs numpy's `mix_entropy` on every seed at once, in the typed
+    lanes of `_seeded`: hash the seed's words, zero-padded to four, into
+    the lanes, cross-mix the lanes in 12 steps, then `_absorb` the ROUNDS
+    word.
     """
-    consts = [_INIT_A]
-    for _ in range(4 * len(words) + 12):
-        consts.append(consts[-1] * _MULT_A & _M32)
-    h = np.array(consts, dtype=np.uint32)[:, None]
-    lanes = (words[:_POOL_SIZE] ^ h[:4]) * h[1:5]
+    h = _POOL_HASHES
+    words = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    words[0] = seeds & _L32
+    words[1] = seeds >> _S32
+    lanes = (words ^ h[:4]) * h[1:5]
     lanes ^= lanes >> _W16
-    k = _POOL_SIZE
-    for src, dst in enumerate(_CROSS):
+    for k, (src, dst) in zip(range(4, 16, 3), enumerate(_CROSS)):
         value = (lanes[src] ^ h[k:k + 3]) * h[k + 1:k + 4]
         value ^= value >> _W16
         mixed = _ML * lanes[dst] - _MR * value
         mixed ^= mixed >> _W16
         lanes[dst] = mixed
-        k += 3
-    for word in (*words[_POOL_SIZE:], np.uint32(ROUNDS)):
-        lanes = _absorb(lanes, word, h[k:])
-        k += 4
-    return lanes, h[k:]
+    return _absorb(lanes, np.uint32(ROUNDS), h[16:]), h[20:]
 
 
 def _carry(cols: np.ndarray) -> np.ndarray:
@@ -196,15 +206,16 @@ def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray):
     (``np.uint64``).
 
     `lanes` and `hashes` are `_pools`' for each row's seed, the lanes
-    shaped (4, n), or (4, 1) for one seed's on every row. This is the one
-    round-seeding derivation. The seed sequence absorbs the index's one or
-    two words into the pool lanes and `generate_state(4, uint64)` hashes
-    them into eight words, all mod 2**32 in ``np.uint32``. Those words'
-    64-bit pairs are the high and low halves of the initial state, then of
-    the stream, and PCG64 seeds by stepping from state 0, adding the
-    initial state and stepping again. Every constant is typed like the
-    array it meets: numpy 1.x casts an unsigned array mixed with a Python
-    int by the int's value, numpy 2 by its type.
+    shaped (4, n), or `_pool`'s for one seed on every row, the lanes
+    shaped (4, 1). This is the one round-seeding derivation. The seed
+    sequence absorbs the index's one or two words into the pool lanes and
+    `generate_state(4, uint64)` hashes them into eight words, all mod
+    2**32 in ``np.uint32``. Those words' 64-bit pairs are the high and low
+    halves of the initial state, then of the stream, and PCG64 seeds by
+    stepping from state 0, adding the initial state and stepping again.
+    Every constant is typed like the array it meets: numpy 1.x casts an
+    unsigned array mixed with a Python int by the int's value, numpy 2 by
+    its type.
     """
     high = (indices >> _S32).astype(np.uint32)
     lanes = _absorb(lanes, (indices & _L32).astype(np.uint32), hashes)
@@ -243,24 +254,6 @@ def _draws(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray) -> list:
     return _ROWS.take((codes[:n] | codes[n:] << _S4).astype(np.intp)).tolist()
 
 
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """`seeds` as `_pools` takes them: (w, n) ``np.uint32`` little-endian
-    words, zero-padded to w = 4 as numpy pads a seed under a spawn key.
-    Seeds of more than four words are not padded, so they must all have
-    one width; any other mix raises ValueError."""
-    if seeds.dtype == np.uint64:
-        words = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
-        words[0] = seeds & _L32
-        words[1] = seeds >> _S32
-        return words
-    columns = [*map(_words, seeds.tolist())]
-    widths = {*map(len, columns)}
-    if len(widths) > 1:
-        raise ValueError(f"a pass takes seeds below 2**128 or seeds of one width, "
-                         f"got seeds padded to {sorted(widths)} 32-bit words")
-    return np.array(columns, dtype=np.uint32).T
-
-
 def _passes(seeds: np.ndarray, rounds: int):
     """The rows of `seeds`' sessions of `rounds` rounds each, laid end to
     end in order: one pass, a list, per `BLOCK` rows. Short sessions share
@@ -274,7 +267,7 @@ def _passes(seeds: np.ndarray, rounds: int):
         first, last = start // rounds, int(session[-1]) + 1
         if span != (first, last):
             span = first, last
-            lanes, hashes = _pools(_seed_words(seeds[first:last]))
+            lanes, hashes = _pools(seeds[first:last])
         yield _draws(lanes[:, session - first] if last - first > 1 else lanes, hashes,
                      indices.astype(np.uint64))
 
@@ -282,15 +275,18 @@ def _passes(seeds: np.ndarray, rounds: int):
 def session_draws(seed: int, rounds: int):
     """An iterator over the draws of each round of a `rounds`-round session
     under `seed`: row i is the first four ``integers(0, 4)`` of
-    ``stream(seed, ROUNDS, i)``. It is `sessions_draws`' rows for the one
-    seed, derived a pass at a time as they are used."""
-    return itertools.chain.from_iterable(_passes(np.array([seed], dtype=object), rounds))
+    ``stream(seed, ROUNDS, i)``. The seed's pool is derived once, and the
+    rows a pass at a time as they are used."""
+    lanes, hashes = _pool(seed)
+    return itertools.chain.from_iterable(
+        _draws(lanes, hashes, _OFFSETS[:min(BLOCK, rounds - start)] + np.uint64(start))
+        for start in range(0, rounds, BLOCK))
 
 
 def sessions_draws(seeds: np.ndarray, rounds: int):
-    """(seed, rows) for each of `seeds` in order, where rows is the list
-    ``session_draws(seed, rounds)`` yields; the sessions share passes,
-    which limits the seeds of 2**128 and up (see `_seed_words`)."""
+    """(seed, rows) for each of `seeds`, a ``np.uint64`` array, in order,
+    where rows is the list ``session_draws(seed, rounds)`` yields; the
+    sessions share passes."""
     rows = itertools.chain.from_iterable(_passes(seeds, rounds))
     for seed in map(int, seeds):
         yield seed, list(itertools.islice(rows, rounds))
@@ -331,7 +327,7 @@ def round_stream(seed: int, index: int) -> ChosenDraws:
     of ``stream(seed, ROUNDS, index)``: one pass of one index."""
     if index < 0 or index >> 64:
         raise ValueError(f"round indices must be nonnegative and below 2**64, got {index}")
-    lanes, hashes = _pools(_seed_words(np.array([seed], dtype=object)))
+    lanes, hashes = _pool(seed)
     return ChosenDraws(_draws(lanes, hashes, np.array([index], dtype=np.uint64))[0])
 
 

@@ -307,6 +307,15 @@ def test_size_too_large_to_allocate_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rounds", [2**64 + 1, 99999999999999999999])
+def test_rounds_beyond_64_bit_indices_is_usage_error(rounds, capsys):
+    # rejected before a round starts; 2**64 rounds would be valid, and never end
+    code, out, err = run_cli(capsys, "run", "--rounds", str(rounds), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: rounds must be at most 2**64, as round indices are 64-bit; got {rounds}\n"
+
+
 def child_env() -> dict:
     """The environment for a child interpreter that imports this swapqkd."""
     src = str(Path(swapqkd.__file__).resolve().parent.parent)

@@ -36,6 +36,17 @@ GOLDEN = {
          "--format", "csv"],
         "54c92770ce5908322b520637fbd490ec00716eb2fa639fb2b915a07036e97c02",
     ),
+    "eve_tested_six_word_seed": (
+        # a seed of six 32-bit words, and 1,100 rounds: two passes of one pool
+        ["run", "--rounds", "1100", "--seed", "1461501637330902918203684832716283019655932555321",
+         "--eve", "--test-fraction", "0.1"],
+        "94091a3693e516c001beb8b0c4c2c796c6f35dd9eda3246fd0f781bd5c0e4058",
+    ),
+    "honest_tested_four_word_seed": (
+        ["run", "--rounds", "1100", "--seed", "340282366920938463463374607431768211455",
+         "--test-fraction", "0.1", "--labels", "00", "01", "11"],
+        "d11e64f807eb3069b0a5d79e36b802d4a62da36e25658035994bf817ed1a84e3",
+    ),
     "curves": (
         ["curves", "--max-pairs", "4", "--sessions", "200", "--seed", "11"],
         "f759d102a492beec3186b8b13e1bb07e6670103ceac8c3ecc81bef203071e610",

@@ -324,6 +324,12 @@ class TestSessionProperties:
         with pytest.raises(ValueError, match="seed"):
             SessionConfig(rounds=1, seed=-1)
 
+    def test_rounds_bound_is_the_64_bit_index_range(self):
+        # 2**64 rounds have indices 0 to 2**64 - 1; no session is run here
+        SessionConfig(rounds=2**64, seed=1)
+        with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+            SessionConfig(rounds=2**64 + 1, seed=1)
+
     def test_two_initial_labels_rejected(self):
         with pytest.raises(ValueError) as caught:
             SessionConfig(rounds=1, seed=1, initial_labels=DEFAULT_LABELS[:2])
@@ -400,7 +406,7 @@ class TestSessionStart:
         # each pair's two qubits share one cell, as `add_pair` makes them
         assert len(cells) == 4
         first.table.apply_pauli(1, PauliOp.X)
-        first.ledger.record_announcement(7, 8)
+        first.ledger.declare(7, 8, Visibility.PUBLIC)
         first.custody[2] = Party.BOB
         assert start_of(first) != start_by_hand(config)
         assert start_of(second) == start_by_hand(config)
@@ -571,20 +577,6 @@ class TestKnowledgeLedger:
         # nobody knows both the Alice-only input and Bob's outcome
         assert ledger.tag(5, 6) is Visibility.UNKNOWN
 
-    def test_readout_then_announce_widens_to_public(self):
-        ledger = ledger_over((5, 6))
-        ledger.declare(5, 6, Visibility.UNKNOWN)
-        ledger.measure(5, 6, Party.ALICE)
-        assert ledger.tag(5, 6) is Visibility.ALICE_ONLY
-        ledger.record_announcement(5, 6)
-        assert ledger.tag(5, 6) is Visibility.PUBLIC
-
-    def test_inference_adds_the_second_party(self):
-        ledger = ledger_over((1, 3))
-        ledger.declare(1, 3, Visibility.ALICE_ONLY)
-        ledger.record_inference(1, 3, Party.BOB)
-        assert ledger.tag(1, 3) is Visibility.ALICE_AND_BOB
-
     def test_measure_on_partners_is_a_readout(self):
         ledger = ledger_over((1, 2))
         ledger.declare(1, 2, Visibility.BOB_ONLY)
@@ -609,10 +601,6 @@ class TestKnowledgeLedger:
         ledger.declare(3, 4, Visibility.ALICE_ONLY)
         before = ledger.pairs()
         with pytest.raises(LedgerViolation, match="not a ledgered pair"):
-            ledger.record_announcement(1, 3)
-        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
-            ledger.record_inference(1, 9, Party.BOB)
-        with pytest.raises(LedgerViolation, match="not a ledgered pair"):
             ledger.tag(1, 3)
         with pytest.raises(LedgerViolation, match="not a ledgered pair"):
             ledger.knows(2, 4, Party.BOB)
@@ -630,10 +618,6 @@ class TestKnowledgeLedger:
         for a, b in ((1, 5), (2, 6)):
             with pytest.raises(LedgerViolation, match=f"qubits {a},{b} are not a ledgered pair"):
                 ledger.tag(a, b)
-            with pytest.raises(LedgerViolation, match=f"qubits {a},{b} are not a ledgered pair"):
-                ledger.record_announcement(a, b)
-            with pytest.raises(LedgerViolation, match=f"qubits {a},{b} are not a ledgered pair"):
-                ledger.record_inference(a, b, Party.BOB)
             with pytest.raises(LedgerViolation, match=f"qubit {a} or {b} is in no ledgered pair"):
                 ledger.measure(a, b, Party.ALICE)
 
@@ -657,7 +641,7 @@ class TestKnowledgeLedger:
         for a, b in ((1, 2), (5, 6), (7, 8)):
             ledger.declare(a, b, Visibility.PUBLIC)
         ledger.table.bsm(5, 7, ChosenDraws([0]))  # (5,7) and (6,8) get undeclared cells
-        unpaired, alice, bob = "is not paired; no ledgered pair holds it", Party.ALICE, Party.BOB
+        unpaired, alice = "is not paired; no ledgered pair holds it", Party.ALICE
         cases = [
             (lambda: ledger.measure(9, 1, alice), f"qubit 9 {unpaired}"),
             (lambda: ledger.measure(1, 10, alice), f"qubit 10 {unpaired}"),
@@ -667,10 +651,6 @@ class TestKnowledgeLedger:
             (lambda: ledger.measure(3, 4, alice), "qubit 3 or 4 is in no ledgered pair"),
             (lambda: ledger.measure(1, 5, alice), "qubit 1 or 5 is in no ledgered pair"),
             (lambda: ledger.measure(5, 1, alice), "qubit 5 or 1 is in no ledgered pair"),
-            (lambda: ledger.record_announcement(1, 3), "qubits 1,3 are not a ledgered pair"),
-            (lambda: ledger.record_announcement(3, 4), "qubits 3,4 are not a ledgered pair"),
-            (lambda: ledger.record_inference(1, 9, bob), "qubits 1,9 are not a ledgered pair"),
-            (lambda: ledger.record_inference(2, 4, bob), "qubits 2,4 are not a ledgered pair"),
         ]
 
         def state():

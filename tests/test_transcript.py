@@ -267,6 +267,15 @@ class TestTranscriptError:
         assert (err.line, err.field) == (1, "config")
         assert "nonnegative" in str(err)
 
+    def test_config_rounds_beyond_64_bit_indices(self):
+        lines = make_lines()
+        header = json.loads(lines[0])
+        header["config"]["rounds"] = 2**64 + 1
+        lines[0] = json.dumps(header)
+        err = parse_error(lines)
+        assert (err.line, err.field) == (1, "config")
+        assert "at most 2**64" in str(err)
+
     @pytest.mark.parametrize("value", [None, "not-a-transcript"])
     def test_header_format(self, value):
         lines = make_lines()
