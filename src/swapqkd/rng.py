@@ -141,7 +141,8 @@ def _pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     Those depend only on the seed's width, w >= 4 words as numpy pads it:
     one hashing step for each of the first four words, 12 to cross-mix the
     pool, then four for each word past the fourth and four for the ROUNDS
-    word, so they are constants 4w + 4 to 4w + 12."""
+    word, so they are constants 4w + 4 to 4w + 12: the tail of the first
+    4w + 13, which for a seed below 2**128 are `_POOL_HASHES`, cached."""
     if seed < 0:
         raise ValueError(f"seeds must be nonnegative, got {seed}")
     words = max(-(-seed.bit_length() // 32), _POOL_SIZE)
