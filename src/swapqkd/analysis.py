@@ -120,6 +120,11 @@ def binomial_sigma(p: float, trials: int) -> float:
 
 @dataclass(frozen=True)
 class DetectionEstimate:
+    """A detection frequency against its closed form. `stderr` is the binomial
+    standard error of the miss probability q = 0.25**n: the same bits as from
+    the detection probability 1 - q up to n = 26, and not 0 beyond, where
+    1 - q rounds to 1."""
+
     pairs_tested: int
     bits_tested: int
     sessions: int
@@ -127,6 +132,12 @@ class DetectionEstimate:
     empirical: float
     expected: float
     stderr: float
+
+    @property
+    def z(self) -> float:
+        """|misses/N - q| / stderr; inf where stderr is 0 and misses/N is not q."""
+        gap = abs((self.sessions - self.detections) / self.sessions - 0.25**self.pairs_tested)
+        return gap / self.stderr if self.stderr else math.inf if gap else 0.0
 
 
 def _count_detections(pairs_tested: int, seeds) -> int:
@@ -182,7 +193,7 @@ def estimate_detection(
         detections=detections,
         empirical=detections / sessions,
         expected=expected,
-        stderr=binomial_sigma(expected, sessions),
+        stderr=binomial_sigma(0.25**pairs_tested, sessions),
     )
 
 
@@ -193,6 +204,7 @@ class CurvePoint:
     bb84_prob: float
     empirical: float | None = None
     stderr: float | None = None
+    z: float | None = None
 
 
 @dataclass(frozen=True)
@@ -225,7 +237,7 @@ class DetectionCurve:
             if sessions:
                 est = estimate_detection(n, sessions, child_seed(seed, SESSIONS, n),
                                          workers=workers)
-                point = replace(point, empirical=est.empirical, stderr=est.stderr)
+                point = replace(point, empirical=est.empirical, stderr=est.stderr, z=est.z)
             points.append(point)
         return DetectionCurve(points=tuple(points))
 

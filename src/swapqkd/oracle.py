@@ -2,8 +2,9 @@
 
 Everything here recomputes, from raw complex amplitudes and the Born rule,
 what bell.py tracks symbolically. It is deliberately independent: no
-function in this module consults `swap_rule` or a PairTable label, so
-agreement between the two layers is evidence, not tautology.
+function in this module consults `swap_rule` or a PairTable: states are
+prepared from a pair layout and integer label codes, so agreement between
+the two layers is evidence, not tautology.
 
 Index convention (the dominant source of bugs in code like this, so it is
 pinned here and in the tests): amplitudes are indexed big-endian by
@@ -13,10 +14,10 @@ place that turns positions into flat indices.
 
 Stacks: amplitudes of shape (k, 2**n) are k states on one shared
 `qubit_order`, and every function acts on each along the leading axis.
-Per-state results come back per state: weights (k, 4), `bell_label_of` a
-tuple, `norm` an array. On a stack, `oracle_bsm`'s `force` and
-`oracle_apply_pauli`'s `op` may be one value for every state or a sequence
-of k values, one per state. Sampling (`randomness`) takes a single state.
+`prepare` makes one from (k, pairs) label codes. Results come back per
+state: weights (k, 4), `bell_label_of` a tuple, `norm` an array. On a
+stack, `oracle_bsm`'s `force` (every measurement replays a forced branch)
+and `oracle_apply_pauli`'s `op` may be one value for all or one per state.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp
-from .rng import RandomStream
+from .bell import ALL_LABELS, BellLabel, PauliOp
 
 MAX_QUBITS = 8
 
@@ -45,6 +45,9 @@ BELL_VECTORS: dict[BellLabel, np.ndarray] = {
 # Row i is the bra <v| of ALL_LABELS[i].
 _BELL_BRAS = np.array([BELL_VECTORS[label].conj() for label in ALL_LABELS])
 _BELL_KETS = _BELL_BRAS.conj()
+
+# Entry i is ALL_LABELS[i], and entry 4 stands for no Bell state.
+_LABEL_OR_NONE = np.array([*ALL_LABELS, None], dtype=object)
 
 PAULI_MATRICES: dict[PauliOp, np.ndarray] = {
     PauliOp.I: np.eye(2, dtype=complex),
@@ -82,23 +85,22 @@ class StateVector:
         return norms if norms.ndim else float(norms)
 
 
-def prepare(tables: PairTable | Sequence[PairTable]) -> StateVector:
-    """Tensor product of the table's Bell states, pairs ordered by low qubit;
-    several tables with one pair layout give a stack, one state per table."""
-    stacked = not isinstance(tables, PairTable)
-    entries = [table.pairs() for table in (tables if stacked else [tables])]
-    layout = [(a, b) for a, b, _ in entries[0]] if entries else []
-    if len(layout) > MAX_QUBITS // 2:
-        raise ValueError(f"at most {MAX_QUBITS // 2} pairs ({MAX_QUBITS} qubits) supported")
-    if not layout:
-        raise ValueError("cannot prepare an empty table")
-    if any([(a, b) for a, b, _ in pairs] != layout for pairs in entries):
-        raise ValueError("stacked tables must pair the same qubits")
-    codes = [[label.index for *_, label in pairs] for pairs in entries]
-    amps = np.ones((len(entries), 1), dtype=complex)
-    for kets in _BELL_KETS[codes].swapaxes(0, 1):  # each pair's (k, 4) kets
-        amps = (amps[:, :, None] * kets[:, None, :]).reshape(len(entries), -1)  # kron per state
-    return StateVector(amps if stacked else amps[0], tuple(q for pair in layout for q in pair))
+def prepare(layout: Sequence[tuple[int, int]], codes) -> StateVector:
+    """Tensor product of Bell states on `layout`'s qubit pairs, in order:
+    `codes` gives each pair's label code (`BellLabel.index`), shape (pairs,)
+    for one state or (k, pairs) for a stack of k states."""
+    codes, n, order = np.asarray(codes), len(layout), tuple(q for pair in layout for q in pair)
+    if not (0 < n <= MAX_QUBITS // 2 and len(set(order)) == len(order) == 2 * n
+            and codes.shape[-1:] == (n,) and codes.ndim < 3 and codes.size
+            and codes.dtype.kind in "iu" and not (codes >> 2).any()):
+        raise ValueError(f"need 1 to {MAX_QUBITS // 2} pairs of distinct qubits and one label "
+                         f"code 0-3 per pair for each state; got pairs {tuple(layout)} and "
+                         f"{codes.dtype} codes of shape {codes.shape}")
+    kets = _BELL_KETS[codes.reshape(-1, n)]  # (k, pairs, 4)
+    amps = kets[:, 0]
+    for i in range(1, n):  # kron per state
+        amps = (amps[:, :, None] * kets[:, i, None, :]).reshape(len(kets), -1)
+    return StateVector(amps.reshape(*codes.shape[:-1], -1), order)
 
 
 @lru_cache(maxsize=None)
@@ -126,21 +128,15 @@ def _bell_branches(state: StateVector, a: int, b: int) -> tuple[np.ndarray, np.n
     return branches, np.add.reduce((branches * branches.conj()).real, axis=-2), back
 
 
-def oracle_bsm(state: StateVector, a: int, b: int, randomness: RandomStream | None = None,
-               force: BellLabel | Sequence[BellLabel] | None = None
+def oracle_bsm(state: StateVector, a: int, b: int, force: BellLabel | Sequence[BellLabel]
                ) -> tuple[BellLabel | Sequence[BellLabel], StateVector, np.ndarray]:
-    """Bell-operator measurement on (a, b) by explicit projection.
+    """Bell-operator measurement on (a, b) by explicit projection onto the
+    branch `force` names (on a stack, one for all or one per state).
 
-    Returns (outcome, post-measurement state, the four Born weights). The
-    outcome is sampled from the weights unless `force` replays a specific
-    branch (on a stack, one for all or one per state); forcing a
-    zero-probability branch is an internal error.
+    Returns (outcome, post-measurement state, the four Born weights);
+    forcing a zero-probability branch is an internal error.
     """
     branches, probs, back = _bell_branches(state, a, b)
-    if force is None:
-        if randomness is None:
-            raise ValueError("measurement needs a random stream or a forced outcome")
-        force = ALL_LABELS[int(randomness.choice(4, p=probs / probs.sum()))]
     if isinstance(force, BellLabel):
         rows, codes, kets = ..., force.index, BELL_VECTORS[force]
     elif (len(force),) != probs.shape[:-1]:
@@ -171,9 +167,8 @@ def bell_label_of(state: StateVector, a: int, b: int,
     cross-pair qubit choices give a mixed reduced state and return None.
     """
     hits = _bell_branches(state, a, b)[1] >= 1.0 - tol
-    labels = tuple(ALL_LABELS[row.index(True)] if True in row else None
-                   for row in hits.reshape(-1, 4).tolist())
-    return labels if hits.ndim > 1 else labels[0]
+    labels = _LABEL_OR_NONE[np.where(hits.any(axis=-1), hits.argmax(axis=-1), 4)]
+    return tuple(labels.tolist()) if hits.ndim > 1 else labels
 
 
 def oracle_apply_pauli(state: StateVector, q: int, op: PauliOp | Sequence[PauliOp]) -> StateVector:

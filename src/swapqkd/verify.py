@@ -9,7 +9,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, swap_rule
+import numpy as np
+
+from .bell import ALL_LABELS, BellLabel, PauliOp, swap_rule
 from . import oracle
 
 SwapRule = Callable[[BellLabel, BellLabel, BellLabel], BellLabel]
@@ -28,6 +30,13 @@ SWAP_TABLE_ROWS: tuple[frozenset[str], ...] = (
 
 
 _ROW_OF = {entry: row for row in SWAP_TABLE_ROWS for entry in row}
+
+# The sweeps' cases, each sweep one stack: the swap sweep's 64 (left, right,
+# outcome) with codes on pairs (1, 2) and (3, 4), the Pauli sweep's 16 (label, op).
+_SWAP_CASES = tuple(itertools.product(ALL_LABELS, repeat=3))
+_SWAP_CODES = np.array([(left.index, right.index) for left, right, _ in _SWAP_CASES])
+_PAULI_CASES = tuple(itertools.product(ALL_LABELS, PauliOp))
+_PAULI_CODES = np.array([[label.index] for label, _ in _PAULI_CASES])
 
 
 def check_swap_table(rule: SwapRule = swap_rule) -> list[str]:
@@ -54,15 +63,12 @@ def check_swap_against_oracle(rule: SwapRule = swap_rule) -> list[str]:
     form one stack, each state forced to its own outcome; each line starts
     with its case, "(left,right,outcome)".
     """
-    cases = list(itertools.product(ALL_LABELS, repeat=3))
-    tables = [PairTable([(1, 2, left), (3, 4, right)]) for left, right, _ in cases[::4]]
-    state = oracle.prepare(tables)
-    state = oracle.StateVector(state.amplitudes.repeat(4, axis=0), state.qubit_order)
+    state = oracle.prepare(((1, 2), (3, 4)), _SWAP_CODES)
     _, post, probs = oracle.oracle_bsm(state, 1, 3, force=ALL_LABELS * 16)
     skewed = (abs(probs - 0.25).max(axis=-1) > 1e-12).tolist()
     problems = []
     for (left, right, outcome), skew, induced, weights in zip(
-            cases, skewed, oracle.bell_label_of(post, 2, 4), probs):
+            _SWAP_CASES, skewed, oracle.bell_label_of(post, 2, 4), probs):
         if skew:
             problems.append(f"({left},{right},{outcome}): weights {weights.tolist()}")
         predicted = rule(left, right, outcome)
@@ -75,15 +81,13 @@ def check_swap_against_oracle(rule: SwapRule = swap_rule) -> list[str]:
 def check_pauli_semantics() -> list[str]:
     """Label toggles match dense single-qubit action, on either qubit; the 16
     cases (label, op) form one stack, each state moved by its own op."""
-    ops = list(PauliOp) * len(ALL_LABELS)
-    state = oracle.prepare([PairTable([(1, 2, label)]) for label in ALL_LABELS])
-    state = oracle.StateVector(state.amplitudes.repeat(4, axis=0), state.qubit_order)
+    state = oracle.prepare(((1, 2),), _PAULI_CODES)
     per_qubit = []
     for q in (1, 2):
-        moved = oracle.oracle_apply_pauli(state, q, ops)
+        moved = oracle.oracle_apply_pauli(state, q, tuple(PauliOp) * 4)
         per_qubit.append((q, oracle.bell_label_of(moved, 1, 2), moved.norm().tolist()))
     problems = []
-    for i, (label, op) in enumerate(itertools.product(ALL_LABELS, PauliOp)):
+    for i, (label, op) in enumerate(_PAULI_CASES):
         for q, got, norms in per_qubit:
             if got[i] != op.apply(label):
                 problems.append(f"{op.name} on qubit {q} of {label}: {got[i]} != {op.apply(label)}")

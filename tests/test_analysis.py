@@ -1,5 +1,6 @@
 """Detection formulas, the eavesdropping test, rates, and Monte Carlo."""
 
+import math
 
 import pytest
 
@@ -214,6 +215,30 @@ class TestMonteCarlo:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="at least one worker"):
             analysis.estimate_detection(1, 10, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("sessions", [1, 3, 300, 5000, 10**6])
+    def test_stderr_in_miss_space(self, sessions):
+        """The standard error comes from the miss probability 0.25**n: the same
+        bits as from the detection probability up to n = 26, and not 0 beyond."""
+        for n in range(1, 27):
+            detect = analysis.scheme_detection_probability(2 * n)
+            assert (analysis.binomial_sigma(0.25**n, sessions)
+                    == analysis.binomial_sigma(detect, sessions))
+        for n in (27, 30, 100):
+            assert analysis.scheme_detection_probability(2 * n) == 1.0
+            est = analysis.estimate_detection(n, sessions=3, seed=66)
+            assert est.detections == 3
+            assert est.stderr == analysis.binomial_sigma(0.25**n, 3) > 0
+            assert est.z == pytest.approx(0.25**n / est.stderr)
+
+    def test_z_counts_misses(self):
+        est = analysis.DetectionEstimate(pairs_tested=30, bits_tested=60, sessions=4,
+                                         detections=3, empirical=0.75, expected=1.0,
+                                         stderr=analysis.binomial_sigma(0.25**30, 4))
+        assert est.z == (0.25 - 0.25**30) / est.stderr > 1e8
+        for detections, z in ((3, math.inf), (4, 0.0)):  # stderr 0: q underflowed at n = 600
+            est = analysis.DetectionEstimate(600, 1200, 4, detections, detections / 4, 1.0, 0.0)
+            assert est.z == z
 
     def test_sigma(self):
         assert analysis.binomial_sigma(0.5, 100) == pytest.approx(0.05)

@@ -243,6 +243,28 @@ class TestMonteCarloCommand:
         assert len(curve_columns) == 3
         assert curve_columns == sweep_columns
 
+    def test_sessions_that_never_detect_eve_fail_beyond_26_pairs(self, capsys, monkeypatch):
+        # at n >= 27, 1 - 0.25**n rounds to 1: the sweep once printed stderr 0.0 and z 0.000
+        monkeypatch.setattr(analysis, "_count_detections", lambda pairs_tested, seeds: 0)
+        code, out, err = run_cli(capsys, "montecarlo", "--max-pairs", "30", "--sessions", "3",
+                                 "--seed", "1")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(n) for n in range(1, 31)]
+        assert rows[-1][3:5] == ["0.0", "1.0"]
+        assert float(rows[-1][5]) > 0 and float(rows[-1][6]) > 3
+        assert all(float(row[6]) > 3 for row in rows[26:])
+        assert float(err.split()[3]) > 3
+
+    def test_misses_where_stderr_is_zero_print_inf(self, capsys, monkeypatch):
+        # past n = 537, 0.25**n underflows to 0 and so does the standard error
+        monkeypatch.setattr(analysis, "_count_detections", lambda pairs_tested, seeds: 0)
+        code, out, err = run_cli(capsys, "montecarlo", "--max-pairs", "540", "--sessions", "3",
+                                 "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "540,1080,3,0.0,1.0,0.0,inf"
+        assert err == "max |z| = inf (3-sigma bound is 3.0)\n"
+
     def test_bad_args(self, capsys):
         code, _, _ = run_cli(capsys, "montecarlo", "--max-pairs", "0", "--seed", "9")
         assert code == 2

@@ -1,5 +1,6 @@
 """State-vector oracle tests, including the symbolic-equivalence sweeps."""
 
+import functools
 import itertools
 import re
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from swapqkd import oracle, verify
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, swap_rule
-from swapqkd.rng import ChosenDraws, stream
+from swapqkd.rng import ChosenDraws
 
 labels = st.sampled_from(ALL_LABELS)
 
@@ -19,6 +20,12 @@ RSQRT2 = 1 / np.sqrt(2)
 
 def lab(s: str) -> BellLabel:
     return BellLabel.from_string(s)
+
+
+def from_table(table: PairTable) -> oracle.StateVector:
+    """`oracle.prepare` on the table's pairs: their qubit layout and label codes."""
+    pairs = table.pairs()
+    return oracle.prepare([(a, b) for a, b, _ in pairs], [label.index for *_, label in pairs])
 
 
 def bell_projector_set(state: oracle.StateVector, a: int, b: int) -> tuple[np.ndarray, ...]:
@@ -51,81 +58,113 @@ def _restore_axis_order(full: np.ndarray, n: int, pa: int, pb: int) -> np.ndarra
 
 class TestPrepare:
     def test_plus_correlation_amplitudes(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00"))]))
         np.testing.assert_allclose(state.amplitudes, [RSQRT2, 0, 0, RSQRT2], atol=1e-15)
 
     def test_singlet_amplitudes(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("11"))]))
+        state = from_table(PairTable([(1, 2, lab("11"))]))
         np.testing.assert_allclose(state.amplitudes, [0, RSQRT2, -RSQRT2, 0], atol=1e-15)
 
     def test_two_pair_product(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00")), (3, 4, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00")), (3, 4, lab("00"))]))
         assert state.qubit_order == (1, 2, 3, 4)
         expected = np.zeros(16)
         expected[[0b0000, 0b0011, 0b1100, 0b1111]] = 0.5
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
     def test_normalized(self):
-        state = oracle.prepare(
+        state = from_table(
             PairTable([(1, 2, lab("10")), (3, 5, lab("01")), (4, 6, lab("11"))])
         )
         assert abs(state.norm() - 1.0) < 1e-12
 
     def test_too_many_pairs_rejected(self):
         pairs = PairTable([(i, i + 1, lab("00")) for i in range(1, 11, 2)])
-        with pytest.raises(ValueError, match="at most"):
-            oracle.prepare(pairs)
+        with pytest.raises(ValueError, match="need 1 to 4 pairs"):
+            from_table(pairs)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            oracle.prepare(PairTable())
+        with pytest.raises(ValueError, match=r"got pairs \(\) and"):
+            from_table(PairTable())
+
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_equals_kron_of_bell_vectors(self, pairs):
+        """Every code tuple of 1 and 2 pairs, one state at a time and as one
+        stack, on qubits that are neither sorted nor adjacent."""
+        layout = [(5, 2), (8, 3)][:pairs]
+        tuples = list(itertools.product(range(4), repeat=pairs))
+        kron = [functools.reduce(np.kron, [oracle.BELL_VECTORS[ALL_LABELS[c]] for c in codes])
+                for codes in tuples]
+        stack = oracle.prepare(layout, tuples)
+        assert stack.qubit_order == (5, 2, 8, 3)[: 2 * pairs]
+        np.testing.assert_array_equal(stack.amplitudes, kron)
+        for codes, expected in zip(tuples, kron):
+            state = oracle.prepare(layout, codes)
+            assert state.qubit_order == stack.qubit_order
+            np.testing.assert_array_equal(state.amplitudes, expected)
+
+    @pytest.mark.parametrize("layout, codes, got", [
+        ([], [], "pairs () and float64 codes of shape (0,)"),
+        ([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)], [0] * 5,
+         "pairs ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)) and int64 codes of shape (5,)"),
+        ([(1, 2), (2, 3)], [0, 0], "pairs ((1, 2), (2, 3)) and int64 codes of shape (2,)"),
+        ([(1, 2, 3)], [0], "pairs ((1, 2, 3),) and int64 codes of shape (1,)"),
+        ([(1,)], [0], "pairs ((1,),) and int64 codes of shape (1,)"),
+        ([(1, 2), (3, 4)], [0], "pairs ((1, 2), (3, 4)) and int64 codes of shape (1,)"),
+        ([(1, 2)], [[0, 1]], "pairs ((1, 2),) and int64 codes of shape (1, 2)"),
+        ([(1, 2)], 0, "pairs ((1, 2),) and int64 codes of shape ()"),
+        ([(1, 2)], [[[0]]], "pairs ((1, 2),) and int64 codes of shape (1, 1, 1)"),
+        ([(1, 2)], [4], "pairs ((1, 2),) and int64 codes of shape (1,)"),
+        ([(1, 2)], [-1], "pairs ((1, 2),) and int64 codes of shape (1,)"),
+        ([(1, 2)], [1.0], "pairs ((1, 2),) and float64 codes of shape (1,)"),
+        ([(1, 2)], [True], "pairs ((1, 2),) and bool codes of shape (1,)"),
+        ([(1, 2)], [lab("01")], "pairs ((1, 2),) and object codes of shape (1,)"),
+    ], ids=["empty", "five-pairs", "shared-qubit", "triple", "single", "too-few-codes",
+            "too-many-codes", "scalar", "three-axes", "code-4", "code-minus-1", "float", "bool",
+            "label"])
+    def test_bad_input_rejected(self, layout, codes, got):
+        with pytest.raises(ValueError) as caught:
+            oracle.prepare(layout, codes)
+        assert str(caught.value) == (
+            "need 1 to 4 pairs of distinct qubits and one label code 0-3 per pair for each "
+            f"state; got {got}")
 
 
 class TestOracleBsm:
     def test_cross_pair_outcomes_equiprobable(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
-        _, _, probs = oracle.oracle_bsm(state, 1, 3, force=lab("00"))
-        np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
+        state = from_table(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        for label in ALL_LABELS:
+            outcome, post, probs = oracle.oracle_bsm(state, 1, 3, force=label)
+            assert outcome is label
+            np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
+            assert oracle.bell_label_of(post, 1, 3) is label
 
     def test_eigenstate_readout(self):
-        state = oracle.prepare(PairTable([(6, 8, lab("10"))]))
-        outcome, post, probs = oracle.oracle_bsm(state, 6, 8, randomness=stream(0))
-        assert outcome == lab("10")
+        state = from_table(PairTable([(6, 8, lab("10"))]))
+        outcome, post, probs = oracle.oracle_bsm(state, 6, 8, force=lab("10"))
+        assert outcome is lab("10")
         np.testing.assert_allclose(probs, [0, 0, 1, 0], atol=1e-12)
         np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_forced_branch_collapses_partners(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        state = from_table(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
         _, post, _ = oracle.oracle_bsm(state, 1, 3, force=lab("00"))
         assert oracle.bell_label_of(post, 1, 3) == lab("00")
         assert oracle.bell_label_of(post, 2, 4) == lab("10")
         assert abs(post.norm() - 1.0) < 1e-12
 
     def test_zero_probability_branch_rejected(self):
-        state = oracle.prepare(PairTable([(6, 8, lab("10"))]))
+        state = from_table(PairTable([(6, 8, lab("10"))]))
         with pytest.raises(oracle.ZeroProbabilityBranch):
             oracle.oracle_bsm(state, 6, 8, force=lab("00"))
 
-    def test_sampling_follows_born_weights(self):
-        rng = stream(77)
-        counts = {label: 0 for label in ALL_LABELS}
-        trials = 4000
-        base = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
-        for _ in range(trials):
-            outcome, _, _ = oracle.oracle_bsm(base, 1, 3, randomness=rng)
-            counts[outcome] += 1
-        tol = 3 * (0.25 * 0.75 / trials) ** 0.5
-        for label, count in counts.items():
-            assert abs(count / trials - 0.25) <= tol
-
-    def test_needs_a_stream_or_a_forced_outcome(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
-        with pytest.raises(ValueError) as caught:
+    def test_needs_a_forced_outcome(self):
+        state = from_table(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        with pytest.raises(TypeError, match="force"):
             oracle.oracle_bsm(state, 1, 3)
-        assert str(caught.value) == "measurement needs a random stream or a forced outcome"
 
     def test_unknown_qubit_rejected(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00"))]))
         with pytest.raises(ValueError, match="not in this state"):
             oracle.oracle_bsm(state, 1, 9, force=lab("00"))
 
@@ -133,39 +172,39 @@ class TestOracleBsm:
 class TestBellLabelReadback:
     @pytest.mark.parametrize("text", ["00", "01", "10", "11"])
     def test_prepared_pair_reads_back(self, text):
-        state = oracle.prepare(PairTable([(1, 2, lab(text))]))
+        state = from_table(PairTable([(1, 2, lab(text))]))
         assert oracle.bell_label_of(state, 1, 2) == lab(text)
 
     def test_cross_pair_is_not_a_bell_pair(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00")), (3, 4, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00")), (3, 4, lab("00"))]))
         assert oracle.bell_label_of(state, 1, 3) is None
 
     def test_qubit_order_agnostic(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("10"))]))
+        state = from_table(PairTable([(1, 2, lab("10"))]))
         # swapping the queried order keeps the same label (symmetric states)
         assert oracle.bell_label_of(state, 2, 1) == lab("10")
 
 
 class TestOraclePauli:
     def test_bit_flip_moves_plus_correlation(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00"))]))
         moved = oracle.oracle_apply_pauli(state, 2, PauliOp.X)
         assert oracle.bell_label_of(moved, 1, 2) == lab("10")
 
     def test_phase_flip_moves_plus_correlation(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00"))]))
         moved = oracle.oracle_apply_pauli(state, 2, PauliOp.Z)
         assert oracle.bell_label_of(moved, 1, 2) == lab("01")
 
     def test_identity_is_identity(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        state = from_table(PairTable([(1, 2, lab("00"))]))
         moved = oracle.oracle_apply_pauli(state, 2, PauliOp.I)
         np.testing.assert_allclose(moved.amplitudes, state.amplitudes, atol=1e-15)
 
     @given(labels, st.sampled_from(list(PauliOp)), st.sampled_from([1, 2]))
     @settings(max_examples=40, deadline=None)
     def test_norm_preserved(self, label, op, qubit):
-        state = oracle.prepare(PairTable([(1, 2, label)]))
+        state = from_table(PairTable([(1, 2, label)]))
         moved = oracle.oracle_apply_pauli(state, qubit, op)
         assert abs(moved.norm() - 1.0) < 1e-12
 
@@ -173,7 +212,7 @@ class TestOraclePauli:
 class TestProjectors:
     @pytest.mark.parametrize("pair", [(1, 3), (2, 4), (5, 6)])
     def test_projector_algebra(self, pair):
-        state = oracle.prepare(
+        state = from_table(
             PairTable([(1, 2, lab("11")), (3, 5, lab("10")), (4, 6, lab("10"))])
         )
         projectors = bell_projector_set(state, *pair)
@@ -185,7 +224,7 @@ class TestProjectors:
                 np.testing.assert_allclose(p @ q, np.zeros_like(p), atol=1e-12)
 
     def test_projector_weights_match_contraction_path(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        state = from_table(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
         projectors = bell_projector_set(state, 1, 3)
         direct = [
             float(np.real(np.vdot(state.amplitudes, p @ state.amplitudes)))
@@ -242,7 +281,7 @@ class TestIndexConvention:
         n = data.draw(st.integers(1, 4), label="pairs")
         ids = data.draw(st.permutations(range(1, 9)), label="ids")[: 2 * n]
         table = PairTable([(ids[i], ids[i + 1], data.draw(labels)) for i in range(0, 2 * n, 2)])
-        state = oracle.prepare(table)
+        state = from_table(table)
         a, b = data.draw(st.permutations(ids), label="measured")[:2]
         op = data.draw(st.sampled_from(list(PauliOp)), label="op")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -281,7 +320,7 @@ def single_or_zero(call, *args, **kwargs):
 
 class TestStacks:
     """A stack of k states on one qubit order against k single-state calls,
-    on tables of 1-4 pairs with permuted qubit ids. The stack mixes prepared
+    on layouts of 1-4 pairs with permuted qubit ids. The stack mixes prepared
     Bell states, whose zero-weight branches must raise, with generic states."""
 
     @given(st.data())
@@ -290,14 +329,15 @@ class TestStacks:
         n = data.draw(st.integers(1, 4), label="pairs")
         k = data.draw(st.integers(1, 5), label="states")
         ids = data.draw(st.permutations(range(1, 9)), label="ids")[: 2 * n]
-        tables = [PairTable([(ids[i], ids[i + 1], data.draw(labels)) for i in range(0, 2 * n, 2)])
-                  for _ in range(k)]
-        prepared = oracle.prepare(tables)
+        layout = list(zip(ids[::2], ids[1::2]))
+        codes = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                   min_size=k, max_size=k), label="codes")
+        prepared = oracle.prepare(layout, codes)
         assert prepared.amplitudes.shape == (k, 2 ** (2 * n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         rows = []
-        for table, row in zip(tables, prepared.amplitudes):
-            single = oracle.prepare(table)
+        for each, row in zip(codes, prepared.amplitudes):
+            single = oracle.prepare(layout, each)
             assert single.qubit_order == prepared.qubit_order
             np.testing.assert_allclose(row, single.amplitudes, atol=1e-12)
             if data.draw(st.booleans(), label="generic"):
@@ -354,8 +394,8 @@ class TestStacks:
                 s.amplitudes[0, 0] = 0
 
     def test_per_state_sequence_of_another_length_rejected(self):
-        stack = oracle.prepare([PairTable([(1, 2, label)]) for label in ALL_LABELS])
-        single = oracle.prepare(PairTable([(1, 2, lab("00"))]))
+        stack = oracle.prepare([(1, 2)], [[label.index] for label in ALL_LABELS])
+        single = oracle.prepare([(1, 2)], [0])
         for state, n in ((stack, 3), (stack, 5), (single, 1)):
             shape = re.escape(str(state.amplitudes.shape))
             with pytest.raises(ValueError, match=rf"^{n} forced outcomes for amplitudes {shape}$"):
@@ -363,29 +403,16 @@ class TestStacks:
             with pytest.raises(ValueError, match=rf"^{n} Pauli ops for amplitudes {shape}$"):
                 oracle.oracle_apply_pauli(state, 1, [PauliOp.X] * n)
 
-    def test_tables_of_other_layouts_rejected(self):
-        one = PairTable([(1, 2, lab("00")), (3, 4, lab("11"))])
-        for other in (PairTable([(1, 3, lab("00")), (2, 4, lab("11"))]),
-                      PairTable([(1, 2, lab("00"))]),
-                      PairTable([(1, 2, lab("00")), (3, 4, lab("11")), (5, 6, lab("01"))])):
-            with pytest.raises(ValueError) as caught:
-                oracle.prepare([one, other])
-            assert str(caught.value) == "stacked tables must pair the same qubits"
-
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError) as caught:
-            oracle.prepare([])
-        assert str(caught.value) == "cannot prepare an empty table"
-
-    def test_sampling_takes_a_single_state(self):
-        stack = oracle.prepare([PairTable([(1, 2, label)]) for label in ALL_LABELS])
-        with pytest.raises(ValueError):
-            oracle.oracle_bsm(stack, 1, 2, randomness=stream(0))
+            oracle.prepare([(1, 2), (3, 4)], np.zeros((0, 2), dtype=int))
+        assert str(caught.value).endswith(
+            "got pairs ((1, 2), (3, 4)) and int64 codes of shape (0, 2)")
 
 
 class TestReadOnly:
     def test_returned_states_are_read_only(self):
-        state = oracle.prepare(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
+        state = from_table(PairTable([(1, 2, lab("11")), (3, 4, lab("01"))]))
         _, post, _ = oracle.oracle_bsm(state, 1, 3, force=lab("00"))
         moved = oracle.oracle_apply_pauli(post, 4, PauliOp.Y)
         for s in (state, post, moved):
@@ -398,7 +425,7 @@ def per_state_swap_sweep(rule) -> list[str]:
     initial label pair, each measured and read back on its own."""
     problems = []
     for left, right in itertools.product(ALL_LABELS, repeat=2):
-        state = oracle.prepare(PairTable([(1, 2, left), (3, 4, right)]))
+        state = from_table(PairTable([(1, 2, left), (3, 4, right)]))
         for outcome in ALL_LABELS:
             _, post, probs = oracle.oracle_bsm(state, 1, 3, force=outcome)
             if np.max(np.abs(probs - 0.25)) > 1e-12:
@@ -417,7 +444,7 @@ def per_state_pauli_sweep() -> list[str]:
     """The reference for `verify.check_pauli_semantics`: one state per label."""
     problems = []
     for label in ALL_LABELS:
-        state = oracle.prepare(PairTable([(1, 2, label)]))
+        state = from_table(PairTable([(1, 2, label)]))
         for op in PauliOp:
             for q in (1, 2):
                 moved = oracle.oracle_apply_pauli(state, q, op)
@@ -457,6 +484,14 @@ class TestSymbolicEquivalence:
 
     def test_run_all_counts(self):
         assert verify.run_all() == (64, 64, [])
+
+    def test_run_all_builds_no_pair_table(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the oracle sweep built a PairTable")
+
+        monkeypatch.setattr(PairTable, "__init__", refuse)
+        assert verify.run_all() == (64, 64, [])
+        assert not hasattr(oracle, "PairTable") and not hasattr(verify, "PairTable")
 
     @pytest.mark.parametrize("case", [*CASES, None],
                              ids=[*("".join(map(str, c)) for c in CASES), "everywhere"])
@@ -577,7 +612,7 @@ class TestSymbolicEquivalence:
         table = PairTable(
             [(2 * i + 1, 2 * i + 2, label) for i, label in enumerate(pair_labels)]
         )
-        state = oracle.prepare(table)
+        state = from_table(table)
         a = 2 * (ia % n) + 1
         b = 2 * (ib % n) + 2
         if table.are_partners(a, b):
