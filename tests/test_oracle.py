@@ -22,6 +22,10 @@ def lab(s: str) -> BellLabel:
     return BellLabel.from_string(s)
 
 
+PREPARE_ERROR = ("need 1 to 4 pairs of distinct qubits and one label code 0-3 per pair for "
+                 "each state; got ")
+
+
 def from_table(table: PairTable) -> oracle.StateVector:
     """`oracle.prepare` on the table's pairs: their qubit layout and label codes."""
     pairs = table.pairs()
@@ -80,12 +84,15 @@ class TestPrepare:
 
     def test_too_many_pairs_rejected(self):
         pairs = PairTable([(i, i + 1, lab("00")) for i in range(1, 11, 2)])
-        with pytest.raises(ValueError, match="need 1 to 4 pairs"):
+        with pytest.raises(ValueError) as caught:
             from_table(pairs)
+        assert str(caught.value) == PREPARE_ERROR + (
+            "pairs ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)) and int64 codes of shape (5,)")
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match=r"got pairs \(\) and"):
+        with pytest.raises(ValueError) as caught:
             from_table(PairTable())
+        assert str(caught.value) == PREPARE_ERROR + "pairs () and float64 codes of shape (0,)"
 
     @pytest.mark.parametrize("pairs", [1, 2])
     def test_equals_kron_of_bell_vectors(self, pairs):
@@ -104,9 +111,6 @@ class TestPrepare:
             np.testing.assert_array_equal(state.amplitudes, expected)
 
     @pytest.mark.parametrize("layout, codes, got", [
-        ([], [], "pairs () and float64 codes of shape (0,)"),
-        ([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)], [0] * 5,
-         "pairs ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)) and int64 codes of shape (5,)"),
         ([(1, 2), (2, 3)], [0, 0], "pairs ((1, 2), (2, 3)) and int64 codes of shape (2,)"),
         ([(1, 2, 3)], [0], "pairs ((1, 2, 3),) and int64 codes of shape (1,)"),
         ([(1,)], [0], "pairs ((1,),) and int64 codes of shape (1,)"),
@@ -119,15 +123,12 @@ class TestPrepare:
         ([(1, 2)], [1.0], "pairs ((1, 2),) and float64 codes of shape (1,)"),
         ([(1, 2)], [True], "pairs ((1, 2),) and bool codes of shape (1,)"),
         ([(1, 2)], [lab("01")], "pairs ((1, 2),) and object codes of shape (1,)"),
-    ], ids=["empty", "five-pairs", "shared-qubit", "triple", "single", "too-few-codes",
-            "too-many-codes", "scalar", "three-axes", "code-4", "code-minus-1", "float", "bool",
-            "label"])
+    ], ids=["shared-qubit", "triple", "single", "too-few-codes", "too-many-codes", "scalar",
+            "three-axes", "code-4", "code-minus-1", "float", "bool", "label"])
     def test_bad_input_rejected(self, layout, codes, got):
         with pytest.raises(ValueError) as caught:
             oracle.prepare(layout, codes)
-        assert str(caught.value) == (
-            "need 1 to 4 pairs of distinct qubits and one label code 0-3 per pair for each "
-            f"state; got {got}")
+        assert str(caught.value) == PREPARE_ERROR + got
 
 
 class TestOracleBsm:
@@ -406,8 +407,8 @@ class TestStacks:
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError) as caught:
             oracle.prepare([(1, 2), (3, 4)], np.zeros((0, 2), dtype=int))
-        assert str(caught.value).endswith(
-            "got pairs ((1, 2), (3, 4)) and int64 codes of shape (0, 2)")
+        assert str(caught.value) == (
+            PREPARE_ERROR + "pairs ((1, 2), (3, 4)) and int64 codes of shape (0, 2)")
 
 
 class TestReadOnly:
