@@ -18,9 +18,12 @@ and rotates it back to her preparation label with the others
 
 Separation of knowledge is structural: Eve's quantum access goes through a
 `ChannelTap` that only reaches her ancillas and the qubit currently in
-transit. Her three steps fill the round's `EveRoundRecord`, which the
-session creates, each outcome written once; besides it they read only
-public values: the agreed labels, her ancilla label and the announcement.
+transit. A session owns one tap and re-points it at each transit: at the
+qubit crossing the channel and at the round's draws, so once the return
+transit begins the outbound qubit is out of her reach again. Her three
+steps fill the round's `EveRoundRecord`, which the session creates, each
+outcome written once; besides it they read only public values: the agreed
+labels, her ancilla label and the announcement.
 """
 
 from __future__ import annotations
@@ -46,7 +49,11 @@ class ChannelTap:
     Wraps the session's ledger, so her measurements update the pair table
     and the tags as Eve's, but refuses measurements involving any qubit
     outside her ancillas and the single qubit currently in the channel.
+    The session that owns the tap points it at each transit by setting
+    `transit` and `_rng`, the round's draws, on the round's hot path.
     """
+
+    __slots__ = ("_ledger", "_rng", "transit")
 
     def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream, transit: int):
         self._ledger = ledger

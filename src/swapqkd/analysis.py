@@ -12,6 +12,7 @@ so the closed forms can be checked at 3-sigma.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -53,13 +54,22 @@ def eavesdropping_test(
     the same rounds; it is consumed only when a proper subset must be
     drawn (selecting all rounds needs no randomness). Selecting zero
     rounds yields a flagged degenerate report rather than a vacuous pass.
+    When every round is tested, as in each Monte Carlo session, the
+    report depends only on the round count and the mismatches, and up to
+    `rng.BLOCK` rounds it is one shared, immutable report per such pair
+    from a bounded cache.
     """
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError("test_fraction must lie in [0, 1]")
     rounds = transcript.rounds
     n_test = int(math.floor(test_fraction * len(rounds) + 0.5))
-    if n_test in (0, len(rounds)):
-        chosen = list(range(n_test))
+    if n_test == len(rounds):
+        mismatches = 0
+        for rec in rounds:
+            mismatches += rec.alice_secret is not rec.bob_inferred_alice
+        return (_shared_full_report if n_test <= BLOCK else _full_report)(n_test, mismatches)
+    if n_test == 0:
+        chosen = []
     elif coin is None:
         raise ValueError("selecting a proper subset of rounds needs the public coin")
     else:
@@ -67,22 +77,41 @@ def eavesdropping_test(
     mismatches = sum(
         1 for i in chosen if rounds[i].alice_secret != rounds[i].bob_inferred_alice
     )
-    alice_key = bob_key = ""  # testing every round leaves no key
-    if n_test < len(rounds):
-        chosen_set = frozenset(chosen)
-        kept = SessionTranscript(
-            transcript.config, [rec for i, rec in enumerate(rounds) if i not in chosen_set])
-        alice_key, bob_key = kept.alice_key, kept.bob_key
+    chosen_set = frozenset(chosen)
+    kept = SessionTranscript(
+        transcript.config, [rec for i, rec in enumerate(rounds) if i not in chosen_set])
     return TestReport(
         pairs_tested=n_test,
         bits_tested=2 * n_test,
         mismatches=mismatches,
         eve_detected=mismatches > 0,
-        remaining_key=alice_key,
-        remaining_key_bob=bob_key,
+        remaining_key=kept.alice_key,
+        remaining_key_bob=kept.bob_key,
         tested_rounds=tuple(chosen),
         degenerate=n_test == 0,
     )
+
+
+def _full_report(pairs: int, mismatches: int) -> TestReport:
+    """The report of a test that compares all `pairs` rounds of a session:
+    testing every round leaves no key."""
+    return TestReport(
+        pairs_tested=pairs,
+        bits_tested=2 * pairs,
+        mismatches=mismatches,
+        eve_detected=mismatches > 0,
+        remaining_key="",
+        remaining_key_bob="",
+        tested_rounds=tuple(range(pairs)),
+        degenerate=pairs == 0,
+    )
+
+
+_shared_full_report = functools.lru_cache(maxsize=64)(_full_report)
+"""`_full_report`, one shared report per (pairs, mismatches). A Monte Carlo
+point of n pairs meets n + 1 keys, so the cache holds a whole point up to
+n = 63; `eavesdropping_test` asks it for at most `rng.BLOCK` pairs, so no
+long fully tested run pins its tuple of round indices."""
 
 
 def scheme_detection_probability(bits_tested: int) -> float:
@@ -141,12 +170,12 @@ class DetectionEstimate:
 
 
 def _count_detections(pairs_tested: int, seeds) -> int:
+    # each session is (rounds, seed, eve_enabled, test_fraction), every round tested
+    config, run, test = SessionConfig, run_session, eavesdropping_test
     detections = 0
     for session_seed, draws in sessions_draws(seeds, pairs_tested):
-        transcript = run_session(SessionConfig(
-            rounds=pairs_tested, seed=session_seed, eve_enabled=True, test_fraction=1.0), draws)
-        report = eavesdropping_test(transcript, 1.0, None)
-        detections += report.eve_detected
+        detections += test(run(config(pairs_tested, session_seed, True, 1.0), draws),
+                           1.0, None).eve_detected
     return detections
 
 

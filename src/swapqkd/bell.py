@@ -174,12 +174,14 @@ class PairTable:
         return f"PairTable({body})"
 
     def copy(self) -> "PairTable":
-        """Each pair, knower set included, in a new cell of its own."""
-        table = PairTable()
+        """Each pair, knower set included, in a new cell of its own; the
+        copy is made without `__init__`, which would only start it empty."""
+        table = object.__new__(PairTable)
         table._partner = self._partner.copy()
+        table._cell = cells = {}
         for a, b in self._partner.items():
             if a < b:
-                table._cell[a] = table._cell[b] = self._cell[a].copy()
+                cells[a] = cells[b] = self._cell[a].copy()
         return table
 
     def bsm(self, a: int, b: int, randomness: RoundStream | None = None) -> BellLabel:

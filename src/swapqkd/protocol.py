@@ -132,17 +132,19 @@ def _agreed_schedule(labels, ancilla) -> tuple[tuple[tuple[int, int, BellLabel, 
 
 
 @functools.lru_cache(maxsize=512)
-def _session_start(labels, ancilla) -> tuple[PairTable, dict[int, Party]]:
-    """The table, its cells' knower sets declared, and the custody every
-    session under `labels` (and Eve's `ancilla` label, if she is present)
-    starts from, built through `PairTable` and `KnowledgeLedger.declare`
-    once per configuration; a session takes copies."""
-    pairs = _agreed_schedule(labels, ancilla)[0]
+def _session_start(labels, ancilla) -> tuple[tuple, PairTable, dict[int, Party]]:
+    """The agreed schedule, and the table, its cells' knower sets declared,
+    and the custody every session under `labels` (and Eve's `ancilla`
+    label, if she is present) starts from, built through `PairTable` and
+    `KnowledgeLedger.declare` once per configuration; a session takes
+    copies of the table and the custody."""
+    schedule = _agreed_schedule(labels, ancilla)
+    pairs = schedule[0]
     table = PairTable([(a, b, label) for a, b, label, _ in pairs])
     ledger = KnowledgeLedger(table)
     for a, b, _, holder in pairs:
         ledger.declare(a, b, Visibility.EVE_ONLY if holder is EVE else Visibility.PUBLIC)
-    return table, {q: holder for a, b, _, holder in pairs for q in (a, b)}
+    return schedule, table, {q: holder for a, b, _, holder in pairs for q in (a, b)}
 
 
 @dataclass(frozen=True)
@@ -321,13 +323,15 @@ class Session:
         self.config = config
         self.roles = ROLE_SCHEDULE[0]
         ancilla = config.eve_ancilla if config.eve_enabled else None
-        self._schedule = _agreed_schedule(config.initial_labels, ancilla)
+        self._schedule, table, custody = _session_start(config.initial_labels, ancilla)
         self._pairs = self._schedule[0]
-        table, custody = _session_start(config.initial_labels, ancilla)
         self.table = table.copy()
         self.ledger = KnowledgeLedger(self.table)
         self.custody: dict[int, Party] = custody.copy()
         self.rounds_run = 0
+        # Eve's one tap, re-pointed at each transit's qubit and each round's draws
+        self._tap = (adversary.ChannelTap(self.ledger, None, self.roles.alice_send)
+                     if config.eve_enabled else None)
 
     # -- round execution ---------------------------------------------------
 
@@ -352,7 +356,9 @@ class Session:
 
         # step 1: link partner crosses to Bob (Eve may tap it in transit)
         if eve_record is not None:
-            tap = adversary.ChannelTap(ledger, randomness, r.alice_send)
+            tap = self._tap
+            tap._rng = randomness
+            tap.transit = r.alice_send
             adversary.eve_intercept_outbound(eve_record, tap)
         custody[r.alice_send] = BOB
 
@@ -364,7 +370,7 @@ class Session:
 
         # step 4: return transit (tapped again), then the public readout
         if eve_record is not None:
-            tap = adversary.ChannelTap(ledger, randomness, r.bob_send)
+            tap.transit = r.bob_send
             adversary.eve_intercept_return(eve_record, tap, bob)
         custody[r.bob_send] = ALICE
         announcement = ledger.measure(r.anchor_b, r.bob_send, ALICE, randomness)
@@ -381,15 +387,9 @@ class Session:
         if eve_record is not None:
             adversary.eve_finalize(eve_record, cfg.initial_labels, cfg.eve_ancilla, announcement)
 
-        record = RoundRecord(
-            index=self.rounds_run,
-            alice_secret=alice_secret,
-            bob_secret=bob_secret,
-            announcement=announcement,
-            alice_inferred_bob=alice_inferred_bob,
-            bob_inferred_alice=bob_inferred_alice,
-            eve=eve_record,
-        )
+        # positional, in field order: keywords cost twice as much here
+        record = RoundRecord(self.rounds_run, alice_secret, bob_secret, announcement,
+                             alice_inferred_bob, bob_inferred_alice, eve_record)
         self.rounds_run += 1
         return record
 
@@ -442,10 +442,11 @@ class Session:
         if draws is None:
             draws = session_draws(self.config.seed, rounds)
         records = []
+        run_round, reset_round, keep = self.run_round, self.reset_round, records.append
         for row in draws:
-            record = self.run_round(ChosenDraws(row))
-            record.corrections = self.reset_round()
-            records.append(record)
+            record = run_round(ChosenDraws(row))
+            record.corrections = reset_round()
+            keep(record)
         if len(records) != rounds:
             raise ValueError(f"draws for {len(records)} rounds, the session has {rounds}")
         return SessionTranscript(self.config, records)

@@ -21,7 +21,8 @@ time than the round. So round draws have one derivation, a numpy pass over
 up to `BLOCK` rows in typed ``np.uint32`` and ``np.uint64`` lanes:
 `_seeded` absorbs each round index into its seed's pool under spawn key
 ``(ROUNDS,)`` with the `_absorb` step and generates the state, and
-PCG64's two seeding steps and its first two outputs run on 32-bit limbs.
+`_states` runs PCG64's two seeding steps and the two steps to its first
+two outputs as one matrix product on 16-bit limbs.
 The pool has two derivations, one per kind of input. A session is one
 seed of any size and an unbounded run of rounds, so `session_draws` and
 `round_stream` read its pool once from numpy's own seed sequence and
@@ -75,7 +76,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 """PCG64's 128-bit LCG multiplier."""
 
 # typed constants for the block code: each meets arrays of its own dtype
-_W1, _W16, _W31, _ML, _MR = map(np.uint32, (1, 16, 31, _MIX_MULT_L, _MIX_MULT_R))
+_W1, _W16, _W31, _L16, _ML, _MR = map(np.uint32, (1, 16, 31, 0xFFFF, _MIX_MULT_L, _MIX_MULT_R))
 _L32, _L3, _L12 = map(np.uint64, (_M32, 3, 12))
 _S4, _S26, _S30, _S32, _S60, _S63, _S64 = map(np.uint64, (4, 26, 30, 32, 60, 63, 64))
 
@@ -102,10 +103,34 @@ _POOL_HASHES = _hashes(_INIT_A, _MULT_A, 29)
 it, 4 absorb the ROUNDS word and 9 follow for a round index. numpy pads a
 seed below 2**128 to four words, so every ``np.uint64`` seed uses these."""
 
-_PCG_LIMBS = np.array([_PCG_MULT >> 32 * j & _M32 for j in range(4)],
-                      dtype=np.uint64).reshape(4, 1, 1)
-"""PCG64's multiplier as 32-bit limbs, lowest first, shaped to multiply
-every limb of a state at once."""
+
+def _step_matrix() -> np.ndarray:
+    """`_states`' affine map: PCG64's states after seeding and one and two
+    more steps, in terms of its initial state x and increment inc.
+
+    PCG64 seeds by stepping s -> M s + inc from 0, adding x and stepping
+    again, so s0 = M x + (M + 1) inc; its first two outputs read
+    s1 = M**2 x + (M**2 + M + 1) inc and s2 = M**3 x + (M**3 + M**2 + M + 1) inc,
+    all mod 2**128. Row 2 m + s gives 32-bit limb m of state s before
+    carries, column 8 k + i takes 16-bit limb i of input k (x, then inc):
+    the entry is coefficient limbs 2m - i and 2m + 1 - i, the second
+    weighted by 2**16, one 32-bit window of the coefficient. So each
+    entry is below 2**32, each product below 2**48 and each row's sum of
+    16 products below 2**52: every value the product meets is an integer
+    that float64 holds exactly.
+    """
+    powers = [pow(_PCG_MULT, k, 1 << 128) for k in range(4)]
+    coefficients = ((powers[2], sum(powers[:3])), (powers[3], sum(powers)))
+
+    def window(c: int, m: int, i: int) -> int:
+        low, high = (c >> 16 * j & 0xFFFF if 0 <= j < 8 else 0 for j in (2 * m - i, 2 * m + 1 - i))
+        return low + (high << 16)
+
+    return np.array([[window(c, m, i) for c in state for i in range(8)]
+                     for m in range(4) for state in coefficients], dtype=np.float64)
+
+
+_STEP_MATRIX = _step_matrix()
 
 _OFFSETS = np.arange(BLOCK, dtype=np.uint64)
 """The round indices of a session's first pass; a later pass adds its start."""
@@ -175,7 +200,7 @@ def _pools(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _carry(cols: np.ndarray) -> np.ndarray:
-    """Propagate the carries of (4, n) limb sums, lowest first, in place,
+    """Propagate the carries of (4, ...) limb sums, lowest first, in place,
     dropping the one out of the top limb: the sum mod 2**128."""
     cols[1] += cols[0] >> _S32
     cols[2] += cols[1] >> _S32
@@ -184,27 +209,26 @@ def _carry(cols: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _mul_add(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``x * _PCG_MULT + c`` mod 2**128 on (4, n) arrays of 32-bit limbs.
+def _states(x: np.ndarray) -> np.ndarray:
+    """PCG64's states after seeding and one and two more steps, the ones
+    its first two outputs read, as a (4, 2, n) ``np.uint64`` array of
+    32-bit limbs (lowest first, then the state), from the (2, 4, n)
+    ``np.uint32`` limbs of each row's initial state and increment.
 
-    Limb j of the multiplier times limb i of `x` adds its low half to limb
-    i + j and its high half to limb i + j + 1; a limb sums at most seven
-    halves, a limb of `c` and a carry, far below 2**64.
+    One matrix product with `_STEP_MATRIX` on the inputs' 16-bit limbs
+    gives every limb sum exactly, in float64, and `_carry` reduces the
+    sums mod 2**128.
     """
-    products = x * _PCG_LIMBS
-    low, high = products & _L32, products >> _S32
-    cols = low[0] + c
-    for j in range(1, 4):
-        cols[j:] += low[j, :4 - j]
-    for j in range(3):
-        cols[j + 1:] += high[j, :3 - j]
-    return _carry(cols)
+    halves = np.empty((2, 4, 2, x.shape[-1]), dtype=np.float64)
+    halves[:, :, 0] = x & _L16
+    halves[:, :, 1] = x >> _W16
+    return _carry((_STEP_MATRIX @ halves.reshape(16, -1)).astype(np.uint64).reshape(4, 2, -1))
 
 
-def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray):
-    """PCG64's state after seeding and its increment, each a (4, n) array
-    of 32-bit limbs (lowest first), for every round in `indices`
-    (``np.uint64``).
+def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """PCG64's initial state and increment for every round in `indices`
+    (``np.uint64``), as a (2, 4, n) ``np.uint32`` array: the state, then
+    the increment, each as 32-bit limbs, lowest first.
 
     `lanes` and `hashes` are `_pools`' for each row's seed, the lanes
     shaped (4, n), or `_pool`'s for one seed on every row, the lanes
@@ -212,11 +236,10 @@ def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray):
     sequence absorbs the index's one or two words into the pool lanes and
     `generate_state(4, uint64)` hashes them into eight words, all mod
     2**32 in ``np.uint32``. Those words' 64-bit pairs are the high and low
-    halves of the initial state, then of the stream, and PCG64 seeds by
-    stepping from state 0, adding the initial state and stepping again.
-    Every constant is typed like the array it meets: numpy 1.x casts an
-    unsigned array mixed with a Python int by the int's value, numpy 2 by
-    its type.
+    halves of the initial state, then of the stream, whose doubling plus
+    one is the increment. Every constant is typed like the array it meets:
+    numpy 1.x casts an unsigned array mixed with a Python int by the int's
+    value, numpy 2 by its type.
     """
     high = (indices >> _S32).astype(np.uint32)
     lanes = _absorb(lanes, (indices & _L32).astype(np.uint32), hashes)
@@ -226,13 +249,12 @@ def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray):
     words = (lanes ^ _STATE_XOR) * _STATE_MULT
     words ^= words >> _W16
     words = words.reshape(8, -1)
-    init = words[[2, 3, 0, 1]].astype(np.uint64)
-    seq = words[[6, 7, 4, 5]]
-    inc = seq << _W1
+    x = words[[2, 3, 0, 1, 6, 7, 4, 5]].reshape(2, 4, -1)
+    inc, carries = x[1], x[1, :3] >> _W31
+    inc <<= _W1
     inc[0] |= _W1
-    inc[1:] |= seq[:3] >> _W31
-    inc = inc.astype(np.uint64)
-    return _mul_add(_carry(inc + init), inc), inc
+    inc[1:] |= carries
+    return x
 
 
 def _draw_codes(states: np.ndarray) -> np.ndarray:
@@ -248,11 +270,8 @@ def _draw_codes(states: np.ndarray) -> np.ndarray:
 def _draws(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray) -> list:
     """Each round's first four ``integers(0, 4)`` draws, as a tuple per
     round: one pass, with `lanes` and `hashes` as in `_seeded`."""
-    state, inc = _seeded(lanes, hashes, indices)
-    second = _mul_add(state, inc)
-    codes = _draw_codes(np.concatenate((second, _mul_add(second, inc)), axis=1))
-    n = len(indices)
-    return _ROWS.take((codes[:n] | codes[n:] << _S4).astype(np.intp)).tolist()
+    codes = _draw_codes(_states(_seeded(lanes, hashes, indices)))
+    return _ROWS.take((codes[0] | codes[1] << _S4).astype(np.intp)).tolist()
 
 
 def _passes(seeds: np.ndarray, rounds: int):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from swapqkd import adversary
 from swapqkd.adversary import (
     AccessViolation,
     ChannelTap,
@@ -14,6 +15,7 @@ from swapqkd.bell import ALL_LABELS, BellLabel, PairTable
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
     DEFAULT_LABELS,
+    ROLE_SCHEDULE,
     ForcedOutcomes,
     Session,
     SessionConfig,
@@ -259,3 +261,68 @@ class TestAccessControl:
         tap = ChannelTap(ledger, stream(0), transit=6)
         with pytest.raises(RuntimeError, match="not yet done"):
             eve_intercept_return(eve, tap, DEFAULT_LABELS[2])
+
+
+class TestSessionTap:
+    """A session's one tap, re-pointed at each transit's qubit and draws."""
+
+    def test_return_transit_refuses_the_outbound_qubit(self, monkeypatch):
+        """At each role phase, once the return transit begins, the reused
+        tap refuses the qubit it reached on the way out, with the message
+        a tap built for the return transit gives."""
+        session = Session(SessionConfig(rounds=4, seed=3, eve_enabled=True))
+        seen = []
+        intercept = adversary.eve_intercept_return
+
+        def checked(record, tap, bob):
+            roles = session.roles
+            outbound, back = roles.alice_send, roles.bob_send
+            assert tap.transit == back
+            for call, message in [
+                (lambda: tap.bsm(outbound, 8),
+                 f"measurement on ({outbound},8) is outside Eve's reach {sorted({7, 8, back})}"),
+                (lambda: tap.are_partners(outbound, 8), f"({outbound},8) is outside Eve's reach"),
+            ]:
+                with pytest.raises(AccessViolation) as caught:
+                    call()
+                assert type(caught.value) is AccessViolation and str(caught.value) == message
+            seen.append((roles, tap))
+            return intercept(record, tap, bob)
+
+        monkeypatch.setattr(adversary, "eve_intercept_return", checked)
+        refused = session.run()
+        monkeypatch.undo()
+        assert [roles for roles, _ in seen] == list(ROLE_SCHEDULE)
+        assert len({id(tap) for _, tap in seen}) == 1
+        # the refused calls changed nothing
+        assert refused.rounds == run_session(session.config).rounds
+
+    def test_interleaved_sessions_never_share_a_tap(self, monkeypatch):
+        configs = [SessionConfig(rounds=6, seed=seed, eve_enabled=True) for seed in (4, 5)]
+        sessions = [Session(config) for config in configs]
+        taps = {0: set(), 1: set()}
+        running = None
+        steps = {name: getattr(adversary, name)
+                 for name in ("eve_intercept_outbound", "eve_intercept_return")}
+
+        def recorded(step):
+            def call(record, tap, *rest):
+                assert tap._ledger is sessions[running].ledger
+                taps[running].add(id(tap))
+                return step(record, tap, *rest)
+            return call
+
+        for name, step in steps.items():
+            monkeypatch.setattr(adversary, name, recorded(step))
+        records = [[], []]
+        for i in range(6):
+            for running in (0, 1):
+                session = sessions[running]
+                records[running].append(session.run_round(round_stream(configs[running].seed, i)))
+                session.reset_round()
+        monkeypatch.undo()
+        assert all(len(ids) == 1 for ids in taps.values())
+        assert taps[0].isdisjoint(taps[1])
+        for config, interleaved in zip(configs, records):
+            assert [(r.alice_secret, r.bob_inferred_alice, r.eve) for r in interleaved] == [
+                (r.alice_secret, r.bob_inferred_alice, r.eve) for r in run_session(config).rounds]

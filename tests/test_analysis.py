@@ -128,6 +128,68 @@ class TestEavesdroppingTest:
             analysis.eavesdropping_test(transcript, 1.5, stream(48, COIN))
 
 
+def full_report(pairs, mismatches):
+    """The report of a test of all `pairs` rounds, built field by field."""
+    return analysis.TestReport(
+        pairs_tested=pairs, bits_tested=2 * pairs, mismatches=mismatches,
+        eve_detected=mismatches > 0, remaining_key="", remaining_key_bob="",
+        tested_rounds=tuple(range(pairs)), degenerate=pairs == 0,
+    )
+
+
+@pytest.fixture(scope="module")
+def eve_rows():
+    """For each role phase, a draw row whose Eve round Bob infers right and
+    one he infers wrong: (phase, misses) -> row. Rounds are independent
+    (each starts from the agreed labels), so a row's outcome depends only
+    on the row and the phase."""
+    rows = {}
+    for phase in range(4):
+        for code in range(256):
+            row = tuple(code >> 2 * k & 3 for k in range(4))
+            config = SessionConfig(rounds=phase + 1, seed=0, eve_enabled=True)
+            rec = run_session(config, [(0, 0, 0, 0)] * phase + [row]).rounds[-1]
+            rows.setdefault((phase, rec.alice_secret is not rec.bob_inferred_alice), row)
+            if len(rows) == 2 * (phase + 1):
+                break
+    return rows
+
+
+class TestSharedFullReport:
+    """Testing every round: one shared, immutable report per (pairs, mismatches)."""
+
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    @pytest.mark.parametrize("pairs", range(5))
+    def test_equals_a_report_built_field_by_field(self, eve_rows, pairs, eve):
+        for mismatches in range(pairs + 1) if eve else [0]:
+            rows = [eve_rows[i % 4, i < mismatches] for i in range(pairs)]
+            config = SessionConfig(rounds=pairs, seed=0, eve_enabled=eve)
+            transcript = run_session(config, rows)
+            for fraction in (1.0, 0.9):  # 0.9 of at most 4 rounds rounds to all of them
+                report = analysis.eavesdropping_test(transcript, fraction, None)
+                assert report == full_report(pairs, mismatches)
+                assert report is analysis.eavesdropping_test(transcript, 1.0, None)
+
+    def test_sessions_with_equal_counts_share_one_report(self, eve_rows):
+        config = SessionConfig(rounds=3, seed=0, eve_enabled=True)
+        first = run_session(config, [eve_rows[0, True], eve_rows[1, False], eve_rows[2, True]])
+        second = run_session(config, [eve_rows[0, False], eve_rows[1, True], eve_rows[2, True]])
+        assert first.rounds != second.rounds
+        report = analysis.eavesdropping_test(first, 1.0, None)
+        assert analysis.eavesdropping_test(second, 1.0, None) is report
+        with pytest.raises(AttributeError):
+            report.mismatches = 0
+
+    def test_long_fully_tested_session(self):
+        # 10**4 rounds is past rng.BLOCK: a report of its own, correct, not cached
+        transcript = run_session(SessionConfig(rounds=10_000, seed=50, eve_enabled=True))
+        mismatches = sum(rec.alice_secret != rec.bob_inferred_alice for rec in transcript.rounds)
+        report = analysis.eavesdropping_test(transcript, 1.0, None)
+        assert report == full_report(10_000, mismatches)
+        assert 0 < mismatches < 10_000 and report.eve_detected
+        assert analysis.eavesdropping_test(transcript, 1.0, None) is not report
+
+
 class TestRateReport:
     def test_hundred_rounds(self):
         transcript = run_session(SessionConfig(rounds=100, seed=51))

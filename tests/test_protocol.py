@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swapqkd.analysis import _shared_full_report, estimate_detection
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
@@ -458,27 +459,34 @@ class TestStateCheckMessages:
 
 
 class TestHotPath:
-    """Python-level calls of a 200-round session, transcript included.
+    """Python-level calls of a 200-round session, transcript included, and
+    of one Monte Carlo point.
 
     A deterministic stand-in for a timing test: the count depends only on
     the code and the seed, not on the machine's speed. Each bound is the
-    count on CPython 3.11 with the caches of `protocol` empty, so it does
-    not depend on test order, plus 3.
+    count on CPython 3.11 with the caches of `protocol` and `analysis`
+    empty, so it does not depend on test order, plus 3.
     """
 
     def test_python_calls_per_eve_round(self):
         config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
-        assert self.calls(config) <= 10_247
+        assert self.calls(lambda: emit_lines(TranscriptFile.of(run_session(config)))) <= 9_842
 
     def test_python_calls_per_honest_round(self):
         config = SessionConfig(rounds=200, seed=7, test_fraction=0.1,
                                initial_labels=(lab("01"), lab("11"), lab("00")))
-        assert self.calls(config) <= 4_820
+        assert self.calls(lambda: emit_lines(TranscriptFile.of(run_session(config)))) <= 4_814
 
-    def calls(self, config: SessionConfig) -> int:
+    def test_python_calls_per_monte_carlo_point(self):
+        # 200 sessions of 4 fully tested Eve rounds each
+        assert self.calls(lambda: estimate_detection(4, 200, 11, workers=1)) <= 36_655
+
+    def calls(self, run) -> int:
+        """Calls made by `run()`, the call of `run` itself included."""
         _closing_corrections.cache_clear()
         _agreed_schedule.cache_clear()
         _session_start.cache_clear()
+        _shared_full_report.cache_clear()
         calls = 0
 
         def count(frame, event, arg):
@@ -489,7 +497,7 @@ class TestHotPath:
         gc.disable()
         sys.setprofile(count)
         try:
-            emit_lines(TranscriptFile.of(run_session(config)))
+            run()
         finally:
             sys.setprofile(None)
             gc.enable()

@@ -118,6 +118,27 @@ def test_pools_of_one_seed_equal_numpy(seed):
     assert hashes[:, 0].tolist() == numpy_index_hashes(seed)
 
 
+def test_states_equal_pcg64_steps_on_big_ints():
+    """`_states`' one matrix product against PCG64's seeding and steps on
+    Python ints, at the largest limbs (where its float64 sums are largest)
+    and on random ones: states after seeding and one and two more steps."""
+    mult, mask = rng._PCG_MULT, (1 << 128) - 1
+    pick = random.Random(7)
+    pairs = [(mask, mask), (0, 0), (0, 1), (mask, 1)]
+    pairs += [(pick.getrandbits(128), pick.getrandbits(128) | 1) for _ in range(60)]
+    limbs = np.array([[[v >> 32 * j & 0xFFFFFFFF for v in values] for j in range(4)]
+                      for values in zip(*pairs)], dtype=np.uint32)
+    states = rng._states(limbs)
+    got = [[sum(int(states[j, k, n]) << 32 * j for j in range(4)) for k in range(2)]
+           for n in range(len(pairs))]
+    want = []
+    for init, inc in pairs:
+        state = ((inc + init) * mult + inc) & mask
+        first = (state * mult + inc) & mask
+        want.append([first, (first * mult + inc) & mask])
+    assert got == want
+
+
 def block_rows(seed, indices):
     """One pass of the block derivation over `indices` under `seed`."""
     lanes, hashes = rng._pool(seed)
