@@ -123,8 +123,9 @@ def _step_matrix() -> np.ndarray:
     coefficients = ((powers[2], sum(powers[:3])), (powers[3], sum(powers)))
 
     def window(c: int, m: int, i: int) -> int:
-        low, high = (c >> 16 * j & 0xFFFF if 0 <= j < 8 else 0 for j in (2 * m - i, 2 * m + 1 - i))
-        return low + (high << 16)
+        # 16-bit limb 2m - i of c at bit 0 and limb 2m + 1 - i at bit 16, none below limb 0
+        shift = 16 * (2 * m - i)
+        return c << 16 >> shift + 16 & _M32 if shift >= -16 else 0
 
     return np.array([[window(c, m, i) for c in state for i in range(8)]
                      for m in range(4) for state in coefficients], dtype=np.float64)
