@@ -15,14 +15,13 @@ Layers:
 """
 
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction, swap_rule
-from .protocol import ForcedOutcomes, Session, SessionConfig, run_session
+from .protocol import Session, SessionConfig, run_session
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_LABELS",
     "BellLabel",
-    "ForcedOutcomes",
     "PairTable",
     "PauliOp",
     "Session",

@@ -191,9 +191,9 @@ def estimate_detection(
     as a detection if any tested pair mismatches. Session seeds derive
     from `seed` by the documented split, so the estimate is identical for
     any `workers` value; extra workers only spread the sessions across
-    processes, at most one per CPU. A worker takes the sessions whose
-    `rng.BLOCK` rounds one pass derives, or an equal share when there are
-    fewer such chunks than workers.
+    processes, at most one per CPU this process may run on. A worker takes
+    the sessions whose `rng.BLOCK` rounds one pass derives, or an equal
+    share when there are fewer such chunks than workers.
     """
     if pairs_tested < 1:
         raise ValueError("need at least one tested pair")
@@ -204,7 +204,10 @@ def estimate_detection(
     if workers < 1:
         raise ValueError("need at least one worker")
     seeds = session_seeds(seed, sessions)
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                else range(os.cpu_count() or 1))
+        workers = min(workers, len(cpus))
     if workers > 1 and sessions >= 2 * workers:
         import multiprocessing
 

@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sessions", type=int, default=10_000)
     p_mc.add_argument("--seed", type=_seed_arg, required=True)
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="processes to spread sessions across, at most one per CPU "
-                           "(same result for any value)")
+                      help="processes to spread sessions across, at most one per CPU this "
+                           "process may run on (same result for any value)")
     return parser
 
 
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except MemoryError as err:  # e.g. numpy's seed array for a huge --sessions
-        print(f"error: {err or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

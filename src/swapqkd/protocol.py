@@ -20,13 +20,12 @@ pair is a fourth agreed pair, checked and rotated back with the others.
 A round's only randomness is its swap outcomes, each one draw from the
 round's stream, in a fixed order: Eve's outbound swap, Alice's and Bob's
 secret measurements, Eve's detaching swap. A session hands each round its
-row of `rng.session_draws` as chosen draws. `replay_round` pins a branch
-the same way and fills each unpinned outcome from round 0's row, which
-`rng.round_stream` derives by the same pass.
+row of `rng.session_draws` as chosen draws, and one way pins any branch:
+`Session(config).run_round(ChosenDraws(draws))`.
 
-The public announcement leaks only the XOR of the two secrets: four
-(alice, bob) combinations stay equally likely to an outside observer,
-which `public_posterior` enumerates.
+The public announcement leaks only the XOR of the two secrets: for each
+announcement, four (alice, bob) combinations with four distinct Alice
+secrets stay equally likely to an outside observer.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from .knowledge import (_WORLD, ALICE, BOB, EVE, KNOWER_BIT, KnowledgeLedger, LedgerViolation,
                         Party, Visibility)
-from .rng import ChosenDraws, RoundStream, round_stream, session_draws
+from .rng import ChosenDraws, RoundStream, session_draws
 
 
 def _label(s: str) -> BellLabel:
@@ -170,22 +169,6 @@ class SessionConfig:
             raise ValueError("exactly three initial labels: link, anchor, bob")
 
 
-@dataclass(frozen=True)
-class ForcedOutcomes:
-    """Outcomes to pin in one round, in the order the round draws them.
-
-    A round's swaps draw in this order: Eve's outbound swap, Alice's and
-    Bob's secret measurements, Eve's detaching swap; without Eve only the
-    two secrets. `replay_round` turns the pinned outcomes into the round's
-    draws.
-    """
-
-    eve_outbound: BellLabel | None = None
-    alice_secret: BellLabel | None = None
-    bob_secret: BellLabel | None = None
-    eve_detach: BellLabel | None = None
-
-
 @dataclass(frozen=True, slots=True)
 class Correction:
     party: Party
@@ -297,22 +280,6 @@ def _closing_corrections(labels, ancilla, next_roles, alice_secret, announcement
         Correction(party, q, pauli_correction(label, target))
         for (q, _, target, party), label in zip(pairs, held)
     ])
-
-
-def public_posterior(
-    link: BellLabel,
-    anchor: BellLabel,
-    bob: BellLabel,
-    announcement: BellLabel,
-) -> tuple[tuple[BellLabel, BellLabel], ...]:
-    """All (alice_secret, bob_secret) pairs consistent with public data.
-
-    Exactly four, one per possible Alice result, all equally likely to an
-    observer who saw only the announcement and the agreed labels.
-    """
-    return tuple(
-        (s, infer_other_secret(link, anchor, bob, s, announcement)) for s in ALL_LABELS
-    )
 
 
 class Session:
@@ -456,20 +423,3 @@ def run_session(config: SessionConfig, draws=None) -> SessionTranscript:
     """Run a fresh seeded session end to end; `draws` as in `Session.run`."""
     return Session(config).run(draws)
 
-
-def replay_round(config: SessionConfig, forced: ForcedOutcomes) -> tuple[RoundRecord, Session]:
-    """Run round 0 of a fresh session on the branch `forced` pins.
-
-    The round draws each pinned outcome from a `ChosenDraws` stream; each
-    unpinned one takes, in the same order, the next draw of round 0's
-    stream under `config.seed`, derived only when an outcome is unpinned.
-    """
-    outcomes = (forced.alice_secret, forced.bob_secret)
-    if config.eve_enabled:
-        outcomes = (forced.eve_outbound, *outcomes, forced.eve_detach)
-    if None in outcomes:
-        unpinned = round_stream(config.seed, 0)
-    draws = [unpinned.integers(0, 4) if o is None else o.index for o in outcomes]
-    session = Session(config)
-    record = session.run_round(ChosenDraws(draws))
-    return record, session

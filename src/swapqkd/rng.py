@@ -360,6 +360,10 @@ def child_seed(seed: int, *path: int) -> int:
 
 def session_seeds(seed: int, n: int) -> np.ndarray:
     """Independent per-session seeds for an n-session Monte Carlo sweep,
-    as a ``np.uint64`` array (8 bytes a session)."""
+    as a ``np.uint64`` array (8 bytes a session). An `n` past numpy's
+    array index range raises MemoryError, as a merely huge one does."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(SESSIONS,))
-    return ss.generate_state(n, dtype=np.uint64)
+    try:
+        return ss.generate_state(n, dtype=np.uint64)
+    except ValueError:  # "Maximum allowed dimension exceeded", before any allocation
+        raise MemoryError(f"cannot allocate seeds for {n} sessions") from None

@@ -395,6 +395,8 @@ def parse_lines(lines) -> TranscriptFile:
             row = json.loads(line)
         except json.JSONDecodeError as err:
             raise TranscriptError(f"not JSON: {err.msg} at column {err.colno}", number) from None
+        except (ValueError, RecursionError) as err:  # an int past Python's digit limit, deep nesting
+            raise TranscriptError(f"not readable JSON: {err}", number) from None
         if type(row) is not dict:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")

@@ -20,16 +20,9 @@ from swapqkd.adversary import (
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, swap_rule
 from swapqkd.cli import main
 from swapqkd.knowledge import KnowledgeLedger, Party, Visibility
-from swapqkd.protocol import (
-    DEFAULT_LABELS,
-    ForcedOutcomes,
-    SessionConfig,
-    infer_other_secret,
-    public_posterior,
-    replay_round,
-    run_session,
-)
+from swapqkd.protocol import DEFAULT_LABELS, Session, SessionConfig, infer_other_secret, run_session
 from swapqkd.rng import ChosenDraws
+from test_protocol import public_cells
 
 
 def lab(s: str) -> BellLabel:
@@ -72,13 +65,9 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_worked_example_replay():
     with criterion(3, "forced-round walkthrough values, exact"):
-        record, _ = replay_round(
-            SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(
-                alice_secret=lab("11"),
-                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("00")),
-            ),
-        )
+        bob = infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("00"))
+        session = Session(SessionConfig(rounds=1, seed=0))
+        record = session.run_round(ChosenDraws([lab("11").index, bob.index]))
         assert record.announcement == lab("00")
         assert record.bob_secret == lab("00")
         assert record.bob_inferred_alice == lab("11")
@@ -119,15 +108,8 @@ def test_criterion_4_eavesdropper_chain_replay():
         assert eve_finalize(eve, labels, ancilla, announcement) == lab("11")
 
         # same chain through the full round runner: Bob decodes a tampered 10
-        record, _ = replay_round(
-            SessionConfig(rounds=1, seed=0, eve_enabled=True),
-            ForcedOutcomes(
-                alice_secret=lab("11"),
-                bob_secret=lab("00"),
-                eve_outbound=lab("00"),
-                eve_detach=lab("01"),
-            ),
-        )
+        session = Session(SessionConfig(rounds=1, seed=0, eve_enabled=True))
+        record = session.run_round(ChosenDraws([lab(t).index for t in ("00", "11", "00", "01")]))
         assert record.eve.inferred_alice == lab("11")
         assert record.eve.inferred_bob == lab("00")
         assert record.bob_inferred_alice == lab("10")
@@ -191,10 +173,11 @@ def test_criterion_8_secrecy_shape():
     with criterion(8, "public posterior: 4 equiprobable candidates incl. truth"):
         rounds = 10_000
         transcript = run_session(SessionConfig(rounds=rounds, seed=91))
-        link, anchor, bob = transcript.config.initial_labels
+        # the candidates: every honest branch with the round's phase and announcement
+        cells = public_cells(transcript.config.initial_labels)
         counts = {label: 0 for label in ALL_LABELS}
         for rec in transcript.rounds:
-            candidates = public_posterior(link, anchor, bob, rec.announcement)
+            candidates = cells[rec.index % 4, rec.announcement]
             assert len(set(candidates)) == 4
             truth = (rec.alice_secret, rec.bob_secret)
             assert truth in candidates

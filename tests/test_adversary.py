@@ -16,10 +16,8 @@ from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibilit
 from swapqkd.protocol import (
     DEFAULT_LABELS,
     ROLE_SCHEDULE,
-    ForcedOutcomes,
     Session,
     SessionConfig,
-    replay_round,
     run_session,
 )
 from swapqkd.rng import ChosenDraws, round_stream, stream
@@ -107,15 +105,9 @@ class TestForcedChain:
         assert eve_finalize(eve, zeros, lab("00"), table.bsm(5, 6)) == lab("00")
 
     def test_full_round_record(self):
-        record, _ = replay_round(
-            SessionConfig(rounds=1, seed=0, eve_enabled=True),
-            ForcedOutcomes(
-                alice_secret=lab("11"),
-                bob_secret=lab("00"),
-                eve_outbound=lab("00"),
-                eve_detach=lab("01"),
-            ),
-        )
+        # outbound, Alice's and Bob's secrets, detach
+        session = Session(SessionConfig(rounds=1, seed=0, eve_enabled=True))
+        record = session.run_round(draws("00", "11", "00", "01"))
         assert record.eve.outbound_outcome == lab("00")
         assert record.eve.return_readout == lab("10")
         assert record.eve.detach_outcome == lab("01")

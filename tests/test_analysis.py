@@ -260,10 +260,17 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        # the CPUs this process may run on, as under `taskset -c 0,1`
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         serial = analysis.estimate_detection(1, 40, seed=64, workers=1)
         capped = analysis.estimate_detection(1, 40, seed=64, workers=4000)
-        assert sizes == [3]
+        assert analysis.estimate_detection(1, 40, seed=64, workers=2) == serial
+        assert sizes == [2, 2]
         assert capped == serial
+        # a platform without affinity falls back to the CPU count
+        monkeypatch.delattr(analysis.os, "sched_getaffinity")
+        assert analysis.estimate_detection(1, 40, seed=64, workers=4000) == serial
+        assert sizes == [2, 2, 3]
 
     def test_validation(self):
         with pytest.raises(ValueError):

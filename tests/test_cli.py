@@ -329,6 +329,25 @@ def test_size_too_large_to_allocate_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_memory_error_without_a_message_is_named(capsys, monkeypatch):
+    # Python's own MemoryError, raised when an allocation fails, carries no message
+    def build(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(analysis.DetectionCurve, "build", build)
+    assert run_cli(capsys, "curves", "--max-pairs", "2") == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "curves"])
+@pytest.mark.parametrize("sessions", [2**63 - 1, 99999999999999999999])
+def test_sessions_past_numpy_index_range_is_usage_error(command, sessions, capsys):
+    # numpy rejects the seed array's size with a ValueError before it allocates
+    code, out, err = run_cli(capsys, command, "--max-pairs", "1", "--sessions", str(sessions),
+                             "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot allocate seeds for {sessions} sessions\n"
+
+
 @pytest.mark.parametrize("rounds", [2**64 + 1, 99999999999999999999])
 def test_rounds_beyond_64_bit_indices_is_usage_error(rounds, capsys):
     # rejected before a round starts; 2**64 rounds would be valid, and never end

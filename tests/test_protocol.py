@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import sys
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given
@@ -20,19 +21,14 @@ from swapqkd.protocol import (
     DEFAULT_LABELS,
     INITIAL_ROLES,
     Correction,
-    ForcedOutcomes,
     RoleMap,
     Session,
     SessionConfig,
     infer_other_secret,
-    public_posterior,
-    replay_round,
     run_session,
 )
 from swapqkd.rng import ChosenDraws, round_stream, stream
 from swapqkd.transcript import TranscriptFile, emit_lines
-
-labels = st.sampled_from(ALL_LABELS)
 
 
 def lab(s: str) -> BellLabel:
@@ -46,6 +42,39 @@ def ledger_over(*pairs) -> KnowledgeLedger:
 
 def three_sigma(p: float, trials: int) -> float:
     return 3 * (p * (1 - p) / trials) ** 0.5
+
+
+def pinned(config: SessionConfig, *outcomes: BellLabel):
+    """Round 0 of a fresh session under `config` on the branch `outcomes`
+    name, in draw order: Eve's outbound swap, Alice's and Bob's secrets,
+    Eve's detaching swap (only the two secrets without Eve)."""
+    session = Session(config)
+    return session.run_round(ChosenDraws([o.index for o in outcomes])), session
+
+
+def every_branch(eve=False, labels=DEFAULT_LABELS, ancilla=lab("00")):
+    """Run the session that takes every branch at every role phase: row i
+    is draw code i // 4 at phase i % 4, two bits a draw, the first lowest.
+
+    Yields (phase, draws, record, session) after each round. The caller
+    resets the session before it asks for the next round."""
+    count = 4 if eve else 2
+    config = SessionConfig(rounds=4 * 4**count, seed=0, eve_enabled=eve, initial_labels=labels,
+                           eve_ancilla=ancilla)
+    session = Session(config)
+    for i in range(config.rounds):
+        draws = [ALL_LABELS[i // 4 >> 2 * k & 3] for k in range(count)]
+        yield i % 4, draws, session.run_round(ChosenDraws([d.index for d in draws])), session
+
+
+def public_cells(labels=DEFAULT_LABELS) -> dict:
+    """(phase, announcement) -> the (alice, bob) secrets of every honest
+    branch that announces it at that role phase."""
+    cells = defaultdict(list)
+    for phase, _, record, session in every_branch(labels=labels):
+        cells[phase, record.announcement].append((record.alice_secret, record.bob_secret))
+        session.reset_round()
+    return cells
 
 
 class TestInference:
@@ -69,44 +98,49 @@ class TestInference:
 
 
 class TestPublicPosterior:
+    """What public data leaves open, read off `Session` run on every
+    honest branch: the (alice, bob) secrets of the branches that share one
+    announcement at one role phase."""
+
     def test_walkthrough_set(self):
-        got = public_posterior(lab("11"), lab("10"), lab("10"), lab("00"))
-        assert set(got) == {
-            (lab("00"), lab("11")),
-            (lab("01"), lab("10")),
-            (lab("10"), lab("01")),
-            (lab("11"), lab("00")),
-        }
+        cells = public_cells()
+        for phase in range(4):
+            assert set(cells[phase, lab("00")]) == {
+                (lab("00"), lab("11")),
+                (lab("01"), lab("10")),
+                (lab("10"), lab("01")),
+                (lab("11"), lab("00")),
+            }
 
     def test_all_zero_is_diagonal(self):
-        zero = lab("00")
-        got = public_posterior(zero, zero, zero, zero)
-        assert set(got) == {(l, l) for l in ALL_LABELS}
+        cells = public_cells((lab("00"),) * 3)
+        for phase in range(4):
+            assert set(cells[phase, lab("00")]) == {(l, l) for l in ALL_LABELS}
 
-    @given(labels, labels, labels, labels)
-    def test_four_candidates_with_constant_xor(self, link, anchor, bob, p):
-        candidates = public_posterior(link, anchor, bob, p)
-        assert len(set(candidates)) == 4
-        xor = link ^ anchor ^ bob ^ p
-        assert all(s_a ^ s_b == xor for s_a, s_b in candidates)
+    def test_four_candidates_with_constant_xor(self):
+        """Secrecy for every label triple: each (phase, announcement) cell
+        holds four branches, with four distinct Alice secrets and one
+        Alice ^ Bob, the XOR of the labels and the announcement."""
+        for labels in itertools.product(ALL_LABELS, repeat=3):
+            cells = public_cells(labels)
+            assert len(cells) == 16
+            for (_, p), candidates in cells.items():
+                assert len(candidates) == 4
+                assert len({s_a for s_a, _ in candidates}) == 4
+                xor = labels[0] ^ labels[1] ^ labels[2] ^ p
+                assert all(s_a ^ s_b == xor for s_a, s_b in candidates), labels
 
     def test_true_secrets_always_a_candidate(self):
+        cells = public_cells()
         transcript = run_session(SessionConfig(rounds=300, seed=31))
-        link, anchor, bob = DEFAULT_LABELS
         for rec in transcript.rounds:
-            candidates = public_posterior(link, anchor, bob, rec.announcement)
-            assert (rec.alice_secret, rec.bob_secret) in candidates
+            assert (rec.alice_secret, rec.bob_secret) in cells[rec.index % 4, rec.announcement]
 
 
 class TestForcedRound:
     def test_walkthrough_round(self):
-        record, _ = replay_round(
-            SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(
-                alice_secret=lab("11"),
-                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("00")),
-            ),
-        )
+        bob = infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("00"))
+        record, _ = pinned(SessionConfig(rounds=1, seed=0), lab("11"), bob)
         assert record.bob_secret == lab("00")
         assert record.bob_inferred_alice == lab("11")
         assert record.alice_inferred_bob == lab("00")
@@ -115,52 +149,57 @@ class TestForcedRound:
 
     def test_all_forced_pairs_infer_correctly(self):
         for s_a, p in itertools.product(ALL_LABELS, repeat=2):
-            record, _ = replay_round(
-                SessionConfig(rounds=1, seed=0),
-                ForcedOutcomes(
-                    alice_secret=s_a, bob_secret=infer_other_secret(*DEFAULT_LABELS, s_a, p)
-                ),
-            )
+            bob = infer_other_secret(*DEFAULT_LABELS, s_a, p)
+            record, _ = pinned(SessionConfig(rounds=1, seed=0), s_a, bob)
             assert record.announcement == p
             assert record.alice_secret == s_a
             assert record.alice_inferred_bob == record.bob_secret
             assert record.bob_inferred_alice == record.alice_secret
 
     def test_transmissions_always_two(self):
-        record, _ = replay_round(SessionConfig(rounds=1, seed=5), ForcedOutcomes())
+        record = Session(SessionConfig(rounds=1, seed=5)).run_round(round_stream(5, 0))
         assert record.transmissions == 2
         assert record.transfers == ((2, "alice_to_bob"), (6, "bob_to_alice"))
 
 
 class TestEveryBranch:
-    """Round 0 over every draw sequence: 4**2 honest, 4**4 with Eve."""
+    """Every branch at every role phase, 4 * 4**2 honest and 4 * 4**4 with
+    Eve, through `Session.run_round` and `reset_round`: the paper's claims
+    as exact counts."""
 
     def test_honest_inferences_hold_on_every_branch(self):
-        config = SessionConfig(rounds=1, seed=0)
-        for s_a, s_b in itertools.product(ALL_LABELS, repeat=2):
-            record, _ = replay_round(config, ForcedOutcomes(alice_secret=s_a, bob_secret=s_b))
-            assert (record.alice_secret, record.bob_secret) == (s_a, s_b)
-            assert record.alice_inferred_bob == s_b
-            assert record.bob_inferred_alice == s_a
+        for labels in (DEFAULT_LABELS, (lab("01"), lab("11"), lab("00"))):
+            for _, (s_a, s_b), record, session in every_branch(labels=labels):
+                assert (record.alice_secret, record.bob_secret) == (s_a, s_b)
+                assert record.alice_inferred_bob == s_b
+                assert record.bob_inferred_alice == s_a
+                session.reset_round()
 
     @pytest.mark.parametrize("ancilla", ["00", "01", "10", "11"])
     def test_eve_exact_and_bob_disturbed_on_three_quarters(self, ancilla):
-        config = SessionConfig(rounds=1, seed=0, eve_enabled=True, eve_ancilla=lab(ancilla))
-        disturbed = 0
-        for outbound, s_a, s_b, detach in itertools.product(ALL_LABELS, repeat=4):
-            record, session = replay_round(config, ForcedOutcomes(outbound, s_a, s_b, detach))
+        """Claim (c) as an exact count: Bob misses Alice's secret on 192
+        of the 256 codes at each phase, so n tested rounds, drawn from
+        independent streams, miss Eve with probability (1/4)**n. Under
+        her attack too, the announcement says nothing of Alice's secret:
+        each (phase, announcement, secret) cell holds 16 codes."""
+        disturbed = [0] * 4
+        cells = Counter()
+        for phase, draws, record, session in every_branch(eve=True, ancilla=lab(ancilla)):
+            outbound, s_a, s_b, detach = draws
             eve = record.eve
             assert (eve.outbound_outcome, record.alice_secret) == (outbound, s_a)
             assert (record.bob_secret, eve.detach_outcome) == (s_b, detach)
             assert eve.inferred_alice == s_a
             assert eve.inferred_bob == s_b
-            disturbed += record.bob_inferred_alice != s_a
-            # the reset rotates her ancilla pair back with the other three
+            disturbed[phase] += record.bob_inferred_alice != s_a
+            cells[phase, record.announcement, s_a] += 1
+            # the reset rotates her ancilla pair back with the other three, last
             corrections = session.reset_round()
             assert session.table.are_partners(7, 8)
             assert session.table.label(7) == lab(ancilla)
             assert corrections[-1] == Correction(Party.EVE, 7, pauli_correction(detach, lab(ancilla)))
-        assert disturbed == 192
+        assert disturbed == [192] * 4
+        assert len(cells) == 64 and set(cells.values()) == {16}
 
     @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
     def test_replaying_recorded_outcomes_reproduces_each_round(self, eve):
@@ -169,13 +208,10 @@ class TestEveryBranch:
             initial_labels=(lab("01"), lab("11"), lab("00")), eve_ancilla=lab("10"),
         )
         for rec in run_session(config).rounds:
-            forced = ForcedOutcomes(alice_secret=rec.alice_secret, bob_secret=rec.bob_secret)
+            outcomes = (rec.alice_secret, rec.bob_secret)
             if eve:
-                forced = ForcedOutcomes(
-                    rec.eve.outbound_outcome, rec.alice_secret, rec.bob_secret,
-                    rec.eve.detach_outcome,
-                )
-            replayed, _ = replay_round(config, forced)
+                outcomes = (rec.eve.outbound_outcome, *outcomes, rec.eve.detach_outcome)
+            replayed, _ = pinned(config, *outcomes)
             assert replayed.announcement == rec.announcement
             assert replayed.alice_inferred_bob == rec.alice_inferred_bob
             assert replayed.bob_inferred_alice == rec.bob_inferred_alice
@@ -235,13 +271,8 @@ class TestRoleRotation:
 
 class TestReset:
     def test_correction_for_known_offset(self):
-        record, session = replay_round(
-            SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(
-                alice_secret=lab("10"),
-                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("10"), lab("00")),
-            ),
-        )
+        bob = infer_other_secret(*DEFAULT_LABELS, lab("10"), lab("00"))
+        record, session = pinned(SessionConfig(rounds=1, seed=0), lab("10"), bob)
         assert record.announcement == lab("00")
         corrections = session.reset_round()
         by_holder = {(c.party, c.qubit): c.op for c in corrections}
@@ -249,13 +280,8 @@ class TestReset:
         assert by_holder[(Party.ALICE, 1)] is PauliOp.Z
 
     def test_identity_correction_when_already_agreed(self):
-        record, session = replay_round(
-            SessionConfig(rounds=1, seed=0),
-            ForcedOutcomes(
-                alice_secret=lab("11"),
-                bob_secret=infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("10")),
-            ),
-        )
+        bob = infer_other_secret(*DEFAULT_LABELS, lab("11"), lab("10"))
+        record, session = pinned(SessionConfig(rounds=1, seed=0), lab("11"), bob)
         assert record.announcement == lab("10")
         corrections = session.reset_round()
         by_holder = {(c.party, c.qubit): c.op for c in corrections}
@@ -506,9 +532,8 @@ class TestHotPath:
 
 class TestLedgerTrace:
     """The ledger's tags, and the table's labels, after every round and
-    every reset of a session that runs each draw code at each of the four
-    role phases: row i is code i // 4, two bits a draw, the first lowest.
-    Each digest pins the sha256 of one configuration's records."""
+    every reset of `every_branch`'s session. Each digest pins the sha256
+    of one configuration's records."""
 
     @pytest.mark.parametrize("eve,labels,ancilla,digest", [
         (True, "11 10 10", "00",
@@ -521,15 +546,9 @@ class TestLedgerTrace:
          "d81796c00a0fda1b278ba4d293c8249c8080686b0d3bb8edf439350a2ea766b8"),
     ])
     def test_every_branch_at_every_phase(self, eve, labels, ancilla, digest):
-        draws = 4 if eve else 2
-        config = SessionConfig(rounds=4 * 4**draws, seed=0, eve_enabled=eve,
-                               initial_labels=tuple(map(lab, labels.split())),
-                               eve_ancilla=lab(ancilla))
-        session = Session(config)
         trace = hashlib.sha256()
-        for i in range(config.rounds):
-            code = i // 4
-            session.run_round(ChosenDraws([code >> 2 * k & 3 for k in range(draws)]))
+        branches = every_branch(eve, tuple(map(lab, labels.split())), lab(ancilla))
+        for i, (_, _, _, session) in enumerate(branches):
             for step in ("round", "reset"):
                 if step == "reset":
                     session.reset_round()
@@ -542,16 +561,16 @@ class TestLedgerTrace:
 
 class TestLedgerThroughRound:
     def test_final_tags_without_eve(self):
-        _, session = replay_round(SessionConfig(rounds=1, seed=0), ForcedOutcomes())
+        session = Session(SessionConfig(rounds=1, seed=0))
+        session.run_round(round_stream(0, 0))
         tags = session.ledger.pairs()
         assert tags[(1, 3)] is Visibility.ALICE_AND_BOB
         assert tags[(2, 4)] is Visibility.ALICE_AND_BOB
         assert tags[(5, 6)] is Visibility.PUBLIC
 
     def test_final_tags_with_eve(self):
-        _, session = replay_round(
-            SessionConfig(rounds=1, seed=0, eve_enabled=True), ForcedOutcomes()
-        )
+        session = Session(SessionConfig(rounds=1, seed=0, eve_enabled=True))
+        session.run_round(round_stream(0, 0))
         tags = session.ledger.pairs()
         assert tags[(1, 3)] is Visibility.ALICE_AND_BOB
         assert tags[(2, 4)] is Visibility.ALICE_AND_BOB

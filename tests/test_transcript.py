@@ -211,6 +211,18 @@ class TestTranscriptError:
         assert err.line == 4
         assert "not JSON" in str(err)
 
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError for an integer of over 4,300 digits
+        lines = make_lines()
+        lines[3] = '{"kind":"round","index":' + "1" * 5000 + "}"
+        assert parse_error(lines).line == 4
+
+    def test_nesting_past_the_recursion_limit(self):
+        # json.loads raises RecursionError for brackets nested this deep
+        lines = make_lines()
+        lines[3] = "[" * 100_000 + "]" * 100_000
+        assert parse_error(lines).line == 4
+
     def test_bytes_line_not_text(self):
         lines = [line.encode() for line in make_lines()]
         lines[3] = lines[3].replace(b'"round"', b'"r\xe9und"')
