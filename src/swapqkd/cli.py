@@ -8,8 +8,9 @@ Subcommands:
   montecarlo    detection-frequency estimates against the closed forms
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, a size too
-large to allocate or a --rounds above 2**64 (round indices are 64-bit),
-3 I/O error, a failed write to stdout included.
+large to allocate, a --rounds above 2**64 (round indices are 64-bit) or a
+curves --max-pairs above MAX_CURVE_PAIRS, 3 I/O error, a failed write to
+stdout included.
 Relative --out paths resolve under $SWAPQKD_OUTDIR when it is set.
 """
 
@@ -29,6 +30,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# curves keeps every point in memory, about 300 bytes a point
+MAX_CURVE_PAIRS = 10**5
 
 
 def _label_arg(text: str) -> BellLabel:
@@ -114,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corrupt one swap-rule entry to prove the sweep catches faults")
 
     p_cur = sub.add_parser("curves", help="emit detection-probability curves as CSV")
-    p_cur.add_argument("--max-pairs", type=int, required=True)
+    p_cur.add_argument("--max-pairs", type=int, required=True,
+                       help=f"one point per tested pair count 1..MAX_PAIRS, at most "
+                            f"{MAX_CURVE_PAIRS:,}; a larger value is a usage error")
     p_cur.add_argument("--sessions", type=int, default=0,
                        help="add Monte Carlo columns from this many sessions per point")
     p_cur.add_argument("--seed", type=_seed_arg, default=None)
@@ -190,6 +196,10 @@ def _cmd_verify_oracle(args) -> int:
 def _cmd_curves(args) -> int:
     if args.max_pairs < 1:
         print("error: --max-pairs must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_pairs > MAX_CURVE_PAIRS:
+        print(f"error: --max-pairs must be at most {MAX_CURVE_PAIRS}, got {args.max_pairs}",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.sessions < 0:
         print("error: --sessions must be nonnegative", file=sys.stderr)

@@ -410,8 +410,12 @@ class Session:
             draws = session_draws(self.config.seed, rounds)
         records = []
         run_round, reset_round, keep = self.run_round, self.reset_round, records.append
+        # one stream, re-pointed at each row: tuple() of a tuple row is the row
+        chosen = ChosenDraws(())
         for row in draws:
-            record = run_round(ChosenDraws(row))
+            chosen._draws = tuple(row)
+            chosen._next = 0
+            record = run_round(chosen)
             record.corrections = reset_round()
             keep(record)
         if len(records) != rounds:

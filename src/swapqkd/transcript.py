@@ -13,26 +13,30 @@ returns equal objects.
 Bell labels serialize as the two-character strings "00".."11". Round
 lines are written from a fixed template that yields exactly what
 `json.dumps` with separators (",", ":") yields; header and summary go
-through `json.dumps` itself. `parse_lines` reads a round's outcomes,
-checks that a session produces them, and derives the rest of its line
-with the functions a session uses; every derived copy in the file, round
-or summary, must equal what `emit_lines` writes. A round line that is
-byte for byte a line already derived in the file, at its own index, is
-taken from that derivation without json.loads. Bytes lines are read as
-UTF-8 only. Malformed input, or a copy that disagrees, raises
-`TranscriptError`.
+through `json.dumps` itself. A round's line after its index depends only
+on its outcomes and on the index mod 4 (at most 64 lines without Eve,
+1,024 with her), so `emit_lines` formats each distinct one once per call.
+`parse_lines` reads a round's outcomes, checks that a session produces
+them, and derives the rest of its line with the functions a session uses;
+every derived copy in the file, round or summary, must equal what
+`emit_lines` writes. A round line that is byte for byte the line derived
+from the outcomes at its template positions is taken without json.loads,
+so a file `emit_lines` wrote runs json.loads on its header and summary
+only. Bytes lines are read as UTF-8 only. Malformed input, or a copy that
+disagrees, raises `TranscriptError`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass
 
 from . import __version__
 from .adversary import EveRoundRecord, infer_alice_secret, infer_bob_secret
 from .analysis import RateReport, TestReport, eavesdropping_test, rate_report
-from .bell import ALL_LABELS, PauliOp
+from .bell import ALL_LABELS, BellLabel, PauliOp
 from .knowledge import Party
 from .protocol import (
     TRANSFERS,
@@ -97,6 +101,12 @@ _HEAD = '{"kind":"round","index":'
 _JSON_SPACE = " \t\r\n"
 
 _LABEL_OF = {lab.text: lab for lab in ALL_LABELS}
+# the outcomes of a round line's tail (the text after its index), at their
+# places in the template, Eve's three unmatched when her section is null
+_TEMPLATE_OUTCOMES = re.compile(
+    r',"alice_secret":"([01]{2})","bob_secret":"([01]{2})","announcement":"([01]{2})",'
+    r'[^{]*"eve":(?:null|\{"outbound_outcome":"([01]{2})","return_readout":"([01]{2})",'
+    r'"detach_outcome":"([01]{2})")')
 
 
 def _round_line(rec: RoundRecord) -> str:
@@ -178,8 +188,26 @@ def emit_lines(file: TranscriptFile) -> list[str]:
         "config": _config_dict(file.transcript.config),
     }
     lines = [_dump(header)]
-    lines.extend([_round_line(rec) for rec in file.transcript.rounds])
-    lines.append(_dump(_summary_dict(file)))
+    keep = lines.append
+    # (i mod 4, the record's labels, Eve's or None) -> (corrections, line
+    # after the index); a tail is reused only for the same corrections object
+    tails: dict = {}
+    phases = len(TRANSFERS)
+    for rec in file.transcript.rounds:
+        eve = rec.eve
+        key = (rec.index % phases, rec.alice_secret, rec.bob_secret, rec.announcement,
+               rec.alice_inferred_bob, rec.bob_inferred_alice)
+        if eve is not None:
+            key += (eve.outbound_outcome, eve.return_readout, eve.detach_outcome,
+                    eve.inferred_alice, eve.inferred_bob)
+        known = tails.get(key)
+        if known is not None and known[0] is rec.corrections:
+            keep(f"{_HEAD}{rec.index}{known[1]}")
+            continue
+        line = _round_line(rec)
+        tails[key] = rec.corrections, line[len(f"{_HEAD}{rec.index}"):]
+        keep(line)
+    keep(_dump(_summary_dict(file)))
     return lines
 
 
@@ -279,13 +307,39 @@ def _round_from(row: dict, text: str, line: int, index: int, config: SessionConf
     """
     phase = index % len(TRANSFERS)
     tail, *branch = _branch(row, line, phase, config)
-    derived = tails.get((phase, tail), (None, None))[1]
+    derived = tails.get((phase, tail), (None,) * 4)[3]
     if text.rstrip() != f"{_HEAD}{index}{tail}":
         if derived is None:
             derived = json.loads(f"{_HEAD}{phase}{tail}")
         _check_derived(row, {**derived, "index": index}, line)
-    tails[phase, tail] = branch, derived
+    tails[phase, tail] = (*branch, derived)
     return _record(index, *branch)
+
+
+def _template_branch(rest: str, line: int, phase: int, config: SessionConfig,
+                     tails: dict) -> tuple | None:
+    """The `tails` entry of a round line at `phase` whose text after the
+    index, trailing JSON whitespace stripped, is `rest`, read without
+    json.loads; None unless `rest` is exactly the tail `_derive` gives for
+    the outcomes read from it at the template's field positions.
+
+    Any other line, one whose outcomes no session produces included, is
+    left to json.loads and `_round_from`, which raise on it as they would
+    on any line.
+    """
+    match = _TEMPLATE_OUTCOMES.match(rest)
+    if match is None:
+        return None
+    alice, bob, announcement, *eve = map(_LABEL_OF.get, match.groups())
+    try:
+        tail, *branch = _derive(phase, config, line, alice, bob, announcement,
+                                None if eve[0] is None else eve)
+    except TranscriptError:
+        return None
+    if tail != rest:
+        return None
+    known = tails[phase, tail] = (*branch, None)
+    return known
 
 
 def _record(index: int, labels: tuple, eve: tuple | None, corrections) -> RoundRecord:
@@ -294,18 +348,28 @@ def _record(index: int, labels: tuple, eve: tuple | None, corrections) -> RoundR
 
 
 def _branch(row: dict, line: int, phase: int, config: SessionConfig) -> tuple:
-    """(line after the index, record labels, Eve's labels or None,
-    corrections) of the round `row` at `phase` of the role schedule.
-
-    Its outcomes must be ones a session produces: labels, an eve section
-    exactly when the header enables her, and recovered by the inferences
-    (without Eve, Bob's of alice_secret; with her, hers of both secrets).
-    The rest is derived by the functions `Session` uses.
-    """
+    """`_derive` of the outcomes of the round `row`, as json.loads gave it,
+    at `phase` of the role schedule; each outcome must be a label, and the
+    eve section an object or null."""
     alice, bob, announcement = [_LABEL_OF[s] for s in _fields(row, _OUTCOMES, line).values()]
     eve = _field(row, "eve", _OBJECT_OR_NULL, line)
     if eve is not None:
         eve = [_LABEL_OF[s] for s in _fields(eve, _EVE_OUTCOMES, line, "eve.").values()]
+    return _derive(phase, config, line, alice, bob, announcement, eve)
+
+
+def _derive(phase: int, config: SessionConfig, line: int, alice: BellLabel, bob: BellLabel,
+            announcement: BellLabel, eve: list | None) -> tuple:
+    """(line after the index, record labels, Eve's labels or None,
+    corrections) of a round at `phase` of the role schedule with these
+    outcomes, Eve's three (outbound, readout, detach) or None.
+
+    The outcomes must be ones a session produces: an eve section exactly
+    when the header enables her, and recovered by the inferences (without
+    Eve, Bob's of alice_secret; with her, hers of both secrets); else
+    TranscriptError names `line`. The rest is derived by the functions
+    `Session` uses.
+    """
     if (eve is None) is config.eve_enabled:
         want = "an object" if config.eve_enabled else "null"
         raise TranscriptError(f"expected {want}, as eve_enabled is {config.eve_enabled}",
@@ -365,14 +429,19 @@ def parse_lines(lines) -> TranscriptFile:
     Malformed or inconsistent input raises `TranscriptError`.
 
     Round line i skips json.loads when it is `{"kind":"round","index":i`
-    followed, up to trailing JSON whitespace, by a tail that `_round_from`
-    has already derived in this file for i mod 4: the line is then byte
-    for byte one that was derived and checked, and it takes that round's
-    record. In a file `emit_lines` wrote, json.loads runs once for the
-    header, once for the summary and once per distinct branch.
+    followed, up to trailing JSON whitespace, by a tail derived for i mod
+    4: one already derived in this file, or the one `_template_branch`
+    derives from the outcomes at their template positions. The line is
+    then byte for byte one that was derived and checked, and it takes
+    that round's record. In a file `emit_lines` wrote, json.loads runs
+    once for the header and once for the summary. Every other line, such
+    as one with other spacing or key order, or one that is wrong, goes
+    through json.loads and `_round_from`, which gives every error.
     """
     config = summary = None
     rounds: list[RoundRecord] = []
+    # (i mod 4, line after the index) -> (record labels, Eve's labels or
+    # None, corrections, the line's json.loads row once one was needed)
     tails: dict = {}
     for number, line in enumerate(lines, 1):
         if isinstance(line, (bytes, bytearray)):
@@ -380,16 +449,21 @@ def parse_lines(lines) -> TranscriptFile:
                 line = line.decode("utf-8")
             except UnicodeDecodeError as err:
                 raise TranscriptError(f"not utf-8 text: {err.reason}", number) from None
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if config is not None and summary is None:
             index = len(rounds)
             head = f"{_HEAD}{index}"
             if line.startswith(head):
                 rest = line[len(head):].rstrip(_JSON_SPACE)
-                known = tails.get((index % len(TRANSFERS), rest))
+                phase = index % len(TRANSFERS)
+                known = (tails.get((phase, rest))
+                         or _template_branch(rest, number, phase, config, tails))
                 if known is not None:
-                    rounds.append(_record(index, *known[0]))
+                    labels, eve, corrections, _ = known
+                    rounds.append(RoundRecord(index, *labels,
+                                              None if eve is None else EveRoundRecord(*eve),
+                                              corrections))
                     continue
         try:
             row = json.loads(line)

@@ -201,6 +201,19 @@ class TestCurvesCommand:
         assert code == 2
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("pairs", [10**5 + 1, 10**9])
+    def test_pairs_past_the_bound_rejected(self, pairs, capsys, monkeypatch):
+        # every point is kept in memory: a size past the bound is refused
+        # before any is built, and the bound itself is built
+        built = []
+        monkeypatch.setattr(analysis.DetectionCurve, "build",
+                            lambda *args: built.append(args) or analysis.DetectionCurve())
+        assert run_cli(capsys, "curves", "--max-pairs", str(pairs)) == (
+            2, "", f"error: --max-pairs must be at most 100000, got {pairs}\n")
+        assert built == []
+        assert run_cli(capsys, "curves", "--max-pairs", "100000")[0] == 0
+        assert built == [(10**5, 0, None)]
+
     def test_negative_sessions_rejected(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--max-pairs", "2", "--sessions", "-5",
                                  "--seed", "1")

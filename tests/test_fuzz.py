@@ -99,6 +99,7 @@ def run_main(argv) -> tuple[int, str]:
 @example(["montecarlo", "--max-pairs", "1", "--sessions", "99999999999999999999", "--seed", "1"])
 @example(["curves", "--max-pairs", "1", "--sessions", "99999999999999999999", "--seed", "1"])
 @example(["montecarlo", "--sessions", str(10**15), "--seed", "1"])
+@example(["curves", "--max-pairs", str(10**9)])
 @fuzz(150)
 @given(argvs())
 def test_argv_gives_a_documented_exit_code(argv):

@@ -388,6 +388,39 @@ class TestSessionDraws:
         draws = [[source.integers(0, 4) for _ in range(4)] for source in streams]
         assert run_session(config, draws) == run_session(config)
 
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    def test_each_round_reads_exactly_its_row(self, eve, monkeypatch):
+        # `run` re-points one stream at each row: every round starts at the
+        # first draw of its own row, even after the round before drew the
+        # rest of its row, and a draw past the row's four raises
+        config = SessionConfig(rounds=8, seed=17, eve_enabled=eve)
+        pick = random.Random(5)
+        rows = [tuple(pick.choices(range(4), k=4)) for _ in range(8)]
+        alone = Session(config)
+        want = []
+        for row in rows:
+            record = alone.run_round(ChosenDraws(row))
+            record.corrections = alone.reset_round()
+            want.append(record)
+        streams, left = [], []
+        run_round = Session.run_round
+
+        def run_then_drain(session, randomness):
+            record = run_round(session, randomness)
+            streams.append(randomness)
+            rest = []
+            with pytest.raises(ValueError, match="^all 4 chosen draws are used; none is left$"):
+                while True:
+                    rest.append(randomness.integers(0, 4))
+            left.append(rest)
+            return record
+
+        monkeypatch.setattr(Session, "run_round", run_then_drain)
+        assert run_session(config, rows).rounds == want
+        assert len(set(map(id, streams))) == 1
+        unused = 0 if eve else 2  # an honest round draws for its two secret swaps only
+        assert left == [list(row[4 - unused:]) for row in rows]
+
     @pytest.mark.parametrize("rows", [4, 6])
     def test_draws_for_another_round_count_rejected(self, rows):
         config = SessionConfig(rounds=5, seed=17)
@@ -496,16 +529,16 @@ class TestHotPath:
 
     def test_python_calls_per_eve_round(self):
         config = SessionConfig(rounds=200, seed=7, eve_enabled=True, test_fraction=0.1)
-        assert self.calls(lambda: emit_lines(TranscriptFile.of(run_session(config)))) <= 9_842
+        assert self.calls(lambda: emit_lines(TranscriptFile.of(run_session(config)))) <= 9_600
 
     def test_python_calls_per_honest_round(self):
         config = SessionConfig(rounds=200, seed=7, test_fraction=0.1,
                                initial_labels=(lab("01"), lab("11"), lab("00")))
-        assert self.calls(lambda: emit_lines(TranscriptFile.of(run_session(config)))) <= 4_814
+        assert self.calls(lambda: emit_lines(TranscriptFile.of(run_session(config)))) <= 4_338
 
     def test_python_calls_per_monte_carlo_point(self):
         # 200 sessions of 4 fully tested Eve rounds each
-        assert self.calls(lambda: estimate_detection(4, 200, 11, workers=1)) <= 36_655
+        assert self.calls(lambda: estimate_detection(4, 200, 11, workers=1)) <= 36_055
 
     def calls(self, run) -> int:
         """Calls made by `run()`, the call of `run` itself included."""
