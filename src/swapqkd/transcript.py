@@ -318,10 +318,11 @@ def _round_from(row: dict, text: str, line: int, index: int, config: SessionConf
 
 def _template_branch(rest: str, line: int, phase: int, config: SessionConfig,
                      tails: dict) -> tuple | None:
-    """The `tails` entry of a round line at `phase` whose text after the
-    index, trailing JSON whitespace stripped, is `rest`, read without
-    json.loads; None unless `rest` is exactly the tail `_derive` gives for
-    the outcomes read from it at the template's field positions.
+    """The `tails` entry, recorded there, of a round line at `phase` whose
+    text after the index, trailing JSON whitespace stripped, is `rest`,
+    read without json.loads; None unless `rest` is exactly the tail
+    `_derive` gives for the outcomes read from it at the template's field
+    positions.
 
     Any other line, one whose outcomes no session produces included, is
     left to json.loads and `_round_from`, which raise on it as they would
@@ -338,7 +339,7 @@ def _template_branch(rest: str, line: int, phase: int, config: SessionConfig,
         return None
     if tail != rest:
         return None
-    known = tails[phase, tail] = (*branch, None)
+    tails[phase, tail] = known = (*branch, None)
     return known
 
 
