@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .protocol import TRANSFERS, SessionConfig, SessionTranscript, run_session
 from .rng import BLOCK, SESSIONS, RandomStream, child_seed, session_seeds, sessions_draws
@@ -67,7 +67,7 @@ def eavesdropping_test(
         mismatches = 0
         for rec in rounds:
             mismatches += rec.alice_secret is not rec.bob_inferred_alice
-        return (_shared_full_report if n_test <= BLOCK else _full_report)(n_test, mismatches)
+        return (_shared_full_report if n_test <= BLOCK else _report)(n_test, mismatches)
     if n_test == 0:
         chosen = []
     elif coin is None:
@@ -80,38 +80,31 @@ def eavesdropping_test(
     chosen_set = frozenset(chosen)
     kept = SessionTranscript(
         transcript.config, [rec for i, rec in enumerate(rounds) if i not in chosen_set])
-    return TestReport(
-        pairs_tested=n_test,
-        bits_tested=2 * n_test,
-        mismatches=mismatches,
-        eve_detected=mismatches > 0,
-        remaining_key=kept.alice_key,
-        remaining_key_bob=kept.bob_key,
-        tested_rounds=tuple(chosen),
-        degenerate=n_test == 0,
-    )
+    return _report(n_test, mismatches, kept.alice_key, kept.bob_key, tuple(chosen))
 
 
-def _full_report(pairs: int, mismatches: int) -> TestReport:
-    """The report of a test that compares all `pairs` rounds of a session:
-    testing every round leaves no key."""
+def _report(pairs: int, mismatches: int, remaining_key: str = "", remaining_key_bob: str = "",
+            tested_rounds: tuple[int, ...] | None = None) -> TestReport:
+    """The report of a test that compares the `tested_rounds`, `pairs` of
+    them, and keeps the given keys; None tests every round of a session of
+    `pairs` rounds, which leaves no key."""
     return TestReport(
         pairs_tested=pairs,
         bits_tested=2 * pairs,
         mismatches=mismatches,
         eve_detected=mismatches > 0,
-        remaining_key="",
-        remaining_key_bob="",
-        tested_rounds=tuple(range(pairs)),
+        remaining_key=remaining_key,
+        remaining_key_bob=remaining_key_bob,
+        tested_rounds=tuple(range(pairs)) if tested_rounds is None else tested_rounds,
         degenerate=pairs == 0,
     )
 
 
-_shared_full_report = functools.lru_cache(maxsize=64)(_full_report)
-"""`_full_report`, one shared report per (pairs, mismatches). A Monte Carlo
-point of n pairs meets n + 1 keys, so the cache holds a whole point up to
-n = 63; `eavesdropping_test` asks it for at most `rng.BLOCK` pairs, so no
-long fully tested run pins its tuple of round indices."""
+_shared_full_report = functools.lru_cache(maxsize=64)(_report)
+"""`_report` of a fully tested session, shared per (pairs, mismatches). A
+Monte Carlo point of n pairs meets n + 1 keys, so the cache holds a whole
+point up to n = 63; `eavesdropping_test` asks it for at most `rng.BLOCK`
+pairs, so no long fully tested run pins its tuple of round indices."""
 
 
 def scheme_detection_probability(bits_tested: int) -> float:
@@ -264,13 +257,13 @@ class DetectionCurve:
         points = []
         for n in range(1, max_pairs + 1):
             bits = 2 * n
-            point = CurvePoint(bits, scheme_detection_probability(bits),
-                               bb84_detection_probability(bits))
+            empirical = stderr = z = None
             if sessions:
                 est = estimate_detection(n, sessions, child_seed(seed, SESSIONS, n),
                                          workers=workers)
-                point = replace(point, empirical=est.empirical, stderr=est.stderr, z=est.z)
-            points.append(point)
+                empirical, stderr, z = est.empirical, est.stderr, est.z
+            points.append(CurvePoint(bits, scheme_detection_probability(bits),
+                                     bb84_detection_probability(bits), empirical, stderr, z))
         return DetectionCurve(points=tuple(points))
 
     def csv_lines(self) -> list[str]:

@@ -21,7 +21,9 @@ import functools
 import os
 import sys
 
-from . import analysis, transcript, verify
+# analysis and transcript are imported by the commands that use them, so
+# that verify-oracle does not load them
+from . import verify
 from .bell import BellLabel, swap_rule
 from .knowledge import LedgerViolation
 from .protocol import SessionConfig, run_session
@@ -151,6 +153,8 @@ def _cmd_run(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    from . import transcript
+
     record = transcript.TranscriptFile.of(run_session(config))
     result, rate, test = record.transcript, record.rate, record.test
     lines = transcript.emit_lines(record) if args.format == "json" else transcript.csv_lines(record)
@@ -207,6 +211,8 @@ def _cmd_curves(args) -> int:
     if args.sessions and args.seed is None:
         print("error: --sessions needs --seed", file=sys.stderr)
         return EXIT_USAGE
+    from . import analysis
+
     curve = analysis.DetectionCurve.build(args.max_pairs, args.sessions, args.seed)
     _write_lines(curve.csv_lines(), _resolve_out(args.out))
     return EXIT_OK
@@ -219,6 +225,8 @@ def _cmd_montecarlo(args) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    from . import analysis
+
     curve = analysis.DetectionCurve.build(args.max_pairs, args.sessions, args.seed, args.workers)
     rows = ["pairs,bits,sessions,empirical,expected,stderr,z"]
     worst = 0.0

@@ -124,20 +124,13 @@ TRANSFERS = tuple(((r.alice_send, "alice_to_bob"), (r.bob_send, "bob_to_alice"))
 
 
 @functools.lru_cache(maxsize=512)
-def _agreed_schedule(labels, ancilla) -> tuple[tuple[tuple[int, int, BellLabel, Party], ...], ...]:
-    """`agreed_pairs(labels, ancilla)` of each ROLE_SCHEDULE entry, built
-    once per configuration (at most 64 * 5 of them)."""
-    return tuple(roles.agreed_pairs(labels, ancilla) for roles in ROLE_SCHEDULE)
-
-
-@functools.lru_cache(maxsize=512)
 def _session_start(labels, ancilla) -> tuple[tuple, PairTable, dict[int, Party]]:
-    """The agreed schedule, and the table, its cells' knower sets declared,
-    and the custody every session under `labels` (and Eve's `ancilla`
-    label, if she is present) starts from, built through `PairTable` and
-    `KnowledgeLedger.declare` once per configuration; a session takes
-    copies of the table and the custody."""
-    schedule = _agreed_schedule(labels, ancilla)
+    """`agreed_pairs(labels, ancilla)` of each ROLE_SCHEDULE entry, and the
+    table, its cells' knower sets declared, and the custody every session
+    under `labels` (and Eve's `ancilla` label, if she is present) starts
+    from, built once per configuration (at most 64 * 5 of them); a session
+    takes copies of the table and the custody."""
+    schedule = tuple(roles.agreed_pairs(labels, ancilla) for roles in ROLE_SCHEDULE)
     pairs = schedule[0]
     table = PairTable([(a, b, label) for a, b, label, _ in pairs])
     ledger = KnowledgeLedger(table)
@@ -274,7 +267,7 @@ def _closing_corrections(labels, ancilla, next_roles, alice_secret, announcement
     lookup costs less than deriving the corrections each round. A run and
     a parse share entries: without Eve both pass six arguments.
     """
-    pairs = _agreed_schedule(labels, None if eve_detach is None else ancilla)[next_roles]
+    pairs = _session_start(labels, None if eve_detach is None else ancilla)[0][next_roles]
     held = (alice_secret, announcement, bob_secret, eve_detach)
     return tuple([
         Correction(party, q, pauli_correction(label, target))

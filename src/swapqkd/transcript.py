@@ -22,8 +22,10 @@ every derived copy in the file, round or summary, must equal what
 `emit_lines` writes. A round line that is byte for byte the line derived
 from the outcomes at its template positions is taken without json.loads,
 so a file `emit_lines` wrote runs json.loads on its header and summary
-only. Bytes lines are read as UTF-8 only. Malformed input, or a copy that
-disagrees, raises `TranscriptError`.
+only; any other round line is loaded and checked field by field against
+its derived line's row, loaded once per branch. Bytes lines are read as
+UTF-8 only. Malformed input, or a copy that disagrees, raises
+`TranscriptError`.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ _TEMPLATE_OUTCOMES = re.compile(
     r'"detach_outcome":"([01]{2})")')
 
 
-def _round_line(rec: RoundRecord) -> str:
-    """The round's JSON line, byte for byte what json.dumps writes for it
-    with separators (",", ":")."""
+def _round_tail(rec: RoundRecord) -> str:
+    """The round's JSON line after its index: `_HEAD`, the index and this
+    are byte for byte what json.dumps writes for it with separators
+    (",", ":")."""
     eve = rec.eve
     if eve is None:
         eve_text = "null"
@@ -127,8 +130,7 @@ def _round_line(rec: RoundRecord) -> str:
         [f"[{_PARTY_TEXT[c.party]},{c.qubit},{_PAULI_TEXT[c.op]}]" for c in rec.corrections]
     )
     return (
-        f'{_HEAD}{rec.index},'
-        f'"alice_secret":{_LABEL_TEXT[rec.alice_secret]},'
+        f',"alice_secret":{_LABEL_TEXT[rec.alice_secret]},'
         f'"bob_secret":{_LABEL_TEXT[rec.bob_secret]},'
         f'"announcement":{_LABEL_TEXT[rec.announcement]},'
         f'"alice_inferred_bob":{_LABEL_TEXT[rec.alice_inferred_bob]},'
@@ -201,12 +203,9 @@ def emit_lines(file: TranscriptFile) -> list[str]:
             key += (eve.outbound_outcome, eve.return_readout, eve.detach_outcome,
                     eve.inferred_alice, eve.inferred_bob)
         known = tails.get(key)
-        if known is not None and known[0] is rec.corrections:
-            keep(f"{_HEAD}{rec.index}{known[1]}")
-            continue
-        line = _round_line(rec)
-        tails[key] = rec.corrections, line[len(f"{_HEAD}{rec.index}"):]
-        keep(line)
+        if known is None or known[0] is not rec.corrections:
+            known = tails[key] = rec.corrections, _round_tail(rec)
+        keep(f"{_HEAD}{rec.index}{known[1]}")
     keep(_dump(_summary_dict(file)))
     return lines
 
@@ -291,28 +290,25 @@ def _config_from(row: dict, line: int) -> SessionConfig:
         raise TranscriptError(str(err), line, "config") from None
 
 
-def _round_from(row: dict, text: str, line: int, index: int, config: SessionConfig,
-                tails: dict) -> RoundRecord:
-    """Round `index` of the file, from its line `text` and the line's
-    json.loads `row`, in two steps.
-
-    Only the round's outcomes are read: `_branch` checks that a session
-    produces them and derives the line `emit_lines` writes for them,
-    recorded in `tails` per (index mod 4, line after the index), which
-    `parse_lines` looks later lines up in before it runs json.loads. Then
-    the line must equal the derived one, byte for byte but for trailing
-    whitespace, or pass `_check_derived`, which names the first field that
-    differs and accepts other JSON spacing or key order. The derived line's
-    json.loads row is kept in `tails` too, so it is loaded once per key.
-    """
+def _round_from(row: dict, line: int, index: int, config: SessionConfig,
+                rows: dict) -> RoundRecord:
+    """Round `index` of the file, from its line's json.loads `row`: only
+    the outcomes are read (each a label, the eve section an object or
+    null), `_derive` checks that a session produces them, and
+    `_check_derived` compares `row` with the json.loads row of the line
+    derived for them, naming the first field that differs and accepting
+    other JSON spacing or key order. That row is loaded once per key of
+    `rows`, (index mod 4, line after the index)."""
+    alice, bob, announcement = [_LABEL_OF[s] for s in _fields(row, _OUTCOMES, line).values()]
+    eve = _field(row, "eve", _OBJECT_OR_NULL, line)
+    if eve is not None:
+        eve = [_LABEL_OF[s] for s in _fields(eve, _EVE_OUTCOMES, line, "eve.").values()]
     phase = index % len(TRANSFERS)
-    tail, *branch = _branch(row, line, phase, config)
-    derived = tails.get((phase, tail), (None,) * 4)[3]
-    if text.rstrip() != f"{_HEAD}{index}{tail}":
-        if derived is None:
-            derived = json.loads(f"{_HEAD}{phase}{tail}")
-        _check_derived(row, {**derived, "index": index}, line)
-    tails[phase, tail] = (*branch, derived)
+    tail, branch = _derive(phase, config, line, alice, bob, announcement, eve)
+    derived = rows.get((phase, tail))
+    if derived is None:
+        derived = rows[phase, tail] = json.loads(f"{_HEAD}{phase}{tail}")
+    _check_derived(row, {**derived, "index": index}, line)
     return _record(index, *branch)
 
 
@@ -333,14 +329,14 @@ def _template_branch(rest: str, line: int, phase: int, config: SessionConfig,
         return None
     alice, bob, announcement, *eve = map(_LABEL_OF.get, match.groups())
     try:
-        tail, *branch = _derive(phase, config, line, alice, bob, announcement,
-                                None if eve[0] is None else eve)
+        tail, branch = _derive(phase, config, line, alice, bob, announcement,
+                               None if eve[0] is None else eve)
     except TranscriptError:
         return None
     if tail != rest:
         return None
-    tails[phase, tail] = known = (*branch, None)
-    return known
+    tails[phase, tail] = branch
+    return branch
 
 
 def _record(index: int, labels: tuple, eve: tuple | None, corrections) -> RoundRecord:
@@ -348,21 +344,10 @@ def _record(index: int, labels: tuple, eve: tuple | None, corrections) -> RoundR
                        corrections)
 
 
-def _branch(row: dict, line: int, phase: int, config: SessionConfig) -> tuple:
-    """`_derive` of the outcomes of the round `row`, as json.loads gave it,
-    at `phase` of the role schedule; each outcome must be a label, and the
-    eve section an object or null."""
-    alice, bob, announcement = [_LABEL_OF[s] for s in _fields(row, _OUTCOMES, line).values()]
-    eve = _field(row, "eve", _OBJECT_OR_NULL, line)
-    if eve is not None:
-        eve = [_LABEL_OF[s] for s in _fields(eve, _EVE_OUTCOMES, line, "eve.").values()]
-    return _derive(phase, config, line, alice, bob, announcement, eve)
-
-
 def _derive(phase: int, config: SessionConfig, line: int, alice: BellLabel, bob: BellLabel,
             announcement: BellLabel, eve: list | None) -> tuple:
-    """(line after the index, record labels, Eve's labels or None,
-    corrections) of a round at `phase` of the role schedule with these
+    """(line after the index, (record labels, Eve's labels or None,
+    corrections)) of a round at `phase` of the role schedule with these
     outcomes, Eve's three (outbound, readout, detach) or None.
 
     The outcomes must be ones a session produces: an eve section exactly
@@ -395,8 +380,7 @@ def _derive(phase: int, config: SessionConfig, line: int, alice: BellLabel, bob:
                                       line, f"eve.inferred_{party}")
         eve = (*eve, inferred_alice, inferred_bob)
     corrections = closing_corrections(config, phase, alice, announcement, bob, detach)
-    tail = _round_line(_record(phase, labels, eve, corrections)).removeprefix(f"{_HEAD}{phase}")
-    return tail, labels, eve, corrections
+    return _round_tail(_record(phase, labels, eve, corrections)), (labels, eve, corrections)
 
 
 def _check_derived(found, derived, line: int, field: str = "") -> None:
@@ -431,19 +415,23 @@ def parse_lines(lines) -> TranscriptFile:
 
     Round line i skips json.loads when it is `{"kind":"round","index":i`
     followed, up to trailing JSON whitespace, by a tail derived for i mod
-    4: one already derived in this file, or the one `_template_branch`
+    4: one an earlier line was taken as, or the one `_template_branch`
     derives from the outcomes at their template positions. The line is
     then byte for byte one that was derived and checked, and it takes
     that round's record. In a file `emit_lines` wrote, json.loads runs
     once for the header and once for the summary. Every other line, such
     as one with other spacing or key order, or one that is wrong, goes
     through json.loads and `_round_from`, which gives every error.
+
+    Two dicts, each keyed by (i mod 4, line after the index), serve the
+    two paths: `tails` holds the branch of each tail a line was taken as
+    without json.loads, and `rows` the json.loads row of each derived line
+    a loaded line was checked against.
     """
     config = summary = None
     rounds: list[RoundRecord] = []
-    # (i mod 4, line after the index) -> (record labels, Eve's labels or
-    # None, corrections, the line's json.loads row once one was needed)
-    tails: dict = {}
+    tails: dict = {}  # (i mod 4, tail) -> (record labels, Eve's or None, corrections)
+    rows: dict = {}  # (i mod 4, tail) -> json.loads row of the derived line
     for number, line in enumerate(lines, 1):
         if isinstance(line, (bytes, bytearray)):
             try:
@@ -461,7 +449,7 @@ def parse_lines(lines) -> TranscriptFile:
                 known = (tails.get((phase, rest))
                          or _template_branch(rest, number, phase, config, tails))
                 if known is not None:
-                    labels, eve, corrections, _ = known
+                    labels, eve, corrections = known
                     rounds.append(RoundRecord(index, *labels,
                                               None if eve is None else EveRoundRecord(*eve),
                                               corrections))
@@ -476,7 +464,7 @@ def parse_lines(lines) -> TranscriptFile:
             raise TranscriptError("expected a JSON object", number)
         kind = row.get("kind")
         if kind == "round" and config is not None and summary is None:
-            rounds.append(_round_from(row, line, number, len(rounds), config, tails))
+            rounds.append(_round_from(row, number, len(rounds), config, rows))
         elif config is None:
             if kind != "header":
                 raise TranscriptError("transcript must start with a header line", number, "kind")

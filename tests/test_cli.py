@@ -449,6 +449,18 @@ class TestEntryPoints:
                               capture_output=True, text=True, env=child_env())
         assert in_process == (proc.returncode, proc.stdout, proc.stderr)
 
+    def test_verify_oracle_leaves_analysis_and_transcript_unloaded(self):
+        # only the commands that use them import analysis and transcript
+        script = ("import sys\n"
+                  "from swapqkd import cli\n"
+                  "code = cli.main(['verify-oracle'])\n"
+                  "print(code, 'swapqkd.analysis' in sys.modules, "
+                  "'swapqkd.transcript' in sys.modules, 'swapqkd.oracle' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False False True"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "swapqkd", "run", "--rounds", "2", "--seed", "1"],

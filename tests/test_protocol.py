@@ -15,7 +15,6 @@ from swapqkd.analysis import _shared_full_report, estimate_detection
 from swapqkd.bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from swapqkd.knowledge import KnowledgeLedger, LedgerViolation, Party, Visibility
 from swapqkd.protocol import (
-    _agreed_schedule,
     _closing_corrections,
     _session_start,
     DEFAULT_LABELS,
@@ -538,12 +537,11 @@ class TestHotPath:
 
     def test_python_calls_per_monte_carlo_point(self):
         # 200 sessions of 4 fully tested Eve rounds each
-        assert self.calls(lambda: estimate_detection(4, 200, 11, workers=1)) <= 36_055
+        assert self.calls(lambda: estimate_detection(4, 200, 11, workers=1)) <= 36_054
 
     def calls(self, run) -> int:
         """Calls made by `run()`, the call of `run` itself included."""
         _closing_corrections.cache_clear()
-        _agreed_schedule.cache_clear()
         _session_start.cache_clear()
         _shared_full_report.cache_clear()
         calls = 0

@@ -136,7 +136,6 @@ class TestRoundTemplate:
         file = transcript.TranscriptFile.of(SessionTranscript(replace(config, eve_enabled=False),
                                                               records))
         lines = transcript.emit_lines(file)[1:-1]
-        assert lines == [transcript._round_line(rec) for rec in records]
         assert lines == [_dumps(rec) for rec in records]
 
 
@@ -187,6 +186,31 @@ class TestParse:
         calls = count_json_loads(monkeypatch)
         assert transcript.parse_lines(walked) == canonical
         assert len(calls) == 2 + rounds + len(branches)
+
+    @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
+    def test_mixed_canonical_and_respaced_lines(self, eve, monkeypatch):
+        # every other round line of each phase (rounds 0-3, 8-11, ...)
+        # re-spaced by json.dumps: a canonical line is taken as text whether
+        # or not a walked line of its branch came first, and a walked line
+        # loads its branch's derived line once whether or not a canonical
+        # twin came first
+        lines = make_lines(rounds=400, eve=eve)
+        walked = {at for at in range(1, len(lines) - 1) if (at - 1) // 4 % 2 == 0}
+        mixed = [json.dumps(json.loads(line)) if at in walked else line
+                 for at, line in enumerate(lines)]
+        assert not set(mixed[at] for at in walked) & set(lines)
+        keys = [branch_key(json.loads(line)) for line in lines[1:-1]]
+        first_canonical = {}
+        for at, key in enumerate(keys, 1):
+            if at not in walked:
+                first_canonical.setdefault(key, at)
+        orders = {at < first_canonical[keys[at - 1]] for at in walked
+                  if keys[at - 1] in first_canonical}
+        assert orders == {True, False}
+        canonical = transcript.parse_lines(lines)
+        calls = count_json_loads(monkeypatch)
+        assert transcript.parse_lines(mixed) == canonical
+        assert len(calls) == 2 + len(walked) + len({keys[at - 1] for at in walked})
 
     @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes_json_space"])
     @pytest.mark.parametrize("eve", [False, True], ids=["honest", "eve"])
