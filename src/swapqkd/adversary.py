@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .bell import ALL_LABELS, BellLabel
 from .knowledge import EVE, KnowledgeLedger
-from .rng import RoundStream
+from .rng import ChosenDraws
 
 
 ANCILLAS = (7, 8)
@@ -55,7 +55,7 @@ class ChannelTap:
 
     __slots__ = ("_ledger", "_rng", "transit")
 
-    def __init__(self, ledger: KnowledgeLedger, randomness: RoundStream, transit: int):
+    def __init__(self, ledger: KnowledgeLedger, randomness: ChosenDraws | None, transit: int):
         self._ledger = ledger
         self._rng = randomness
         self.transit = transit

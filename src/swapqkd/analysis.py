@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 
 from .protocol import TRANSFERS, SessionConfig, SessionTranscript, run_session
-from .rng import BLOCK, SESSIONS, RandomStream, child_seed, session_seeds, sessions_draws
+from .rng import BLOCK, SESSIONS, child_seed, session_seeds, sessions_draws
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class RateReport:
 def eavesdropping_test(
     transcript: SessionTranscript,
     test_fraction: float,
-    coin: RandomStream | None,
+    coin: "np.random.Generator | None",
 ) -> TestReport:
     """Compare a public random subset of round pairs and strip them.
 

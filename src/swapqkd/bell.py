@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 
-from .rng import RoundStream
+from .rng import ChosenDraws
 
 
 class BellLabel:
@@ -184,15 +184,14 @@ class PairTable:
                 cells[a] = cells[b] = self._cell[a].copy()
         return table
 
-    def bsm(self, a: int, b: int, randomness: RoundStream | None = None) -> BellLabel:
+    def bsm(self, a: int, b: int, randomness: ChosenDraws | None = None) -> BellLabel:
         """Bell-operator measurement on qubits a and b.
 
         If a and b are already partners this is an eigenstate readout: the
         pair's label is returned and nothing changes. Otherwise the two
-        pairs containing a and b are consumed, the outcome is one draw from
-        `randomness` over the four labels (a `rng.ChosenDraws` pins it),
-        and the leftover partners of a and b form a new pair per
-        `swap_rule`; each new pair gets a new cell.
+        pairs containing a and b are consumed, the outcome is the label of
+        index ``randomness.integers(0, 4)``, and the leftover partners of a
+        and b form a new pair per `swap_rule`; each new pair gets a new cell.
         """
         partner = self._partner
         cells = self._cell
@@ -208,7 +207,7 @@ class PairTable:
             raise ValueError(f"qubit {b} is not paired") from None
         if randomness is None:
             raise ValueError("swap measurement needs a random stream")
-        outcome = _LABELS[int(randomness.integers(0, 4))]
+        outcome = _LABELS[randomness.integers(0, 4)]
         induced = swap_rule(cells[a][0], cells[b][0], outcome)
         partner[a] = b
         partner[b] = a

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 
 from .bell import BellLabel, PairTable
-from .rng import RoundStream
+from .rng import ChosenDraws
 
 
 class Party(enum.Enum):
@@ -98,9 +98,8 @@ class KnowledgeLedger:
         cells = self.table._cell
         return {(a, b): self.tag(a, b) for a, b, _ in self.table.pairs() if cells[a][1] is not None}
 
-    def measure(
-        self, a: int, b: int, party: Party, randomness: RoundStream | None = None
-    ) -> BellLabel:
+    def measure(self, a: int, b: int, party: Party,
+                randomness: ChosenDraws | None = None) -> BellLabel:
         """`party`'s Bell-operator measurement on a and b (`PairTable.bsm`).
 
         On partners it is a readout and the party learns the label.

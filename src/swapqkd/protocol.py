@@ -37,7 +37,7 @@ from . import adversary
 from .bell import ALL_LABELS, BellLabel, PairTable, PauliOp, pauli_correction
 from .knowledge import (_WORLD, ALICE, BOB, EVE, KNOWER_BIT, KnowledgeLedger, LedgerViolation,
                         Party, Visibility)
-from .rng import ChosenDraws, RoundStream, session_draws
+from .rng import ChosenDraws, session_draws
 
 
 def _label(s: str) -> BellLabel:
@@ -295,7 +295,7 @@ class Session:
 
     # -- round execution ---------------------------------------------------
 
-    def run_round(self, randomness: RoundStream) -> RoundRecord:
+    def run_round(self, randomness: ChosenDraws) -> RoundRecord:
         cfg = self.config
         r = self.roles
         ledger = self.ledger

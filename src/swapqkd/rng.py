@@ -13,7 +13,9 @@ convention:
 `stream` seeds numpy's PCG64 generator (O'Neill, "PCG",
 HMC-CS-2014-0905) from numpy's seed sequence at `path`, the documented way
 to build non-overlapping child streams; `child_seed` and `session_seeds`
-split seeds the same way.
+split seeds the same way. `np.random` appears only inside function bodies,
+so numpy 2 loads `numpy.random` at the first `SeedSequence` or `Generator`
+a command derives; `verify-oracle` and closed-form `curves` never load it.
 
 Round draws are the hot path: a session derives one stream per round, and
 building a seed sequence, PCG64 and Generator for each would take more
@@ -32,21 +34,18 @@ sessions, where a seed sequence per seed would cost more than its
 rounds, so `_pools` runs numpy's mixing on a pass's seeds at once; numpy
 pads each to four words, so its hash constants are fixed.
 `sessions_draws` lays those sessions end to end, reading their seeds one
-pass at a time. `round_stream` is one pass of one index, returned as
-`ChosenDraws`. All of them equal the first four draws of
-``stream(seed, ROUNDS, i)`` bit for bit, which the test suite checks
-against numpy's own seed sequence; every other stream is a numpy
-Generator.
+pass at a time, and `round_stream` is one pass of one index. All of them
+equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for bit,
+which the test suite checks against numpy's own seed sequence.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
-
-RandomStream = np.random.Generator
 
 # spawn-key domains
 ROUNDS = 0
@@ -143,7 +142,7 @@ _ROWS[:] = [tuple(code >> 2 * k & 3 for k in range(_DRAWS_PER_ROUND))
 """A round's draws by their code, two bits a draw, the first lowest."""
 
 
-def stream(seed: int, *path: int) -> RandomStream:
+def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the deterministic Generator at `path` under `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.PCG64(ss))
@@ -319,8 +318,8 @@ class ChosenDraws:
 
     A round's only randomness is its swap outcomes, each one draw, so the
     draws a round is handed fix every outcome it reads. Asking for a draw
-    past the last one, or for one outside the requested range, raises
-    ValueError.
+    past the last one, or for one that is not an integer or is outside the
+    requested range, raises ValueError; numpy integers are handed out as ints.
     """
 
     __slots__ = ("_draws", "_next")
@@ -333,15 +332,15 @@ class ChosenDraws:
         if self._next == len(self._draws):
             raise ValueError(f"all {len(self._draws)} chosen draws are used; none is left")
         draw = self._draws[self._next]
+        if type(draw) is not int:
+            try:
+                draw = operator.index(draw)
+            except TypeError:
+                raise ValueError(f"chosen draw {self._next} is {draw!r}, not an integer") from None
         if not low <= draw < high:
             raise ValueError(f"chosen draw {self._next} is {draw}, outside [{low}, {high})")
         self._next += 1
         return draw
-
-
-RoundStream = np.random.Generator | ChosenDraws
-"""What a round draws from: chosen draws, such as `round_stream`'s, or
-any numpy Generator."""
 
 
 def round_stream(seed: int, index: int) -> ChosenDraws:

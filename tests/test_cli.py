@@ -449,17 +449,27 @@ class TestEntryPoints:
                               capture_output=True, text=True, env=child_env())
         assert in_process == (proc.returncode, proc.stdout, proc.stderr)
 
-    def test_verify_oracle_leaves_analysis_and_transcript_unloaded(self):
-        # only the commands that use them import analysis and transcript
+    @pytest.mark.parametrize("argv,want", [
+        (["verify-oracle"], "0 False False False"),
+        (["curves", "--max-pairs", "3"], "0 True False False"),
+        (["run", "--rounds", "-1", "--seed", "1"], "2 False False False"),
+    ], ids=["verify-oracle", "curves", "usage-error"])
+    def test_commands_leave_unused_modules_unloaded(self, argv, want):
+        # only the commands that use them import analysis and transcript, and
+        # only a command that derives a seed sequence or Generator loads
+        # numpy.random, unless `import numpy` loads it itself (numpy 1.x)
         script = ("import sys\n"
+                  "import numpy\n"
+                  "preloaded = 'numpy.random' in sys.modules\n"
                   "from swapqkd import cli\n"
-                  "code = cli.main(['verify-oracle'])\n"
+                  f"code = cli.main({argv!r})\n"
                   "print(code, 'swapqkd.analysis' in sys.modules, "
-                  "'swapqkd.transcript' in sys.modules, 'swapqkd.oracle' in sys.modules)\n")
+                  "'swapqkd.transcript' in sys.modules, "
+                  "not preloaded and 'numpy.random' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False False True"
+        assert proc.stdout.splitlines()[-1] == want
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import importlib
 import itertools
 import random
 import sys
@@ -426,6 +427,11 @@ class TestSessionDraws:
         with pytest.raises(ValueError, match=f"draws for {rows} rounds, the session has 5"):
             run_session(config, [(0, 0, 0, 0)] * rows)
 
+    def test_a_row_with_a_non_integer_draw_rejected(self):
+        config = SessionConfig(rounds=2, seed=0, eve_enabled=True)
+        with pytest.raises(ValueError, match=r"^chosen draw 0 is 0\.2, not an integer$"):
+            run_session(config, [[0.2, 1, 2, 3], [3.9, 3, 3, 3]])
+
 
 def start_by_hand(config):
     """(table pairs, ledger tags, custody) a session under `config` starts
@@ -523,7 +529,8 @@ class TestHotPath:
     A deterministic stand-in for a timing test: the count depends only on
     the code and the seed, not on the machine's speed. Each bound is the
     count on CPython 3.11 with the caches of `protocol` and `analysis`
-    empty, so it does not depend on test order, plus 3.
+    empty and `numpy.random` loaded, so it does not depend on test order,
+    plus 3.
     """
 
     def test_python_calls_per_eve_round(self):
@@ -541,6 +548,9 @@ class TestHotPath:
 
     def calls(self, run) -> int:
         """Calls made by `run()`, the call of `run` itself included."""
+        # numpy loads it at a process's first seed sequence or Generator, as
+        # the transcript's public coin is; a test run earlier may have done so
+        importlib.import_module("numpy.random")
         _closing_corrections.cache_clear()
         _session_start.cache_clear()
         _shared_full_report.cache_clear()

@@ -3,6 +3,7 @@ chosen draws."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -202,11 +203,25 @@ def test_chosen_draws_reject_an_extra_draw():
         chosen.integers(0, 4)
 
 
-@pytest.mark.parametrize("draw", [4, -1])
-def test_chosen_draws_reject_an_out_of_range_draw(draw):
+@pytest.mark.parametrize("draw,message", [
+    pytest.param(4, "chosen draw 0 is 4, outside [0, 4)", id="4"),
+    pytest.param(-1, "chosen draw 0 is -1, outside [0, 4)", id="-1"),
+    # a float is no label index, even an integral one; a swap does not truncate it
+    pytest.param(1.5, "chosen draw 0 is 1.5, not an integer", id="1.5"),
+    pytest.param(2.0, "chosen draw 0 is 2.0, not an integer", id="2.0"),
+    pytest.param("2", "chosen draw 0 is '2', not an integer", id="str"),
+])
+def test_chosen_draws_reject_an_out_of_range_draw(draw, message):
     chosen = ChosenDraws([draw, 0])
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         chosen.integers(0, 4)
     # the rejected draw is not consumed
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         chosen.integers(0, 4)
+
+
+def test_chosen_draws_hand_out_numpy_integers_as_ints():
+    chosen = ChosenDraws([np.int64(3), np.uint8(0)])
+    draws = [chosen.integers(0, 4), chosen.integers(0, 4)]
+    assert draws == [3, 0]
+    assert all(type(draw) is int for draw in draws)
