@@ -12,10 +12,15 @@ convention:
 
 `stream` seeds numpy's PCG64 generator (O'Neill, "PCG",
 HMC-CS-2014-0905) from numpy's seed sequence at `path`, the documented way
-to build non-overlapping child streams; `child_seed` and `session_seeds`
-split seeds the same way. `np.random` appears only inside function bodies,
-so numpy 2 loads `numpy.random` at the first `SeedSequence` or `Generator`
-a command derives; `verify-oracle` and closed-form `curves` never load it.
+to build non-overlapping child streams. Everything else derives the same
+seed sequence here, as numpy arrays, with one derivation of its pool
+(`_pools`, numpy's `mix_entropy` for one seed of any width or an array of
+``np.uint64`` seeds, under any spawn key) and of its output
+(`generate_state`: `_generate`, and `_seeded` for round states). So
+`child_seed` and `session_seeds` split seeds as numpy does, and
+`numpy.random` loads only at `stream`, the first `Generator` a command
+builds: the public test coin of a tested `run`. `montecarlo`, `curves`
+and an untested `run` never load it, nor does `verify-oracle`.
 
 Round draws are the hot path: a session derives one stream per round, and
 building a seed sequence, PCG64 and Generator for each would take more
@@ -25,18 +30,13 @@ up to `BLOCK` rows in typed ``np.uint32`` and ``np.uint64`` lanes:
 ``(ROUNDS,)`` with the `_absorb` step and generates the state, and
 `_states` runs PCG64's two seeding steps and the two steps to its first
 two outputs as one matrix product on 16-bit limbs.
-The pool has two derivations, one per kind of input. A session is one
-seed of any size and an unbounded run of rounds, so `session_draws` and
-`round_stream` read its pool once from numpy's own seed sequence and
-take the hash constants that follow it from the seed's width (`_pool`).
-A Monte Carlo sweep's seeds are one ``np.uint64`` array of many short
-sessions, where a seed sequence per seed would cost more than its
-rounds, so `_pools` runs numpy's mixing on a pass's seeds at once; numpy
-pads each to four words, so its hash constants are fixed.
-`sessions_draws` lays those sessions end to end, reading their seeds one
-pass at a time, and `round_stream` is one pass of one index. All of them
-equal the first four draws of ``stream(seed, ROUNDS, i)`` bit for bit,
-which the test suite checks against numpy's own seed sequence.
+A session is one seed and an unbounded run of rounds, so `session_draws`
+and `round_stream` derive its pool once, a one-column `_pools`. A Monte
+Carlo sweep's seeds are one ``np.uint64`` array of many short sessions,
+and `sessions_draws` lays those sessions end to end, deriving the pools of
+a pass's seeds at once. All of them equal the first four draws of
+``stream(seed, ROUNDS, i)`` bit for bit, which the test suite checks
+against numpy's own seed sequence, as it checks the seed splits.
 """
 
 from __future__ import annotations
@@ -75,10 +75,12 @@ _MIX_MULT_R = 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 """PCG64's 128-bit LCG multiplier."""
 
-# typed constants for the block code: each meets arrays of its own dtype
-_W1, _W16, _W31, _L16, _ML, _MR = map(np.uint32, (1, 16, 31, 0xFFFF, _MIX_MULT_L, _MIX_MULT_R))
-_L32, _L3, _L12 = map(np.uint64, (_M32, 3, 12))
-_S4, _S26, _S30, _S32, _S60, _S63, _S64 = map(np.uint64, (4, 26, 30, 32, 60, 63, 64))
+# typed constants for the block code: each meets arrays of its own dtype, as
+# a 0-d array, which numpy applies with less overhead than a scalar
+_W1, _W16, _W31, _L16, _ML, _MR = (np.array(c, dtype=np.uint32)
+                                   for c in (1, 16, 31, 0xFFFF, _MIX_MULT_L, _MIX_MULT_R))
+_L32, _L3, _L12, _S4, _S26, _S30, _S32, _S60, _S63, _S64 = (
+    np.array(c, dtype=np.uint64) for c in (_M32, 3, 12, 4, 26, 30, 32, 60, 63, 64))
 
 _CROSS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
 """The lanes each pool lane mixes into, in order, in the pool's cross-mix."""
@@ -87,21 +89,28 @@ _CROSS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range
 @functools.cache
 def _hashes(init: int, mult: int, n: int) -> np.ndarray:
     """The first `n` hash constants of one of numpy's two sequences,
-    ``init * mult**k mod 2**32``, as an (n, 1) ``np.uint32`` column: hashing
-    step k xors its value with constant k and multiplies it by constant
-    k + 1."""
-    return np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(n)],
-                    dtype=np.uint32)[:, None]
+    ``init * mult**k mod 2**32``, as a ``np.uint32`` array: hashing step k
+    xors its value with constant k and multiplies it by constant k + 1."""
+    constants = np.full(n, mult, dtype=np.uint32)
+    constants[0] = init
+    return np.multiply.accumulate(constants, dtype=np.uint32, out=constants)
 
 
-_STATE_XOR, _STATE_MULT = (_hashes(_INIT_B, _MULT_B, 9)[k:k + 8].reshape(2, 4, 1) for k in (0, 1))
+# cached at import: `_pools`' constants for a seed below 2**128 under a
+# one-word spawn key, a session's or a sweep's, so deriving them makes no call
+_hashes(_INIT_A, _MULT_A, 4 * (_POOL_SIZE + 1) + 9)
+
+_STATE_HASHES = _hashes(_INIT_B, _MULT_B, 4 * BLOCK + 1)
+"""`generate_state`'s hash constants for its first 4 * `BLOCK` words (the
+hashing steps of `_generate`'s first pass); a later pass's are these
+times ``_MULT_B**start``."""
+
+_STATE_XOR, _STATE_MULT = (_STATE_HASHES[k:k + 8].reshape(2, 4, 1) for k in (0, 1))
 """The xors and multipliers of the 8 words `generate_state(4, uint64)`
 makes, shaped (2, 4, 1) to meet the pool lanes twice over."""
 
-_POOL_HASHES = _hashes(_INIT_A, _MULT_A, 29)
-"""The hash constants of `_pools`' seeds: 4 fill the pool and 12 cross-mix
-it, 4 absorb the ROUNDS word and 9 follow for a round index. numpy pads a
-seed below 2**128 to four words, so every ``np.uint64`` seed uses these."""
+_LANES = np.arange(_POOL_SIZE)
+"""Every pool lane: a word past the pool's first four mixes into all of them."""
 
 
 def _step_matrix() -> np.ndarray:
@@ -160,44 +169,70 @@ def _absorb(lanes: np.ndarray, word: np.ndarray, hashes: np.ndarray) -> np.ndarr
     return mixed
 
 
-def _pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's seed-sequence pool for spawn key ``(ROUNDS,)`` of one seed,
-    read from numpy's own seed sequence: the (4, 1) ``np.uint32`` lanes,
-    and the (9, 1) hash constants that a round index's words take next.
-    Those depend only on the seed's width, w >= 4 words as numpy pads it:
-    one hashing step for each of the first four words, 12 to cross-mix the
-    pool, then four for each word past the fourth and four for the ROUNDS
-    word, so they are constants 4w + 4 to 4w + 12: the tail of the first
-    4w + 13, which for a seed below 2**128 are `_POOL_HASHES`, cached."""
-    if seed < 0:
-        raise ValueError(f"seeds must be nonnegative, got {seed}")
-    words = max(-(-seed.bit_length() // 32), _POOL_SIZE)
-    lanes = np.random.SeedSequence(seed, spawn_key=(ROUNDS,)).pool[:, None]
-    return lanes, _hashes(_INIT_A, _MULT_A, 4 * words + 13)[-9:]
+def _pools(seeds, *spawn_key: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's seed-sequence pool under `spawn_key` for `seeds`, one seed
+    (a nonnegative int) or a ``np.uint64`` array of them: the (4, n)
+    ``np.uint32`` lanes, and the (9, 1) hash constants that a round index's
+    words take next, in `_seeded`.
 
-
-def _pools(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_pool` for each seed of the ``np.uint64`` array `seeds`: the (4, n)
-    pool lanes, and the (9, 1) hash constants every seed shares.
-
-    It runs numpy's `mix_entropy` on every seed at once, in the typed
-    lanes of `_seeded`: hash the seed's words, zero-padded to four, into
-    the lanes, cross-mix the lanes in 12 steps, then `_absorb` the ROUNDS
-    word.
+    This is numpy's `mix_entropy` on every seed at once. numpy splits the
+    seed and each spawn key element into 32-bit words, lowest first (0 is
+    one word), and pads the seed's with zeros to four, as `mix_entropy`
+    does itself without a key; it hashes the first four words into the
+    lanes, cross-mixes the lanes in 12 hashing steps, each lane into the
+    other three in turn, then hashes each later word into every lane.
+    Columns share their width: a ``np.uint64`` seed is at most two words,
+    so the array's all pad to four.
     """
-    h = _POOL_HASHES
-    words = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
-    words[0] = seeds & _L32
-    words[1] = seeds >> _S32
-    lanes = (words ^ h[:4]) * h[1:5]
+    key = size = 0
+    for part in spawn_key:
+        key |= part << 32 * size
+        size += -(-part.bit_length() // 32) or 1
+    if isinstance(seeds, np.ndarray):
+        words = np.zeros((_POOL_SIZE + size, len(seeds)), dtype=np.uint32)
+        words[0] = seeds & _L32
+        words[1] = seeds >> _S32
+        words[_POOL_SIZE:] = np.frombuffer(key.to_bytes(4 * size, "little"), dtype="<u4")[:, None]
+    else:
+        seeds = operator.index(seeds)
+        if seeds < 0:
+            raise ValueError(f"seeds must be nonnegative, got {seeds}")
+        width = max(-(-seeds.bit_length() // 32), _POOL_SIZE)
+        entropy = (seeds | key << 32 * width).to_bytes(4 * (width + size), "little")
+        words = np.frombuffer(entropy, dtype="<u4").astype(np.uint32)[:, None]
+    h = _hashes(_INIT_A, _MULT_A, 4 * len(words) + 9)[:, None]
+    lanes = words[:_POOL_SIZE]
+    lanes ^= h[:4]
+    lanes *= h[1:5]
     lanes ^= lanes >> _W16
-    for k, (src, dst) in zip(range(4, 16, 3), enumerate(_CROSS)):
-        value = (lanes[src] ^ h[k:k + 3]) * h[k + 1:k + 4]
+    k = 4
+    for src, dst in zip(range(len(words)), itertools.chain(_CROSS, itertools.repeat(_LANES))):
+        value = (words[src] ^ h[k:k + len(dst)]) * h[k + 1:k + 1 + len(dst)]
         value ^= value >> _W16
         mixed = _ML * lanes[dst] - _MR * value
         mixed ^= mixed >> _W16
         lanes[dst] = mixed
-    return _absorb(lanes, np.uint32(ROUNDS), h[16:]), h[20:]
+        k += len(dst)
+    return lanes, h[k:k + 9]
+
+
+def _generate(lanes: np.ndarray, n: int) -> np.ndarray:
+    """numpy's ``generate_state(n, np.uint64)`` for the one pool `lanes`,
+    (4, 1): 2n words, word j hashing lane j mod 4 with `generate_state`'s
+    constants j and j + 1, paired low word first. Passes of 4 * `BLOCK`
+    words fill the result in place, so nothing larger than a pass is made
+    beside it. The result is the array of 2n ``uint32`` words numpy's
+    `generate_state` allocates, so a size too large fails as there."""
+    words = np.empty(2 * n, dtype="<u4")
+    for start in range(0, 2 * n, 4 * BLOCK):
+        part = words[start:start + 4 * BLOCK]
+        rows = -(-len(part) // 4)
+        scale = np.uint32(pow(_MULT_B, start, 1 << 32))
+        value = ((lanes[:, 0] ^ _STATE_HASHES[:4 * rows].reshape(rows, 4) * scale)
+                 * (_STATE_HASHES[1:4 * rows + 1].reshape(rows, 4) * scale))
+        value ^= value >> _W16
+        part[:] = value.reshape(-1)[:len(part)]
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 def _carry(cols: np.ndarray) -> np.ndarray:
@@ -232,9 +267,9 @@ def _seeded(lanes: np.ndarray, hashes: np.ndarray, indices: np.ndarray) -> np.nd
     the increment, each as 32-bit limbs, lowest first.
 
     `lanes` and `hashes` are `_pools`' for each row's seed, the lanes
-    shaped (4, n), or `_pool`'s for one seed on every row, the lanes
-    shaped (4, 1). This is the one round-seeding derivation. The seed
-    sequence absorbs the index's one or two words into the pool lanes and
+    shaped (4, n), or for one seed on every row, the lanes shaped (4, 1).
+    This is the one round-seeding derivation. The seed sequence absorbs
+    the index's one or two words into the pool lanes and
     `generate_state(4, uint64)` hashes them into eight words, all mod
     2**32 in ``np.uint32``. Those words' 64-bit pairs are the high and low
     halves of the initial state, then of the stream, whose doubling plus
@@ -288,7 +323,7 @@ def _passes(seeds: np.ndarray, rounds: int):
         first, last = start // rounds, int(session[-1]) + 1
         if span != (first, last):
             span = first, last
-            lanes, hashes = _pools(seeds[first:last])
+            lanes, hashes = _pools(seeds[first:last], ROUNDS)
         yield _draws(lanes[:, session - first] if last - first > 1 else lanes, hashes,
                      indices.astype(np.uint64))
 
@@ -298,7 +333,7 @@ def session_draws(seed: int, rounds: int):
     under `seed`: row i is the first four ``integers(0, 4)`` of
     ``stream(seed, ROUNDS, i)``. The seed's pool is derived once, and the
     rows a pass at a time as they are used."""
-    lanes, hashes = _pool(seed)
+    lanes, hashes = _pools(seed, ROUNDS)
     return itertools.chain.from_iterable(
         _draws(lanes, hashes, _OFFSETS[:min(BLOCK, rounds - start)] + np.uint64(start))
         for start in range(0, rounds, BLOCK))
@@ -348,22 +383,23 @@ def round_stream(seed: int, index: int) -> ChosenDraws:
     of ``stream(seed, ROUNDS, index)``: one pass of one index."""
     if index < 0 or index >> 64:
         raise ValueError(f"round indices must be nonnegative and below 2**64, got {index}")
-    lanes, hashes = _pool(seed)
+    lanes, hashes = _pools(seed, ROUNDS)
     return ChosenDraws(_draws(lanes, hashes, np.array([index], dtype=np.uint64))[0])
 
 
 def child_seed(seed: int, *path: int) -> int:
-    """Derive an integer seed at `path`, e.g. one per Monte Carlo session."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Derive an integer seed at `path`, e.g. one per Monte Carlo session:
+    ``SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)``."""
+    return int(_generate(_pools(seed, *path)[0], 1)[0])
 
 
 def session_seeds(seed: int, n: int) -> np.ndarray:
     """Independent per-session seeds for an n-session Monte Carlo sweep,
-    as a ``np.uint64`` array (8 bytes a session). An `n` past numpy's
+    as a ``np.uint64`` array (8 bytes a session): those of
+    ``SeedSequence(seed, spawn_key=(SESSIONS,))``. An `n` past numpy's
     array index range raises MemoryError, as a merely huge one does."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(SESSIONS,))
+    lanes, _ = _pools(seed, SESSIONS)
     try:
-        return ss.generate_state(n, dtype=np.uint64)
+        return _generate(lanes, n)
     except ValueError:  # "Maximum allowed dimension exceeded", before any allocation
         raise MemoryError(f"cannot allocate seeds for {n} sessions") from None

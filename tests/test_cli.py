@@ -453,11 +453,18 @@ class TestEntryPoints:
         (["verify-oracle"], "0 False False False"),
         (["curves", "--max-pairs", "3"], "0 True False False"),
         (["run", "--rounds", "-1", "--seed", "1"], "2 False False False"),
-    ], ids=["verify-oracle", "curves", "usage-error"])
+        (["montecarlo", "--max-pairs", "2", "--sessions", "20", "--seed", "1"],
+         "0 True False False"),
+        (["curves", "--max-pairs", "2", "--sessions", "20", "--seed", "1"], "0 True False False"),
+        (["run", "--rounds", "10", "--seed", "1", "--eve"], "0 True True False"),
+        # the public test coin is the one Generator a command builds
+        (["run", "--rounds", "10", "--seed", "1", "--test-fraction", "0.5"], "0 True True True"),
+    ], ids=["verify-oracle", "curves", "usage-error", "montecarlo", "curves-sessions",
+            "run-untested", "run-tested"])
     def test_commands_leave_unused_modules_unloaded(self, argv, want):
         # only the commands that use them import analysis and transcript, and
-        # only a command that derives a seed sequence or Generator loads
-        # numpy.random, unless `import numpy` loads it itself (numpy 1.x)
+        # only a command that builds a Generator loads numpy.random, unless
+        # `import numpy` loads it itself (numpy 1.x)
         script = ("import sys\n"
                   "import numpy\n"
                   "preloaded = 'numpy.random' in sys.modules\n"

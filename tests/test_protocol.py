@@ -527,10 +527,10 @@ class TestHotPath:
     of one Monte Carlo point.
 
     A deterministic stand-in for a timing test: the count depends only on
-    the code and the seed, not on the machine's speed. Each bound is the
-    count on CPython 3.11 with the caches of `protocol` and `analysis`
-    empty and `numpy.random` loaded, so it does not depend on test order,
-    plus 3.
+    the code and the seed, not on the machine's speed. Each bound allows
+    a few calls over the count on CPython 3.11 with the caches of
+    `protocol` and `analysis` empty and `numpy.random` loaded, so it does
+    not depend on test order.
     """
 
     def test_python_calls_per_eve_round(self):
@@ -548,8 +548,8 @@ class TestHotPath:
 
     def calls(self, run) -> int:
         """Calls made by `run()`, the call of `run` itself included."""
-        # numpy loads it at a process's first seed sequence or Generator, as
-        # the transcript's public coin is; a test run earlier may have done so
+        # numpy loads it at a process's first Generator, the transcript's
+        # public coin; a test run earlier may have done so
         importlib.import_module("numpy.random")
         _closing_corrections.cache_clear()
         _session_start.cache_clear()

@@ -1,9 +1,10 @@
-"""Round draws against numpy's SeedSequence/PCG64 stream at (ROUNDS, i), and
-chosen draws."""
+"""Round draws against numpy's SeedSequence/PCG64 stream at (ROUNDS, i), seed
+splits against numpy's SeedSequence, and chosen draws."""
 
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from swapqkd import rng
 from swapqkd.rng import (
     BLOCK,
     ROUNDS,
+    SESSIONS,
     ChosenDraws,
+    child_seed,
     round_stream,
     session_draws,
     session_seeds,
@@ -103,7 +106,7 @@ def numpy_index_hashes(seed):
 
 def test_pools_of_a_uint64_array_equal_numpy():
     seeds = session_seeds(8, 2000)
-    lanes, hashes = rng._pools(seeds)
+    lanes, hashes = rng._pools(seeds, ROUNDS)
     assert lanes.dtype == hashes.dtype == np.uint32
     assert lanes.shape == (4, 2000) and hashes.shape == (9, 1)
     assert lanes.T.tolist() == [numpy_pool(seed) for seed in seeds.tolist()]
@@ -112,11 +115,65 @@ def test_pools_of_a_uint64_array_equal_numpy():
 
 @pytest.mark.parametrize("seed", SEEDS + [2**64, 2**255 + 1, 3**200])
 def test_pools_of_one_seed_equal_numpy(seed):
-    lanes, hashes = rng._pool(seed)
+    lanes, hashes = rng._pools(seed, ROUNDS)
     assert lanes.dtype == hashes.dtype == np.uint32
     assert lanes.shape == (4, 1) and hashes.shape == (9, 1)
     assert lanes[:, 0].tolist() == numpy_pool(seed)
     assert hashes[:, 0].tolist() == numpy_index_hashes(seed)
+
+
+PATH_ELEMENTS = [0, 2**32 - 1, 2**32, 2**64]
+"""Spawn key elements of one, one, two and three words: numpy splits an
+element above 2**32 - 1 into words, as it splits a seed."""
+
+SPAWN_KEYS = [(), (SESSIONS,)] + [(SESSIONS, e) for e in PATH_ELEMENTS] + [tuple(PATH_ELEMENTS)]
+
+
+@pytest.mark.parametrize("seed", SEEDS + [3**200])
+@pytest.mark.parametrize("key", SPAWN_KEYS, ids=str)
+def test_pools_under_any_spawn_key_equal_numpy(seed, key):
+    lanes, _ = rng._pools(seed, *key)
+    assert lanes[:, 0].tolist() == np.random.SeedSequence(seed, spawn_key=key).pool.tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS + [3**200])
+@pytest.mark.parametrize("key", SPAWN_KEYS, ids=str)
+def test_child_seed_equals_numpy(seed, key):
+    want = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)
+    got = child_seed(seed, *key)
+    assert type(got) is int and got == int(want[0])
+
+
+@pytest.mark.parametrize("seed", SEEDS + [3**200])
+@pytest.mark.parametrize("n", [*range(1, 10), BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+def test_session_seeds_equal_numpy(seed, n):
+    # an odd count ends in half a row of four words, and more than 2 * BLOCK
+    # seeds take a second pass
+    want = np.random.SeedSequence(seed, spawn_key=(SESSIONS,)).generate_state(n, dtype=np.uint64)
+    got = session_seeds(seed, n)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    assert got.tolist() == want.tolist()
+
+
+def test_session_seeds_make_nothing_as_large_as_their_result():
+    # the result is 8 bytes a session; whatever else is made is a pass at a time
+    n = 10**6
+    session_seeds(1, 3)
+    tracemalloc.start()
+    try:
+        seeds = session_seeds(1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) == n
+    assert peak <= 1.25 * 8 * n
+
+
+def test_negative_seed_rejected_by_seed_splits():
+    with pytest.raises(ValueError, match="nonnegative"):
+        child_seed(-1, SESSIONS, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        session_seeds(-1, 3)
 
 
 def test_states_equal_pcg64_steps_on_big_ints():
@@ -142,7 +199,7 @@ def test_states_equal_pcg64_steps_on_big_ints():
 
 def block_rows(seed, indices):
     """One pass of the block derivation over `indices` under `seed`."""
-    lanes, hashes = rng._pool(seed)
+    lanes, hashes = rng._pools(seed, ROUNDS)
     return rng._draws(lanes, hashes, np.array(indices, dtype=np.uint64))
 
 
